@@ -1,17 +1,25 @@
-//! Allocation probe for the FEKF hot path (ISSUE 2 acceptance
-//! criterion): one steady-state optimizer iteration — `q = P·g`, Kalman
-//! gain, Δw scatter, fused `P` update — must perform **zero** heap
-//! allocations, including the pool dispatch that parallelizes the block
-//! kernels.
+//! Allocation probe for the FEKF hot path: in steady state neither the
+//! optimizer step (`q = P·g`, Kalman gain, Δw scatter, fused `P`
+//! update) nor a whole `Trainer::fekf_iteration` (forward, energy
+//! reduce, force reduce, all five KF updates, on 2 pool threads)
+//! performs a single heap allocation, and the `Vec`-returning model
+//! wrappers allocate their return value and nothing else, whatever the
+//! atom count.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
-//! warms the path up (worker spawn, scratch sizing) and then asserts the
-//! allocation counter does not move across further steps. Kept as a
-//! single test function: the counter is process-global.
+//! warms each path up (worker spawn, workspace and scratch sizing) and
+//! then asserts how far the allocation counter moves. Kept as a single
+//! test function: the counter is process-global.
 
+use deepmd_core::env_cache::{EnvCache, FrameEnv};
+use dp_data::generate::GenScale;
+use dp_mdsim::systems::PaperSystem;
 use dp_optim::fekf::{Fekf, FekfConfig};
+use dp_train::recipes::{self, ModelScale};
+use dp_train::trainer::{LoopState, TrainConfig, Trainer};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 struct CountingAlloc;
 
@@ -35,6 +43,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations performed by `f`.
+fn allocs_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.load(Ordering::SeqCst);
+    let out = f();
+    (out, ALLOCS.load(Ordering::SeqCst) - before)
+}
 
 #[test]
 fn steady_state_fekf_step_is_allocation_free() {
@@ -69,5 +84,61 @@ fn steady_state_fekf_step_is_allocation_free() {
     let v = vec![0u8; 1024];
     assert!(ALLOCS.load(Ordering::SeqCst) > before);
     drop(v);
+
+    whole_iteration_is_allocation_free();
+    wrappers_allocate_only_what_they_return();
     dp_pool::set_threads(1);
+}
+
+/// The whole path: per-frame forward, ∇θE, forces and the four-tangent
+/// ∇θΣcF in each reduction block's workspace, the block reductions, and
+/// the five KF updates. The same batch every iteration, so each block
+/// sees the frames it was sized for.
+fn whole_iteration_is_allocation_free() {
+    let scale = GenScale { frames_per_temperature: 4, equilibration: 20, stride: 2 };
+    let exp = recipes::setup(PaperSystem::Cu, &scale, ModelScale::Small, 3);
+    let mut model = exp.model.clone();
+    let batch: Vec<usize> = (0..8).collect();
+    let trainer = Trainer::new(TrainConfig { batch_size: batch.len(), ..TrainConfig::default() });
+    let mut opt = Fekf::new(&model.layer_sizes(), batch.len(), FekfConfig::default());
+    let cache = EnvCache::new(exp.train.len());
+    let mut state = LoopState::new();
+    for _ in 0..3 {
+        trainer.fekf_iteration(&mut model, &mut opt, &exp.train, &batch, &cache, &mut state);
+    }
+    let ((), n) = allocs_in(|| {
+        for _ in 0..3 {
+            trainer.fekf_iteration(&mut model, &mut opt, &exp.train, &batch, &cache, &mut state);
+        }
+    });
+    assert_eq!(n, 0, "a steady-state FEKF iteration must not allocate ({n} allocations in 3)");
+    assert_eq!(cache.stats().misses, batch.len() as u64, "one geometry build per frame");
+}
+
+/// `forces`, `grad_energy_params`, `grad_force_sum_params` and `predict`
+/// on a 108-atom and a 32-atom system: one allocation each, the value
+/// they return. (`predict` also builds the frame's geometry — a
+/// `FrameEnv` behind an `Arc`, counted on its own and subtracted.)
+fn wrappers_allocate_only_what_they_return() {
+    let scale = GenScale { frames_per_temperature: 2, equilibration: 20, stride: 2 };
+    for system in [PaperSystem::Cu, PaperSystem::Al] {
+        let exp = recipes::setup(system, &scale, ModelScale::Small, 5);
+        let (model, frame) = (&exp.model, &exp.train.frames[0]);
+        let coeffs = vec![1.0; 3 * frame.types.len()];
+        // Warm this thread's workspace on this system.
+        let pass = model.forward(frame);
+        model.forces(&pass);
+        model.grad_energy_params(&pass);
+        model.grad_force_sum_params(&pass, &coeffs);
+        assert_eq!(allocs_in(|| model.forces(&pass)).1, 1, "{system:?}: forces");
+        assert_eq!(allocs_in(|| model.grad_energy_params(&pass)).1, 1, "{system:?}: grad_energy_params");
+        assert_eq!(
+            allocs_in(|| model.grad_force_sum_params(&pass, &coeffs)).1,
+            1,
+            "{system:?}: grad_force_sum_params"
+        );
+        drop(pass);
+        let (_, geometry) = allocs_in(|| Arc::new(FrameEnv::build(&model.cfg, &model.stats, frame)));
+        assert_eq!(allocs_in(|| model.predict(frame)).1, geometry + 1, "{system:?}: predict");
+    }
 }

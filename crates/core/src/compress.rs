@@ -8,8 +8,8 @@
 //! and evaluated with one 4-row weighted combination per neighbour
 //! instead of three dense layers and ~3·M `tanh` calls. Knot values
 //! and derivatives are
-//! taken from the exact network ([`crate::mlp::Mlp::forward`] +
-//! [`crate::mlp::Mlp::jvp`] with a unit tangent), so:
+//! taken from the exact network ([`crate::mlp::Mlp::forward_rows`] +
+//! [`crate::mlp::Mlp::jvp_rows`] with a unit tangent), so:
 //!
 //! * the table is **exact at every knot** (the interpolant reproduces
 //!   `f` and `f′` there), C¹ everywhere, and O(h⁴) in between;
@@ -35,15 +35,15 @@
 //! backends (the elementwise contract of DESIGN §13).
 
 use crate::config::ModelConfig;
-use crate::env::{switch, AtomEnv, EnvStats};
+use crate::env::{switch, EnvStats};
 use crate::env_cache::{EnvCache, FrameEnv};
-use crate::mlp::{Mlp, MlpCache};
-use crate::model::{DeepPotModel, Prediction};
+use crate::frame::Nets;
+use crate::mlp::{DualTape, Mlp, Rows, Tape};
+use crate::model::{DeepPotModel, ForwardPass, Prediction};
 use dp_data::dataset::Snapshot;
 use dp_data::stats::EnergyBias;
 use dp_mdsim::Vec3;
 use dp_tensor::backend;
-use dp_tensor::kernel;
 use dp_tensor::Mat;
 use std::sync::Arc;
 
@@ -138,10 +138,8 @@ impl SplineTable {
             return Err(format!("degenerate table domain [{x_lo}, {x_hi}]"));
         }
         let h = (x_hi - x_lo) / n_bins as f64;
-        let knots = Mat::from_fn(n_bins + 1, 1, |k, _| x_lo + k as f64 * h);
-        let (values, cache) = mlp.forward(&knots);
-        let ones = Mat::from_fn(n_bins + 1, 1, |_, _| 1.0);
-        let (derivs, _) = mlp.jvp(&cache, &ones);
+        let knots: Vec<f64> = (0..=n_bins).map(|k| x_lo + k as f64 * h).collect();
+        let (values, derivs) = values_and_derivs(mlp, &knots);
         Ok(SplineTable { x_lo, x_hi, h, n_bins, m: mlp.n_out(), values, derivs })
     }
 
@@ -214,15 +212,12 @@ impl SplineTable {
 
     /// Measure the fit against the exact net at every bin midpoint.
     pub fn fit_against(&self, mlp: &Mlp) -> (f64, f64) {
-        let mids = Mat::from_fn(self.n_bins, 1, |k, _| self.x_lo + (k as f64 + 0.5) * self.h);
-        let (exact, cache) = mlp.forward(&mids);
-        let ones = Mat::from_fn(self.n_bins, 1, |_, _| 1.0);
-        let (exact_d, _) = mlp.jvp(&cache, &ones);
+        let mids: Vec<f64> = (0..self.n_bins).map(|k| self.x_lo + (k as f64 + 0.5) * self.h).collect();
+        let (exact, exact_d) = values_and_derivs(mlp, &mids);
         let mut row = vec![0.0; self.m];
         let mut max_v = 0.0f64;
         let mut max_d = 0.0f64;
-        for k in 0..self.n_bins {
-            let x = mids.get(k, 0);
+        for (k, &x) in mids.iter().enumerate() {
             self.eval_into(x, &mut row);
             for (a, &b) in row.iter().zip(exact.row(k)) {
                 max_v = max_v.max((a - b).abs());
@@ -261,76 +256,33 @@ pub(crate) fn table_domain(
     Ok((x_lo, x_hi))
 }
 
-/// Build `R̃` and the tabulated `G` for one atom — shared by the
-/// compressed and quantized evaluation paths. Neighbours right of the
-/// table domain (closer than `r_min`) go through the exact embedding
-/// net.
-pub(crate) fn build_r_and_g(
-    cfg: &ModelConfig,
-    tables: &[SplineTable],
-    embeddings: &[Mlp],
-    ti: usize,
-    env: &AtomEnv,
-) -> (Mat, Mat) {
-    let nt = cfg.n_types;
-    let n_i = env.entries.len();
-    let mut r_mat = Mat::zeros(n_i, 4);
-    for (k, e) in env.entries.iter().enumerate() {
-        r_mat.row_mut(k).copy_from_slice(&e.row);
-    }
-    let mut g = Mat::zeros(n_i, cfg.m);
-    for tj in 0..nt {
-        let (a, b) = env.type_ranges[tj];
-        if a == b {
-            continue;
-        }
-        let table = &tables[ti * nt + tj];
-        for k in a..b {
-            let x = env.entries[k].row[0];
-            if table.covers(x) {
-                table.eval_into(x, g.row_mut(k));
-            } else {
-                let (row, _) = embeddings[ti * nt + tj].forward(&Mat::from_vec(1, 1, vec![x]));
-                g.row_mut(k).copy_from_slice(row.row(0));
-            }
-        }
-    }
-    (r_mat, g)
+/// A scalar-input net and its derivative at every `xs[k]`: one forward
+/// sweep over all points and the JVP with a unit tangent, as
+/// `(values, derivatives)`, both `xs.len() × n_out`.
+fn values_and_derivs(mlp: &Mlp, xs: &[f64]) -> (Mat, Mat) {
+    let (be, rows) = (backend::active(), xs.len());
+    let mut tape = Tape::default();
+    tape.prepare(mlp, rows);
+    mlp.forward_rows(be, xs, &mut tape, 0, rows);
+    let mut dual = DualTape::default();
+    dual.prepare(mlp, rows, 1);
+    mlp.jvp_rows(be, &tape, Rows::whole(0, rows, rows), 1, &vec![1.0; rows], &mut dual);
+    let as_mat = |v: &[f64]| Mat::from_vec(rows, mlp.n_out(), v.to_vec());
+    (as_mat(tape.output()), as_mat(dual.output()))
 }
 
-/// Write `dG/ds̃` for one neighbour into `out`, using the table inside
-/// its domain and the exact net's JVP beyond it (mirroring the value
-/// path, so the force chain matches the energy it differentiates).
-pub(crate) fn dg_row_into(table: &SplineTable, emb: &Mlp, x: f64, out: &mut [f64]) {
-    if table.covers(x) {
-        table.eval_deriv_into(x, out);
-    } else {
-        let (_, cache) = emb.forward(&Mat::from_vec(1, 1, vec![x]));
-        let (d, _) = emb.jvp(&cache, &Mat::from_vec(1, 1, vec![1.0]));
-        out.copy_from_slice(d.row(0));
+/// Forward pass of a [`CompressedModel`] over one frame: a
+/// [`ForwardPass`] (`energy`, `energy_residual`, `frame`, … read
+/// through it) whose embedding rows came from the spline tables, kept a
+/// distinct type so it cannot be handed to the master's sweeps.
+pub struct CompressedPass<'f>(ForwardPass<'f>);
+
+impl<'f> std::ops::Deref for CompressedPass<'f> {
+    type Target = ForwardPass<'f>;
+
+    fn deref(&self) -> &ForwardPass<'f> {
+        &self.0
     }
-}
-
-/// Cached forward state of one atom on the compressed path (no
-/// embedding caches — the table lookup is stateless).
-struct CompressedAtom {
-    ti: usize,
-    r_mat: Mat,
-    g: Mat,
-    u: Mat,
-    fit_cache: MlpCache,
-}
-
-/// Forward pass of a [`CompressedModel`] over one frame.
-pub struct CompressedPass<'f> {
-    /// The frame the pass was computed from.
-    pub frame: &'f Snapshot,
-    env: Arc<FrameEnv>,
-    atoms: Vec<CompressedAtom>,
-    /// Network output before adding the bias back.
-    pub energy_residual: f64,
-    /// Total predicted energy (bias added).
-    pub energy: f64,
 }
 
 /// A serving-side compressed model: the master's config, statistics,
@@ -399,89 +351,34 @@ impl CompressedModel {
         self.forward_cached(frame, env)
     }
 
-    /// Forward pass over a precomputed [`FrameEnv`].
+    /// The networks as the frame core takes them.
+    pub(crate) fn nets(&self) -> Nets<'_> {
+        Nets {
+            cfg: &self.cfg,
+            n_scale: self.stats.n_scale,
+            embeddings: &self.embeddings,
+            tables: Some(&self.tables),
+            fittings: &self.fittings,
+        }
+    }
+
+    /// Forward pass over a precomputed [`FrameEnv`]: the master's
+    /// stages with the embedding rows read off the tables.
     pub fn forward_cached<'f>(
         &self,
         frame: &'f Snapshot,
         frame_env: Arc<FrameEnv>,
     ) -> CompressedPass<'f> {
-        debug_assert_eq!(
-            frame_env.geom_hash,
-            crate::env_cache::geometry_hash(frame),
-            "forward_cached: env does not match the frame geometry"
-        );
-        let inv_n = 1.0 / self.stats.n_scale;
-        let mut atoms = Vec::with_capacity(frame_env.envs.len());
-        let mut energy_residual = 0.0;
-        for (i, env) in frame_env.envs.iter().enumerate() {
-            let ti = frame.types[i];
-            let (r_mat, g) =
-                build_r_and_g(&self.cfg, &self.tables, &self.embeddings, ti, env);
-            let u = r_mat.t_matmul(&g).scale(inv_n);
-            let v = u.slice_cols(0, self.cfg.m_sub);
-            let d = u.t_matmul(&v);
-            let d_flat = Mat::from_vec(1, self.cfg.descriptor_dim(), d.into_vec());
-            let (e_out, fit_cache) = self.fittings[ti].forward(&d_flat);
-            energy_residual += e_out.get(0, 0);
-            atoms.push(CompressedAtom { ti, r_mat, g, u, fit_cache });
-        }
-        let energy = energy_residual + self.bias.reference_energy(&frame.types);
-        CompressedPass { frame, env: frame_env, atoms, energy_residual, energy }
+        CompressedPass(ForwardPass::evaluate(&self.nets(), &self.bias, None, frame, frame_env))
     }
 
     /// Forces `F = −∇_r E` of the *compressed* energy: the reverse
-    /// sweep mirrors the master's, with the embedding backward replaced
-    /// by a contraction against the spline derivative rows.
+    /// sweep is the master's, with the embedding backward replaced by
+    /// a contraction against the spline derivative rows.
     pub fn forces(&self, pass: &CompressedPass<'_>) -> Vec<Vec3> {
-        let nt = self.cfg.n_types;
-        let m_sub = self.cfg.m_sub;
-        let inv_n = 1.0 / self.stats.n_scale;
-        let mut dpos = vec![Vec3::ZERO; pass.atoms.len()];
-        let seed = Mat::from_vec(1, 1, vec![1.0]);
-        let be = backend::active();
-        let mut dg_row = vec![0.0; self.cfg.m];
-        for (i, atom) in pass.atoms.iter().enumerate() {
-            let env = &pass.env.envs[i];
-            let ti = atom.ti;
-            let gd_flat = self.fittings[ti].backward(&atom.fit_cache, &seed, None);
-            let gd = Mat::from_vec(self.cfg.m, m_sub, gd_flat.into_vec());
-            // Descriptor backward (paper Eq. 4, product rule) — same
-            // kernel as the master path.
-            let gu = kernel::fused("descriptor_bwd", || {
-                let v = atom.u.slice_cols(0, m_sub);
-                let mut gu = v.matmul_t(&gd);
-                let add = atom.u.matmul(&gd);
-                kernel::launch("slice_add");
-                for r in 0..4 {
-                    for c in 0..m_sub {
-                        gu.set(r, c, gu.get(r, c) + add.get(r, c));
-                    }
-                }
-                gu
-            });
-            let g_g = atom.r_mat.matmul(&gu).scale(inv_n);
-            let g_r = atom.g.matmul_t(&gu).scale(inv_n);
-            kernel::launch("force_assembly");
-            for (k, e) in env.entries.iter().enumerate() {
-                let table = &self.tables[ti * nt + e.tj];
-                let emb = &self.embeddings[ti * nt + e.tj];
-                dg_row_into(table, emb, e.row[0], &mut dg_row);
-                let g_s = be.dot(g_g.row(k), &dg_row);
-                let mut dvec = [0.0; 3];
-                for (a, dva) in dvec.iter_mut().enumerate() {
-                    let mut acc = 0.0;
-                    for c in 0..4 {
-                        acc += g_r.get(k, c) * e.drow[c][a];
-                    }
-                    acc += g_s * e.drow[0][a];
-                    *dva = acc;
-                }
-                let dv = Vec3(dvec);
-                dpos[e.j] += dv;
-                dpos[i] -= dv;
-            }
-        }
-        dpos.into_iter().map(|v| -v).collect()
+        let mut out = vec![Vec3::ZERO; pass.n_atoms()];
+        pass.0.backward_energy(&self.nets(), None, Some(&mut out));
+        out
     }
 
     /// Energy + forces in one call.
@@ -603,7 +500,7 @@ mod tests {
         for k in [0, 1, table.n_bins / 2, table.n_bins] {
             let x = table.x_lo + k as f64 * table.h;
             table.eval_into(x.min(table.x_hi), &mut row);
-            let (exact, _) = mlp.forward(&Mat::from_vec(1, 1, vec![x.min(table.x_hi)]));
+            let (exact, _) = values_and_derivs(mlp, &[x.min(table.x_hi)]);
             for (a, &b) in row.iter().zip(exact.row(0)) {
                 assert!(
                     (a - b).abs() < 1e-12,

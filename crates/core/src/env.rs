@@ -150,11 +150,31 @@ impl EnvStats {
 /// Build the typed environments of every atom in a frame.
 pub fn build_envs(cfg: &ModelConfig, stats: &EnvStats, frame: &Snapshot) -> Vec<AtomEnv> {
     let cell = Cell::orthorhombic(frame.cell[0], frame.cell[1], frame.cell[2]);
-    let nl = NeighborList::build(&cell, &frame.pos, cfg.rcut);
-    let n = frame.types.len();
+    build_envs_of(cfg, stats, &cell, &frame.types, &frame.pos, None)
+}
+
+/// [`build_envs`] on borrowed geometry, for the atoms flagged in
+/// `centres` only (all, when `None`); the others — ghosts of an MD
+/// domain that only serve as neighbours — get an empty environment.
+/// A centre's environment does not depend on which other atoms are
+/// centres.
+pub fn build_envs_of(
+    cfg: &ModelConfig,
+    stats: &EnvStats,
+    cell: &Cell,
+    types: &[usize],
+    pos: &[dp_mdsim::Vec3],
+    centres: Option<&[bool]>,
+) -> Vec<AtomEnv> {
+    let nl = NeighborList::build(cell, pos, cfg.rcut);
+    let n = types.len();
     let mut envs = Vec::with_capacity(n);
     for i in 0..n {
-        let ti = frame.types[i];
+        if centres.is_some_and(|c| !c[i]) {
+            envs.push(AtomEnv::default());
+            continue;
+        }
+        let ti = types[i];
         let inv_std_r = 1.0 / stats.std_radial[ti];
         let mean_r = stats.mean_radial[ti];
         let inv_std_a = 1.0 / stats.std_angular[ti];
@@ -182,7 +202,7 @@ pub fn build_envs(cfg: &ModelConfig, stats: &EnvStats, frame: &Snapshot) -> Vec<
                             * inv_std_a;
                     }
                 }
-                EnvEntry { j: nb.j, tj: frame.types[nb.j], row, drow }
+                EnvEntry { j: nb.j, tj: types[nb.j], row, drow }
             })
             .collect();
         entries.sort_by_key(|e| e.tj);

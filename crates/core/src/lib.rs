@@ -19,11 +19,16 @@
 //! derivative of the symmetry-preserving operator, its Eq. 4):
 //!
 //! * [`mlp`] implements forward / reverse / JVP / dual-reverse sweeps for
-//!   the embedding and fitting networks,
-//! * [`model`] assembles analytic forces and the two parameter-gradients
-//!   the Kalman-filter optimizers need — `∇_θ E` and
-//!   `∇_θ (cᵀF)` (the latter via a forward-tangent + reverse sweep,
-//!   avoiding `create_graph`-style double backprop),
+//!   the embedding and fitting networks, over row ranges of frame-wide
+//!   flat buffers,
+//! * the frame-batched core (`frame.rs`) lays a frame out so that each
+//!   network runs once per frame on a tall matrix, and assembles
+//!   analytic forces and the two parameter-gradients the Kalman-filter
+//!   optimizers need — `∇_θ E` and `∇_θ (cᵀF)` (the latter via a
+//!   forward-tangent + reverse sweep, avoiding `create_graph`-style
+//!   double backprop) — in recycled workspaces,
+//! * [`model`] is the public face: [`DeepPotModel`], [`ForwardPass`]
+//!   and [`Workspace`],
 //! * [`tape_path`] provides the *baseline* implementation built on the
 //!   [`dp_tensor::tape`] autograd engine, used by the Figure 7 kernel
 //!   accounting experiments and as an oracle in the tests.
@@ -37,6 +42,7 @@ pub mod compress;
 pub mod config;
 pub mod env;
 pub mod env_cache;
+mod frame;
 pub mod loss;
 pub mod mlp;
 pub mod model;
@@ -48,5 +54,5 @@ pub mod tape_path;
 pub use compress::{CompressSpec, CompressedModel};
 pub use config::ModelConfig;
 pub use env_cache::{CacheStats, EnvCache, FrameEnv};
-pub use model::{DeepPotModel, ForwardPass, Prediction};
+pub use model::{DeepPotModel, ForwardPass, Prediction, Workspace};
 pub use quant::QuantizedModel;

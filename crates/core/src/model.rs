@@ -9,7 +9,9 @@
 //! E_tot = Σᵢ Eᵢ + bias,  F = −∇_r E_tot
 //! ```
 //!
-//! All derivative paths are handwritten (paper §3.4 / Opt1):
+//! All derivative paths are handwritten (paper §3.4 / Opt1) and run on
+//! the frame-batched core (`frame.rs`) — one tall GEMM per
+//! network per layer per frame, every buffer recycled:
 //!
 //! * [`DeepPotModel::forces`] — reverse sweep to positions using the
 //!   product-rule derivative of the symmetry-preserving operator
@@ -22,19 +24,30 @@
 //!   `create_graph=True` double backprop: forces are directional
 //!   derivatives of the energy, so their parameter gradient is the
 //!   reverse sweep of a tangent program, not a second-order graph.
+//!   [`DeepPotModel::grad_force_sums_params_into`] takes the trainer's
+//!   force groups together: they share the forward pass and the
+//!   tangent-independent half of the reverse sweep.
+//!
+//! A [`ForwardPass`] owns a [`Workspace`]. The plain entry points take
+//! it from (and, when the pass is dropped, return it to) a per-thread
+//! spare, so a serving or evaluation thread re-uses one set of buffers;
+//! the `_in` entry points take a caller-owned workspace and
+//! [`ForwardPass::into_workspace`] hands it back, which is how the
+//! gradient-reduction blocks and the MD domains own theirs.
 
 use crate::config::ModelConfig;
 use crate::env::{AtomEnv, EnvStats};
 use crate::env_cache::{EnvCache, FrameEnv};
-use crate::mlp::{LayerKind, Mlp, MlpCache, MlpDual, MlpGrads};
+use crate::frame::Nets;
+pub use crate::frame::Workspace;
+use crate::mlp::{LayerKind, Mlp};
 use dp_data::dataset::{Dataset, Snapshot};
 use dp_data::stats::EnergyBias;
 use dp_mdsim::Vec3;
-use dp_tensor::kernel;
-use dp_tensor::Mat;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// Model output for one frame.
@@ -46,21 +59,24 @@ pub struct Prediction {
     pub forces: Vec<Vec3>,
 }
 
-/// Parameter gradients shaped like the model.
+/// Parameter gradients in the parameter-vector layout.
 #[derive(Clone, Debug)]
 pub struct ModelGrads {
-    emb: Vec<MlpGrads>,
-    fit: Vec<MlpGrads>,
+    flat: Vec<f64>,
 }
 
 impl ModelGrads {
-    /// Reset every entry to zero in place, keeping the allocations —
+    /// Reset every entry to zero in place, keeping the allocation —
     /// the per-block scratch of the gradient engine is recycled across
     /// samples and iterations.
     pub fn zero(&mut self) {
-        for g in self.emb.iter_mut().chain(self.fit.iter_mut()) {
-            g.zero();
-        }
+        self.flat.fill(0.0);
+    }
+}
+
+impl AsMut<[f64]> for ModelGrads {
+    fn as_mut(&mut self) -> &mut [f64] {
+        &mut self.flat
     }
 }
 
@@ -80,24 +96,26 @@ pub struct DeepPotModel {
     pub fittings: Vec<Mlp>,
 }
 
-/// Cached forward state of one atom. The atom's environment lives in
-/// the pass-level [`FrameEnv`] (shared, possibly cached geometry).
-struct AtomPass {
-    ti: usize,
-    /// This atom's fitting-network output (energy residual, eV).
-    energy: f64,
-    /// Normalized environment matrix, `nᵢ × 4`.
-    r_mat: Mat,
-    /// Stacked embedding output, `nᵢ × M`.
-    g: Mat,
-    /// Per-neighbour-type embedding caches (None for empty blocks).
-    emb_caches: Vec<Option<MlpCache>>,
-    /// `U = R̃ᵀG / n_scale`, `4 × M`.
-    u: Mat,
-    fit_cache: MlpCache,
+thread_local! {
+    /// The workspace the plain (non-`_in`) entry points recycle on this
+    /// thread: a forward pass takes it, dropping the pass returns it.
+    static SPARE: Cell<Option<Box<Workspace>>> = const { Cell::new(None) };
 }
 
-/// Forward pass over a frame: per-atom caches plus the energy.
+/// Take this thread's spare workspace (a fresh one if there is none).
+pub(crate) fn take_spare_workspace() -> Box<Workspace> {
+    SPARE.with(Cell::take).unwrap_or_default()
+}
+
+/// Make `ws` this thread's spare workspace.
+pub(crate) fn return_spare_workspace(ws: Box<Workspace>) {
+    // Fails only while the thread's locals are being torn down; the
+    // workspace is then simply freed.
+    let _ = SPARE.try_with(|spare| spare.set(Some(ws)));
+}
+
+/// Forward pass over a frame: the energy, plus the forward state the
+/// derivative sweeps read.
 ///
 /// Borrows the frame (no per-forward `Snapshot` deep copy) and shares
 /// the frame geometry via `Arc` — a cache hit makes the whole
@@ -107,17 +125,57 @@ pub struct ForwardPass<'f> {
     pub frame: &'f Snapshot,
     /// Per-atom environments (owned fresh build or cached entry).
     env: Arc<FrameEnv>,
-    atoms: Vec<AtomPass>,
+    /// `None` only after [`ForwardPass::into_workspace`].
+    ws: Option<Box<Workspace>>,
     /// Network output before adding the bias back.
     pub energy_residual: f64,
     /// Total predicted energy (bias added).
     pub energy: f64,
 }
 
-impl ForwardPass<'_> {
+impl<'f> ForwardPass<'f> {
+    /// Run `nets` forward over `frame` in `ws` (the thread's spare
+    /// workspace when `None`). The single forward worker every public
+    /// entry point of every model tier funnels into: they differ
+    /// **only** in where the [`FrameEnv`], the workspace and the
+    /// embedding rows come from, so for the same geometry they are
+    /// bitwise-equal. Keep it that way: any numeric change belongs in
+    /// the core, never in a wrapper.
+    pub(crate) fn evaluate(
+        nets: &Nets<'_>,
+        bias: &EnergyBias,
+        ws: Option<Box<Workspace>>,
+        frame: &'f Snapshot,
+        env: Arc<FrameEnv>,
+    ) -> Self {
+        debug_assert_eq!(
+            env.geom_hash,
+            crate::env_cache::geometry_hash(frame),
+            "evaluate: env does not match the frame geometry"
+        );
+        let mut ws = ws.unwrap_or_else(take_spare_workspace);
+        let energy_residual = nets.forward(&frame.types, &env.envs, None, &mut ws.state);
+        let energy = energy_residual + bias.reference_energy(&frame.types);
+        ForwardPass { frame, env, ws: Some(ws), energy_residual, energy }
+    }
+
+    /// The reverse energy sweep of `nets` over this pass.
+    pub(crate) fn backward_energy(
+        &self,
+        nets: &Nets<'_>,
+        grads: Option<&mut [f64]>,
+        forces: Option<&mut [Vec3]>,
+    ) {
+        nets.backward_energy(self.ws(), &self.env.envs, grads, forces);
+    }
+
+    fn ws(&self) -> &Workspace {
+        self.ws.as_deref().expect("the pass owns its workspace until consumed")
+    }
+
     /// Number of atoms in the frame.
     pub fn n_atoms(&self) -> usize {
-        self.atoms.len()
+        self.ws().state.n_atoms()
     }
 
     /// The frame geometry this pass was computed against.
@@ -128,7 +186,7 @@ impl ForwardPass<'_> {
     /// Iterate `(centre type, environment)` per atom (crate-internal:
     /// used by the autograd baseline path).
     pub(crate) fn atom_envs(&self) -> impl Iterator<Item = (usize, &AtomEnv)> {
-        self.atoms.iter().zip(self.env.envs.iter()).map(|(a, e)| (a.ti, e))
+        self.frame.types.iter().copied().zip(self.env.envs.iter())
     }
 
     /// Per-atom energy residual (fitting-network output before the
@@ -137,7 +195,20 @@ impl ForwardPass<'_> {
     /// domain-decomposed engine uses to reduce per-domain energies in
     /// fixed global index order (DESIGN §15).
     pub fn atom_energy_residual(&self, i: usize) -> f64 {
-        self.atoms[i].energy
+        self.ws().state.atom_energy(i)
+    }
+
+    /// Consume the pass and hand its workspace back for the next frame.
+    pub fn into_workspace(mut self) -> Box<Workspace> {
+        self.ws.take().expect("the pass owns its workspace until consumed")
+    }
+}
+
+impl Drop for ForwardPass<'_> {
+    fn drop(&mut self) {
+        if let Some(ws) = self.ws.take() {
+            return_spare_workspace(ws);
+        }
     }
 }
 
@@ -271,24 +342,14 @@ impl DeepPotModel {
         }
     }
 
-    /// Zeroed gradient buffers shaped like the model.
+    /// Zeroed gradient buffer in the parameter-vector layout.
     pub fn zero_grads(&self) -> ModelGrads {
-        ModelGrads {
-            emb: self.embeddings.iter().map(MlpGrads::zeros_like).collect(),
-            fit: self.fittings.iter().map(MlpGrads::zeros_like).collect(),
-        }
+        ModelGrads { flat: vec![0.0; self.n_params()] }
     }
 
     /// Flatten gradients in the parameter-vector order.
     pub fn flatten_grads(&self, grads: &ModelGrads) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.n_params());
-        for g in grads.emb.iter().chain(grads.fit.iter()) {
-            for (gw, gb) in &g.layers {
-                out.extend_from_slice(gw.as_slice());
-                out.extend_from_slice(gb.as_slice());
-            }
-        }
-        out
+        grads.flat.clone()
     }
 
     /// `out += scale · flatten(grads)` without allocating — the
@@ -298,29 +359,31 @@ impl DeepPotModel {
     /// Panics if `out.len() != n_params()`.
     pub fn add_flattened_scaled(&self, grads: &ModelGrads, scale: f64, out: &mut [f64]) {
         assert_eq!(out.len(), self.n_params(), "add_flattened_scaled: length mismatch");
-        let mut off = 0;
-        for g in grads.emb.iter().chain(grads.fit.iter()) {
-            for (gw, gb) in &g.layers {
-                for &v in gw.as_slice() {
-                    out[off] += scale * v;
-                    off += 1;
-                }
-                for &v in gb.as_slice() {
-                    out[off] += scale * v;
-                    off += 1;
-                }
-            }
+        for (o, &v) in out.iter_mut().zip(&grads.flat) {
+            *o += scale * v;
         }
     }
 
     // ---- forward ------------------------------------------------------
 
-    /// Forward pass: energy + per-atom caches for the derivative sweeps.
-    /// Builds the frame geometry fresh; [`DeepPotModel::forward_with_cache`]
-    /// skips the rebuild when a valid cached entry exists.
+    /// The networks as the frame core takes them.
+    fn nets(&self) -> Nets<'_> {
+        Nets {
+            cfg: &self.cfg,
+            n_scale: self.stats.n_scale,
+            embeddings: &self.embeddings,
+            tables: None,
+            fittings: &self.fittings,
+        }
+    }
+
+    /// Forward pass: energy + the forward state for the derivative
+    /// sweeps. Builds the frame geometry fresh;
+    /// [`DeepPotModel::forward_with_cache`] skips the rebuild when a
+    /// valid cached entry exists.
     pub fn forward<'f>(&self, frame: &'f Snapshot) -> ForwardPass<'f> {
         let env = Arc::new(FrameEnv::build(&self.cfg, &self.stats, frame));
-        self.forward_impl(frame, env)
+        self.forward_cached(frame, env)
     }
 
     /// Forward pass against a cache: one geometry build per frame per
@@ -332,7 +395,20 @@ impl DeepPotModel {
         frame: &'f Snapshot,
     ) -> ForwardPass<'f> {
         let env = cache.get_or_build(&self.cfg, &self.stats, idx, frame);
-        self.forward_impl(frame, env)
+        self.forward_cached(frame, env)
+    }
+
+    /// [`DeepPotModel::forward_with_cache`] into a caller-owned
+    /// workspace; get it back with [`ForwardPass::into_workspace`].
+    pub fn forward_with_cache_in<'f>(
+        &self,
+        ws: Box<Workspace>,
+        cache: &EnvCache,
+        idx: usize,
+        frame: &'f Snapshot,
+    ) -> ForwardPass<'f> {
+        let env = cache.get_or_build(&self.cfg, &self.stats, idx, frame);
+        ForwardPass::evaluate(&self.nets(), &self.bias, Some(ws), frame, env)
     }
 
     /// Forward pass for a streamed frame with no stable dataset index
@@ -344,69 +420,14 @@ impl DeepPotModel {
     /// serves a hash-verified entry built by the same `build_envs`).
     pub fn forward_keyed<'f>(&self, cache: &EnvCache, frame: &'f Snapshot) -> ForwardPass<'f> {
         let env = cache.get_or_build_keyed(&self.cfg, &self.stats, frame);
-        self.forward_impl(frame, env)
+        self.forward_cached(frame, env)
     }
 
     /// Forward pass over a precomputed [`FrameEnv`]. The env must have
     /// been built from this `frame` with this model's config/stats —
     /// [`EnvCache::get_or_build`] guarantees that via the geometry hash.
     pub fn forward_cached<'f>(&self, frame: &'f Snapshot, frame_env: Arc<FrameEnv>) -> ForwardPass<'f> {
-        self.forward_impl(frame, frame_env)
-    }
-
-    /// The single forward worker every public entry point funnels into.
-    /// The entry points differ **only** in where the [`FrameEnv`] comes
-    /// from (fresh build / index-mapped cache / geometry-hash-keyed
-    /// cache / caller-supplied); the math from here on is identical, so
-    /// all four are bitwise-equal for the same geometry. Keep it that
-    /// way: any numeric change belongs here, never in a wrapper.
-    fn forward_impl<'f>(&self, frame: &'f Snapshot, frame_env: Arc<FrameEnv>) -> ForwardPass<'f> {
-        debug_assert_eq!(
-            frame_env.geom_hash,
-            crate::env_cache::geometry_hash(frame),
-            "forward_impl: env does not match the frame geometry"
-        );
-        let nt = self.cfg.n_types;
-        let m = self.cfg.m;
-        let inv_n = 1.0 / self.stats.n_scale;
-        let mut atoms = Vec::with_capacity(frame_env.envs.len());
-        let mut energy_residual = 0.0;
-        for (i, env) in frame_env.envs.iter().enumerate() {
-            let ti = frame.types[i];
-            let n_i = env.entries.len();
-            // Environment matrix rows.
-            let mut r_mat = Mat::zeros(n_i, 4);
-            for (k, e) in env.entries.iter().enumerate() {
-                r_mat.row_mut(k).copy_from_slice(&e.row);
-            }
-            // Embedding per neighbour-type block.
-            let mut g = Mat::zeros(n_i, m);
-            let mut emb_caches: Vec<Option<MlpCache>> = Vec::with_capacity(nt);
-            for tj in 0..nt {
-                let (a, b) = env.type_ranges[tj];
-                if a == b {
-                    emb_caches.push(None);
-                    continue;
-                }
-                let s_col = Mat::from_fn(b - a, 1, |r, _| env.entries[a + r].row[0]);
-                let (g_blk, cache) = self.embeddings[ti * nt + tj].forward(&s_col);
-                for k in 0..(b - a) {
-                    g.row_mut(a + k).copy_from_slice(g_blk.row(k));
-                }
-                emb_caches.push(Some(cache));
-            }
-            // Descriptor.
-            let u = r_mat.t_matmul(&g).scale(inv_n);
-            let v = u.slice_cols(0, self.cfg.m_sub);
-            let d = u.t_matmul(&v);
-            let d_flat = Mat::from_vec(1, self.cfg.descriptor_dim(), d.into_vec());
-            let (e_out, fit_cache) = self.fittings[ti].forward(&d_flat);
-            let e_atom = e_out.get(0, 0);
-            energy_residual += e_atom;
-            atoms.push(AtomPass { ti, energy: e_atom, r_mat, g, emb_caches, u, fit_cache });
-        }
-        let energy = energy_residual + self.bias.reference_energy(&frame.types);
-        ForwardPass { frame, env: frame_env, atoms, energy_residual, energy }
+        ForwardPass::evaluate(&self.nets(), &self.bias, None, frame, frame_env)
     }
 
     /// Energy + forces in one call.
@@ -416,112 +437,44 @@ impl DeepPotModel {
         Prediction { energy: pass.energy, forces }
     }
 
-    // ---- reverse sweep (forces and ∇θ E) -------------------------------
-
-    /// Shared reverse sweep seeded with `dE/dEᵢ = 1`: optionally
-    /// accumulates parameter gradients and/or assembles forces.
-    fn backward_energy(
+    /// Per-atom energy residuals and forces of the atoms flagged in
+    /// `centres`, on borrowed geometry — the MD-domain entry point,
+    /// where the sub-frame holds ghosts that only serve as neighbours.
+    /// `envs` need entries for the centres only. For a centre `i`,
+    /// `energy[i]` is bitwise [`ForwardPass::atom_energy_residual`] of
+    /// a whole-frame pass; `forces[j]` sums, in ascending centre order,
+    /// what the evaluated centres contribute to atom `j`.
+    pub fn eval_centres(
         &self,
-        pass: &ForwardPass<'_>,
-        mut grads: Option<&mut ModelGrads>,
-        compute_forces: bool,
-    ) -> Option<Vec<Vec3>> {
-        let nt = self.cfg.n_types;
-        let m_sub = self.cfg.m_sub;
-        let inv_n = 1.0 / self.stats.n_scale;
-        let n_atoms = pass.atoms.len();
-        let mut dpos = if compute_forces {
-            vec![Vec3::ZERO; n_atoms]
-        } else {
-            Vec::new()
-        };
-        let seed = Mat::from_vec(1, 1, vec![1.0]);
-        for (i, atom) in pass.atoms.iter().enumerate() {
-            let env = &pass.env.envs[i];
-            let ti = atom.ti;
-            // Fitting backward.
-            let gd_flat = self.fittings[ti].backward(
-                &atom.fit_cache,
-                &seed,
-                grads.as_deref_mut().map(|g| &mut g.fit[ti]),
-            );
-            let gd = Mat::from_vec(self.cfg.m, m_sub, gd_flat.into_vec());
-            // Descriptor backward (paper Eq. 4, product rule):
-            // dE/dU = V·gdᵀ, plus U·gd into the first M^< columns.
-            let gu = kernel::fused("descriptor_bwd", || {
-                let v = atom.u.slice_cols(0, m_sub);
-                let mut gu = v.matmul_t(&gd);
-                let add = atom.u.matmul(&gd);
-                kernel::launch("slice_add");
-                for r in 0..4 {
-                    for c in 0..m_sub {
-                        gu.set(r, c, gu.get(r, c) + add.get(r, c));
-                    }
-                }
-                gu
-            });
-            // dE/dG and (if forces) dE/dR̃.
-            let g_g = atom.r_mat.matmul(&gu).scale(inv_n);
-            let g_r = if compute_forces {
-                Some(atom.g.matmul_t(&gu).scale(inv_n))
-            } else {
-                None
-            };
-            // Embedding backward per type block; collect dE/ds.
-            let mut g_s = vec![0.0; env.entries.len()];
-            for tj in 0..nt {
-                let (a, b) = env.type_ranges[tj];
-                if a == b {
-                    continue;
-                }
-                let cache = atom.emb_caches[tj].as_ref().unwrap();
-                let mut gg_blk = Mat::zeros(b - a, self.cfg.m);
-                for k in 0..(b - a) {
-                    gg_blk.row_mut(k).copy_from_slice(g_g.row(a + k));
-                }
-                let gs_blk = self.embeddings[ti * nt + tj].backward(
-                    cache,
-                    &gg_blk,
-                    grads.as_deref_mut().map(|g| &mut g.emb[ti * nt + tj]),
-                );
-                for k in 0..(b - a) {
-                    g_s[a + k] = gs_blk.get(k, 0);
-                }
-            }
-            // Position assembly (forces).
-            if compute_forces {
-                kernel::launch("force_assembly");
-                let g_r = g_r.as_ref().unwrap();
-                for (k, e) in env.entries.iter().enumerate() {
-                    let mut dvec = [0.0; 3];
-                    for (a, dva) in dvec.iter_mut().enumerate() {
-                        let mut acc = 0.0;
-                        for c in 0..4 {
-                            acc += g_r.get(k, c) * e.drow[c][a];
-                        }
-                        // The embedding input is the same normalized s
-                        // as row[0]; chain its gradient through drow[0].
-                        acc += g_s[k] * e.drow[0][a];
-                        *dva = acc;
-                    }
-                    let dv = Vec3(dvec);
-                    dpos[e.j] += dv;
-                    dpos[i] -= dv;
-                }
-            }
+        ws: &mut Workspace,
+        types: &[usize],
+        envs: &[AtomEnv],
+        centres: &[bool],
+        energy: &mut [f64],
+        forces: &mut [Vec3],
+    ) {
+        let nets = self.nets();
+        nets.forward(types, envs, Some(centres), &mut ws.state);
+        for (i, e) in energy.iter_mut().enumerate() {
+            *e = ws.state.atom_energy(i);
         }
-        if compute_forces {
-            // F = −dE/dr.
-            Some(dpos.into_iter().map(|v| -v).collect())
-        } else {
-            None
-        }
+        nets.backward_energy(ws, envs, None, Some(forces));
     }
+
+    // ---- reverse sweep (forces and ∇θ E) -------------------------------
 
     /// Forces `F = −∇_r E_tot` from a forward pass (handwritten Opt1
     /// kernels).
     pub fn forces(&self, pass: &ForwardPass<'_>) -> Vec<Vec3> {
-        self.backward_energy(pass, None, true).unwrap()
+        let mut out = vec![Vec3::ZERO; pass.n_atoms()];
+        self.forces_into(pass, &mut out);
+        out
+    }
+
+    /// [`DeepPotModel::forces`] into a caller-owned buffer of
+    /// `n_atoms` entries.
+    pub fn forces_into(&self, pass: &ForwardPass<'_>, out: &mut [Vec3]) {
+        pass.backward_energy(&self.nets(), None, Some(out));
     }
 
     /// `∇_θ E_tot` as a flat vector (the Kalman-filter energy update
@@ -529,14 +482,14 @@ impl DeepPotModel {
     pub fn grad_energy_params(&self, pass: &ForwardPass<'_>) -> Vec<f64> {
         let mut grads = self.zero_grads();
         self.backward_energy_params(pass, &mut grads);
-        self.flatten_grads(&grads)
+        grads.flat
     }
 
     /// Accumulate `∇_θ E_tot` into a caller-owned (zeroed or partially
     /// summed) gradient buffer — the allocation-free form used by the
     /// frame-parallel gradient engine.
     pub fn backward_energy_params(&self, pass: &ForwardPass<'_>, grads: &mut ModelGrads) {
-        self.backward_energy(pass, Some(grads), false);
+        pass.backward_energy(&self.nets(), Some(&mut grads.flat), None);
     }
 
     // ---- dual sweep (∇θ of force contractions) -------------------------
@@ -549,7 +502,7 @@ impl DeepPotModel {
     pub fn grad_force_sum_params(&self, pass: &ForwardPass<'_>, coeffs: &[f64]) -> Vec<f64> {
         let mut grads = self.zero_grads();
         self.grad_force_sum_params_into(pass, coeffs, &mut grads);
-        self.flatten_grads(&grads)
+        grads.flat
     }
 
     /// Accumulating form of [`DeepPotModel::grad_force_sum_params`]:
@@ -560,119 +513,22 @@ impl DeepPotModel {
         coeffs: &[f64],
         grads: &mut ModelGrads,
     ) {
-        let n_atoms = pass.atoms.len();
-        assert_eq!(coeffs.len(), 3 * n_atoms, "coeffs must be 3·n_atoms long");
-        let nt = self.cfg.n_types;
-        let m_sub = self.cfg.m_sub;
-        let inv_n = 1.0 / self.stats.n_scale;
-        let c_at = |k: usize| Vec3::new(coeffs[3 * k], coeffs[3 * k + 1], coeffs[3 * k + 2]);
+        self.grad_force_sums_params_into(pass, coeffs, std::slice::from_mut(grads));
+    }
 
-        // φ = Σ_k c_k F_k = −Ė with position tangent ṙ = c, so seed the
-        // reverse-over-dual sweep with dφ/dĖᵢ = −1.
-        let zero_seed = Mat::zeros(1, 1);
-        let neg_seed = Mat::from_vec(1, 1, vec![-1.0]);
-
-        for (i, atom) in pass.atoms.iter().enumerate() {
-            let env = &pass.env.envs[i];
-            let ti = atom.ti;
-            let n_i = env.entries.len();
-            // Tangent env rows: ṙow[c] = drow[c]·(c_j − c_i).
-            kernel::launch("env_tangent");
-            let mut r_dot = Mat::zeros(n_i, 4);
-            for (k, e) in env.entries.iter().enumerate() {
-                let rel = c_at(e.j) - c_at(i);
-                for c in 0..4 {
-                    let mut acc = 0.0;
-                    for a in 0..3 {
-                        acc += e.drow[c][a] * rel.0[a];
-                    }
-                    r_dot.set(k, c, acc);
-                }
-            }
-            // Embedding JVP per block (ṡ is column 0 of the tangent).
-            let mut g_dot = Mat::zeros(n_i, self.cfg.m);
-            let mut duals: Vec<Option<MlpDual>> = Vec::with_capacity(nt);
-            for tj in 0..nt {
-                let (a, b) = env.type_ranges[tj];
-                if a == b {
-                    duals.push(None);
-                    continue;
-                }
-                let s_dot = Mat::from_fn(b - a, 1, |r, _| r_dot.get(a + r, 0));
-                let cache = atom.emb_caches[tj].as_ref().unwrap();
-                let (gd_blk, dual) = self.embeddings[ti * nt + tj].jvp(cache, &s_dot);
-                for k in 0..(b - a) {
-                    g_dot.row_mut(a + k).copy_from_slice(gd_blk.row(k));
-                }
-                duals.push(Some(dual));
-            }
-            // Descriptor JVP.
-            let u_dot = r_dot
-                .t_matmul(&atom.g)
-                .add(&atom.r_mat.t_matmul(&g_dot))
-                .scale(inv_n);
-            let v = atom.u.slice_cols(0, m_sub);
-            let v_dot = u_dot.slice_cols(0, m_sub);
-            let d_dot = u_dot.t_matmul(&v).add(&atom.u.t_matmul(&v_dot));
-            let d_dot_flat = Mat::from_vec(1, self.cfg.descriptor_dim(), d_dot.into_vec());
-            // Fitting JVP + dual reverse.
-            let (_e_dot, fit_dual) = self.fittings[ti].jvp(&atom.fit_cache, &d_dot_flat);
-            let (gd_flat, gddot_flat) = self.fittings[ti].dual_backward(
-                &atom.fit_cache,
-                &fit_dual,
-                &zero_seed,
-                &neg_seed,
-                Some(&mut grads.fit[ti]),
-            );
-            let a_mat = Mat::from_vec(self.cfg.m, m_sub, gd_flat.into_vec()); // dφ/dD
-            let b_mat = Mat::from_vec(self.cfg.m, m_sub, gddot_flat.into_vec()); // dφ/dḊ
-            // Descriptor dual reverse:
-            // gU   = V̇·Bᵀ + V·Aᵀ, first m< cols += U̇·B + U·A
-            // gU̇  = V·Bᵀ,        first m< cols += U·B
-            let (gu, gudot) = kernel::fused("descriptor_dual_bwd", || {
-                let mut gu = v_dot.matmul_t(&b_mat).add(&v.matmul_t(&a_mat));
-                let add_u = u_dot.matmul(&b_mat).add(&atom.u.matmul(&a_mat));
-                let mut gudot = v.matmul_t(&b_mat);
-                let add_ud = atom.u.matmul(&b_mat);
-                kernel::launch("slice_add");
-                for r in 0..4 {
-                    for c in 0..m_sub {
-                        gu.set(r, c, gu.get(r, c) + add_u.get(r, c));
-                        gudot.set(r, c, gudot.get(r, c) + add_ud.get(r, c));
-                    }
-                }
-                (gu, gudot)
-            });
-            // gG = (R̃·gU + Ṙ·gU̇)/n ; gĠ = R̃·gU̇/n.
-            let g_g = atom
-                .r_mat
-                .matmul(&gu)
-                .add(&r_dot.matmul(&gudot))
-                .scale(inv_n);
-            let g_gdot = atom.r_mat.matmul(&gudot).scale(inv_n);
-            // Embedding dual backward per block.
-            for (tj, dual) in duals.iter().enumerate() {
-                let (a, b) = env.type_ranges[tj];
-                if a == b {
-                    continue;
-                }
-                let cache = atom.emb_caches[tj].as_ref().unwrap();
-                let dual = dual.as_ref().unwrap();
-                let mut gy = Mat::zeros(b - a, self.cfg.m);
-                let mut gydot = Mat::zeros(b - a, self.cfg.m);
-                for k in 0..(b - a) {
-                    gy.row_mut(k).copy_from_slice(g_g.row(a + k));
-                    gydot.row_mut(k).copy_from_slice(g_gdot.row(a + k));
-                }
-                let _ = self.embeddings[ti * nt + tj].dual_backward(
-                    cache,
-                    dual,
-                    &gy,
-                    &gydot,
-                    Some(&mut grads.emb[ti * nt + tj]),
-                );
-            }
-        }
+    /// [`DeepPotModel::grad_force_sum_params_into`] for `grads.len()`
+    /// contraction vectors at once: `coeffs` holds them back to back
+    /// (`3 · n_atoms` each) and vector `t`'s gradient is added into
+    /// `grads[t]`. Bitwise the same as one single-vector call per
+    /// tangent; cheaper, because the tangents share the forward state
+    /// and the tangent-independent half of the reverse sweep.
+    pub fn grad_force_sums_params_into(
+        &self,
+        pass: &ForwardPass<'_>,
+        coeffs: &[f64],
+        grads: &mut [ModelGrads],
+    ) {
+        self.nets().grad_force_sums(pass.ws(), &pass.env.envs, coeffs, grads);
     }
 
     /// Directly evaluate `Σ_k c_k · F_k` via the tangent sweep alone

@@ -30,14 +30,14 @@
 //! to exist rather than produce plausible-looking garbage. Forces at
 //! reduced precision are the compressed (tabulated) model's job.
 
-use crate::compress::{build_r_and_g, CompressedModel, SplineTable};
+use crate::compress::{CompressedModel, SplineTable};
 use crate::config::ModelConfig;
 use crate::env::EnvStats;
 use crate::env_cache::{EnvCache, FrameEnv};
+use crate::frame::{Nets, Workspace};
 use crate::mlp::{LayerKind, Mlp};
 use dp_data::dataset::Snapshot;
 use dp_data::stats::EnergyBias;
-use dp_tensor::Mat;
 use std::sync::Arc;
 
 /// Max quantized activation magnitude (10 bits + sign).
@@ -219,16 +219,15 @@ impl QuantizedModel {
             return Err("quantize: need at least one calibration frame".into());
         }
         let mut max_d = 0.0f64;
+        let mut ws = Workspace::default();
         for frame in calib {
             let fe = FrameEnv::build(&model.cfg, &model.stats, frame);
-            for (i, env) in fe.envs.iter().enumerate() {
-                let d = descriptor_row(model, frame.types[i], env);
-                for v in d.into_vec() {
-                    if !v.is_finite() {
-                        return Err("quantize: non-finite descriptor in calibration".into());
-                    }
-                    max_d = max_d.max(v.abs());
+            model.nets().descriptors(&frame.types, &fe.envs, None, &mut ws.state);
+            for &v in ws.state.descriptors() {
+                if !v.is_finite() {
+                    return Err("quantize: non-finite descriptor in calibration".into());
                 }
+                max_d = max_d.max(v.abs());
             }
         }
         // 5% headroom over the calibrated range; harder extrapolation
@@ -271,43 +270,23 @@ impl QuantizedModel {
             crate::env_cache::geometry_hash(frame),
             "energy_cached: env does not match the frame geometry"
         );
+        let nets = Nets {
+            cfg: &self.cfg,
+            n_scale: self.stats.n_scale,
+            embeddings: &self.embeddings,
+            tables: Some(&self.tables),
+            fittings: &[],
+        };
+        let mut ws = crate::model::take_spare_workspace();
+        nets.descriptors(&frame.types, &frame_env.envs, None, &mut ws.state);
         let mut scratch = QuantScratch::default();
         let mut residual = 0.0;
-        for (i, env) in frame_env.envs.iter().enumerate() {
-            let ti = frame.types[i];
-            let d = descriptor_row(self, ti, env);
-            residual += self.qfittings[ti].eval_into(d.row(0), &mut scratch);
+        for (i, &ti) in frame.types.iter().enumerate() {
+            residual += self.qfittings[ti].eval_into(ws.state.descriptor(i), &mut scratch);
         }
+        crate::model::return_spare_workspace(ws);
         residual + self.bias.reference_energy(&frame.types)
     }
-}
-
-/// Trait-free access to the (cfg, tables, embeddings, stats) quadruple
-/// both descriptor producers share.
-trait TabulatedEmbedding {
-    fn parts(&self) -> (&ModelConfig, &[SplineTable], &[Mlp], &EnvStats);
-}
-
-impl TabulatedEmbedding for CompressedModel {
-    fn parts(&self) -> (&ModelConfig, &[SplineTable], &[Mlp], &EnvStats) {
-        (&self.cfg, &self.tables, &self.embeddings, &self.stats)
-    }
-}
-
-impl TabulatedEmbedding for QuantizedModel {
-    fn parts(&self) -> (&ModelConfig, &[SplineTable], &[Mlp], &EnvStats) {
-        (&self.cfg, &self.tables, &self.embeddings, &self.stats)
-    }
-}
-
-/// One atom's flattened descriptor row via the tabulated embeddings.
-fn descriptor_row<M: TabulatedEmbedding>(model: &M, ti: usize, env: &crate::env::AtomEnv) -> Mat {
-    let (cfg, tables, embeddings, stats) = model.parts();
-    let (r_mat, g) = build_r_and_g(cfg, tables, embeddings, ti, env);
-    let u = r_mat.t_matmul(&g).scale(1.0 / stats.n_scale);
-    let v = u.slice_cols(0, cfg.m_sub);
-    let d = u.t_matmul(&v);
-    Mat::from_vec(1, cfg.descriptor_dim(), d.into_vec())
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 use deepmd_core::compress::{CompressSpec, CompressedModel};
 use deepmd_core::config::ModelConfig;
 use deepmd_core::env::switch;
+use deepmd_core::mlp::Tape;
 use deepmd_core::model::DeepPotModel;
 use dp_data::dataset::{Dataset, Snapshot};
 use dp_mdsim::lattice::{rocksalt, Species};
@@ -87,10 +88,12 @@ fn r_exactly_at_rcs_and_rc_are_inside_the_domain() {
                 // model's own fitted-error report.
                 let mut row = vec![0.0; table.m];
                 table.eval_into(x, &mut row);
-                let (exact, _) = comp.embeddings[ti * 2 + tj]
-                    .forward(&dp_tensor::Mat::from_vec(1, 1, vec![x]));
+                let net = &comp.embeddings[ti * 2 + tj];
+                let mut tape = Tape::default();
+                tape.prepare(net, 1);
+                net.forward_rows(dp_tensor::backend::active(), &[x], &mut tape, 0, 1);
                 let budget = comp.report.max_value_err() + 1e-12;
-                for (a, &b) in row.iter().zip(exact.row(0)) {
+                for (a, &b) in row.iter().zip(tape.output()) {
                     assert!((a - b).abs() <= budget, "{a} vs {b} (budget {budget})");
                 }
             }

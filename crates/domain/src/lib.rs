@@ -19,8 +19,8 @@
 //!   crossing a face migrate to the new owner.
 //! * [`potential::DomainPotential`] — local evaluation on the merged
 //!   owned+ghost sub-frame: [`potential::LocalSuttonChen`] (per-atom
-//!   EAM) and [`potential::DeepDomainPotential`] (the DeePMD model
-//!   through per-domain `EnvCache`/`ForwardPass`).
+//!   EAM) and [`potential::DeepDomainPotential`] (the DeePMD model on
+//!   the sub-frame's centre-eligible atoms, one workspace per domain).
 //! * [`engine::DecomposedMd`] — the velocity-Verlet driver: parallel
 //!   per-domain phases over `dp_pool::parallel_for_each_mut`,
 //!   sequential ascending-gid reductions.

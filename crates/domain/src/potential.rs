@@ -11,18 +11,18 @@
 //!   over gid-ascending neighbours. Per-atom values are intrinsic
 //!   (they depend only on the atom's ≤ `2·rcut` surroundings, all
 //!   present in the halo), so they are bitwise identical at any grid.
-//! * [`DeepDomainPotential`] — the DeePMD model evaluated through the
-//!   per-domain [`EnvCache`]/`ForwardPass` machinery on the sub-frame;
+//! * [`DeepDomainPotential`] — the DeePMD model evaluated on the
+//!   sub-frame's centre-eligible atoms in a per-domain workspace;
 //!   owned per-atom residuals and force rows are bitwise equal to the
 //!   single-frame `predict` (see DESIGN §15 for the argument).
 
-use deepmd_core::env_cache::EnvCache;
-use deepmd_core::model::DeepPotModel;
-use dp_data::dataset::Snapshot;
+use deepmd_core::env::build_envs_of;
+use deepmd_core::model::{DeepPotModel, Workspace};
 use dp_mdsim::cell::Cell;
 use dp_mdsim::neighbor::NeighborList;
 use dp_mdsim::potential::sutton_chen::SuttonChenParams;
 use dp_mdsim::vec3::Vec3;
+use std::sync::Mutex;
 
 /// One domain's merged owned+ghost view, sorted ascending by global id.
 ///
@@ -218,31 +218,27 @@ impl DomainPotential for LocalSuttonChen {
     }
 }
 
-/// How many direct-mapped slots each per-domain env cache holds. An MD
-/// driver re-presents a geometry only on retries, so a handful of
-/// slots suffices; the geometry-hash check keeps any size correct.
-const CACHE_SLOTS: usize = 4;
-
-/// The DeePMD model evaluated per domain through `EnvCache` +
-/// `ForwardPass` on the local sub-frame.
+/// The DeePMD model evaluated per domain on the local sub-frame.
 ///
 /// Owned rows of the result are bitwise equal to `model.predict` on
 /// the assembled global frame: the sub-frame holds every atom within
 /// `2·rcut` of the region in ascending gid order, so each owned (and
 /// inner-ghost) centre sees exactly its global environment rows in the
 /// global order, and the backward accumulates into each owned atom the
-/// same contribution sequence as the global pass (outer-ghost centres
-/// are ≥ `rcut` from every owned atom and never touch them).
+/// same contribution sequence as the global pass. Only the `inner`
+/// atoms are evaluated as centres: an outer ghost is ≥ `rcut` from
+/// every owned atom, so as a centre it could not touch an owned row.
 pub struct DeepDomainPotential {
     model: DeepPotModel,
-    caches: Vec<EnvCache>,
+    /// One recycled model workspace per domain.
+    workspaces: Vec<Mutex<Workspace>>,
 }
 
 impl DeepDomainPotential {
-    /// Wrap `model` with one env cache per domain.
+    /// Wrap `model` with one workspace per domain.
     pub fn new(model: DeepPotModel, n_domains: usize) -> Self {
-        let caches = (0..n_domains.max(1)).map(|_| EnvCache::new(CACHE_SLOTS)).collect();
-        DeepDomainPotential { model, caches }
+        let workspaces = (0..n_domains.max(1)).map(|_| Mutex::default()).collect();
+        DeepDomainPotential { model, workspaces }
     }
 
     /// The wrapped model.
@@ -270,22 +266,12 @@ impl DomainPotential for DeepDomainPotential {
         if frame.is_empty() {
             return;
         }
-        let snap = Snapshot {
-            cell: frame.cell.lengths(),
-            types: frame.types.to_vec(),
-            type_names: frame.type_names.to_vec(),
-            pos: frame.pos.to_vec(),
-            energy: 0.0,
-            forces: Vec::new(),
-            temperature: 0.0,
-        };
-        let cache = &self.caches[domain % self.caches.len()];
-        let pass = self.model.forward_keyed(cache, &snap);
-        let f = self.model.forces(&pass);
-        for i in 0..frame.len() {
-            energy[i] = pass.atom_energy_residual(i);
-            forces[i] = f[i];
-        }
+        let (cfg, stats) = (&self.model.cfg, &self.model.stats);
+        let envs = build_envs_of(cfg, stats, frame.cell, frame.types, frame.pos, Some(frame.inner));
+        let mut ws = self.workspaces[domain % self.workspaces.len()]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        self.model.eval_centres(&mut ws, frame.types, &envs, frame.inner, energy, forces);
     }
 
     fn energy_offset(&self, types: &[usize]) -> f64 {

@@ -24,7 +24,9 @@
 //!
 //! Nested regions (a task submitting another region) run inline on the
 //! submitting worker: the inner region computes with the same fixed block
-//! structure, so inlining is invisible to results.
+//! structure, so inlining is invisible to results. The pool publishes one
+//! region at a time; a thread that submits while another thread's region
+//! is published runs its own region on itself, for the same reason.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -287,7 +289,10 @@ fn run_tasks(job: &Job) {
 /// * no heap allocation in the submission or execution path;
 /// * the submitting thread participates, so progress never depends on
 ///   workers existing;
-/// * nested invocations from inside a task run inline (sequentially).
+/// * nested invocations from inside a task run inline (sequentially), and
+///   so does a region submitted while another thread's region holds the
+///   pool — a published job is never overwritten or retired by anyone
+///   but its submitter.
 ///
 /// Panics in any task are re-raised on the submitting thread after the
 /// region completes.
@@ -300,7 +305,7 @@ pub fn parallel_for(n: usize, body: &(dyn Fn(usize) + Sync)) {
         let p = pool();
         {
             let mut st = p.state.lock().unwrap_or_else(|e| e.into_inner());
-            if st.target_threads > 1 {
+            if st.target_threads > 1 && st.job.is_none() {
                 ensure_workers(p, &mut st);
                 return run_region(p, st, n, body);
             }
@@ -355,6 +360,10 @@ fn run_region(
     while job.active.load(Ordering::Acquire) != 0 {
         st = p.done_cv.wait(st).unwrap_or_else(|e| e.into_inner());
     }
+    debug_assert!(
+        st.job.is_some_and(|j| std::ptr::eq(j.0, &job)),
+        "the published job must still be this region's"
+    );
     st.job = None;
     drop(st);
 
@@ -548,6 +557,60 @@ mod tests {
         });
         assert_eq!(c.load(Ordering::Relaxed), 300);
         assert_eq!(current_threads(), 1);
+    }
+
+    /// Two threads submit at once (the two `DeviceGroup` ranks, the two
+    /// shard dispatchers). The second must neither overwrite the first
+    /// one's published job nor, on finishing, retire it.
+    #[test]
+    fn concurrent_submitters_leave_each_others_job_alone() {
+        use std::sync::mpsc;
+        let _g = LOCK.lock().unwrap();
+        set_threads(2);
+        let value = |i: usize| ((i as f64 * 0.37).sin() * (i as f64 + 1.0).ln()).to_bits();
+        let (na, nb) = (64, 48);
+        let slots = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
+        let (out_a, out_b) = (slots(na), slots(nb));
+        let (hits_a, hits_b) = (slots(na), slots(nb));
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let (b_done_tx, b_done_rx) = mpsc::channel::<()>();
+        let (started_tx, b_done_rx) = (StdMutex::new(started_tx), StdMutex::new(b_done_rx));
+        let first = AtomicBool::new(true);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                parallel_for(na, &|i| {
+                    // Whichever task runs first holds region A in flight
+                    // until region B has come and gone.
+                    if first.swap(false, Ordering::SeqCst) {
+                        started_tx.lock().unwrap().send(()).unwrap();
+                        b_done_rx.lock().unwrap().recv().unwrap();
+                    }
+                    hits_a[i].fetch_add(1, Ordering::Relaxed);
+                    out_a[i].store(value(i), Ordering::Relaxed);
+                });
+            });
+            started_rx.recv().unwrap();
+            let me = std::thread::current().id();
+            let strayed = AtomicBool::new(false);
+            parallel_for(nb, &|i| {
+                strayed.fetch_or(std::thread::current().id() != me, Ordering::Relaxed);
+                hits_b[i].fetch_add(1, Ordering::Relaxed);
+                out_b[i].store(value(i), Ordering::Relaxed);
+            });
+            let a_still_published = pool().state.lock().unwrap().job.is_some();
+            // Release region A before judging, so a failure fails
+            // instead of hanging.
+            b_done_tx.send(()).unwrap();
+            assert!(!strayed.into_inner(), "a taken pool means run on the submitter");
+            assert!(a_still_published, "region B retired region A's job");
+        });
+        for (out, hits) in [(&out_a, &hits_a), (&out_b, &hits_b)] {
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "every index runs once");
+            for (i, o) in out.iter().enumerate() {
+                assert_eq!(o.load(Ordering::Relaxed), value(i), "same bits as sequential execution");
+            }
+        }
+        assert!(pool().state.lock().unwrap().job.is_none(), "region A retired its own job");
     }
 
     #[test]

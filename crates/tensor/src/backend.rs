@@ -36,8 +36,9 @@
 //! of the shapes alone and lives *above* this trait, and each backend
 //! fixes its lane-reduction order and tail handling. Across backends,
 //! results agree only to tolerance (FMA contracts `a*b+c` into one
-//! rounding; wider registers mean more partial accumulators), which the
-//! dp-verify `backend` family bands per kernel. Two deliberate
+//! rounding; wider registers mean more partial accumulators; the SIMD
+//! `tanh` is a different algorithm from libm's), which the dp-verify
+//! `backend` family bands per kernel. Two deliberate
 //! exceptions are bitwise across backends: the elementwise primitives
 //! (`axpy`/`scale`/`add_assign`, same per-element expression in every
 //! lane) and `p_update_rows`, which avoids FMA so the fused `P` update
@@ -209,6 +210,66 @@ pub trait Backend: Sync + Send {
     /// and `(j,i)` — and identically in vector body and scalar tail — so
     /// a symmetric `P` stays *bitwise* symmetric under the update.
     fn p_update_rows(&self, rows: &mut [f64], n: usize, i0: usize, q: &[f64], a: f64, inv_lambda: f64);
+
+    /// In-place elementwise `tanh`. Each output depends only on its
+    /// own input value — never on the lane, the offset or the slice
+    /// length — so within one backend a batched evaluation is bitwise
+    /// the sequential one. The scalar backend is libm's `tanh`; the
+    /// SIMD backends share one kernel (`tanh.rs`), banded
+    /// against libm by the dp-verify `backend` family.
+    fn tanh(&self, v: &mut [f64]);
+}
+
+/// Serial slice-level GEMMs over the row-group micro-kernels: what
+/// [`crate::Mat`]'s products run below the parallel crossover, callable
+/// on views into flat buffers without allocating. Row groups are
+/// `GEMM_MR` (4) high from row 0, exactly as in [`crate::Mat`], and no
+/// output element depends on which group its row fell into.
+impl dyn Backend + '_ {
+    /// `out += A · B` (`A` is `rows×k`, `B` is `k×n`, `out` is `rows×n`).
+    pub fn gemm_acc(&self, a: &[f64], b: &[f64], k: usize, n: usize, out: &mut [f64]) {
+        debug_assert_eq!(a.len() * n, out.len() * k);
+        debug_assert_eq!(b.len(), k * n);
+        if n == 0 {
+            return;
+        }
+        for (g, crows) in out.chunks_mut(GEMM_MR * n).enumerate() {
+            self.gemm_row_group(a, b, k, n, g * GEMM_MR, crows);
+        }
+    }
+
+    /// `out = A · B`.
+    pub fn gemm(&self, a: &[f64], b: &[f64], k: usize, n: usize, out: &mut [f64]) {
+        out.fill(0.0);
+        self.gemm_acc(a, b, k, n, out);
+    }
+
+    /// `out += Aᵀ · B` (`A` is `rows×m`, `B` is `rows×n`, `out` is
+    /// `m×n`). Accumulating, so a product over row segments that are
+    /// not contiguous continues the same ascending-row chain.
+    pub fn gemm_tn_acc(&self, a: &[f64], b: &[f64], rows: usize, m: usize, n: usize, out: &mut [f64]) {
+        debug_assert_eq!(a.len(), rows * m);
+        debug_assert_eq!(b.len(), rows * n);
+        debug_assert_eq!(out.len(), m * n);
+        if n == 0 {
+            return;
+        }
+        for (g, crows) in out.chunks_mut(GEMM_MR * n).enumerate() {
+            self.gemm_tn_row_group(a, b, rows, m, n, g * GEMM_MR, crows);
+        }
+    }
+
+    /// `out = A · Bᵀ` (`A` is `rows×k`, `B` is `n×k`, `out` is `rows×n`).
+    pub fn gemm_nt(&self, a: &[f64], b: &[f64], k: usize, n: usize, out: &mut [f64]) {
+        debug_assert_eq!(a.len() * n, out.len() * k);
+        debug_assert_eq!(b.len(), n * k);
+        if n == 0 {
+            return;
+        }
+        for (g, crows) in out.chunks_mut(GEMM_MR * n).enumerate() {
+            self.gemm_nt_row_group(a, b, k, n, g * GEMM_MR, crows);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -388,6 +449,12 @@ impl Backend for ScalarBackend {
                 // the Algorithm 1 line-11 symmetrization is a no-op.
                 *v = (*v - a * (qi * q[j])) * inv_lambda;
             }
+        }
+    }
+
+    fn tanh(&self, v: &mut [f64]) {
+        for x in v {
+            *x = x.tanh();
         }
     }
 }
@@ -779,6 +846,10 @@ mod x86 {
                 unsafe { p_update_row_avx2(row, q[i0 + r], q, a, inv_lambda) };
             }
         }
+
+        fn tanh(&self, v: &mut [f64]) {
+            unsafe { crate::tanh::x86::tanh_avx2(v) }
+        }
     }
 
     #[target_feature(enable = "avx512f")]
@@ -1152,6 +1223,10 @@ mod x86 {
                 unsafe { p_update_row_avx512(row, q[i0 + r], q, a, inv_lambda) };
             }
         }
+
+        fn tanh(&self, v: &mut [f64]) {
+            unsafe { crate::tanh::x86::tanh_avx512(v) }
+        }
     }
 }
 
@@ -1354,6 +1429,10 @@ mod neon {
             for (r, row) in rows.chunks_mut(n).enumerate() {
                 unsafe { p_update_row_neon(row, q[i0 + r], q, a, inv_lambda) };
             }
+        }
+
+        fn tanh(&self, v: &mut [f64]) {
+            crate::tanh::tanh_slice_fma(v)
         }
     }
 }

@@ -26,6 +26,7 @@ pub mod backend;
 pub mod kernel;
 pub mod mat;
 pub mod tape;
+mod tanh;
 pub mod vecops;
 pub mod wire;
 

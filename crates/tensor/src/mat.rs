@@ -307,11 +307,9 @@ impl Mat {
     /// Elementwise `tanh`.
     pub fn tanh(&self) -> Mat {
         kernel::launch("tanh");
-        Mat {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&v| v.tanh()).collect(),
-        }
+        let mut data = self.data.clone();
+        backend::active().tanh(&mut data);
+        Mat { rows: self.rows, cols: self.cols, data }
     }
 
     /// Elementwise sum with another matrix of the same shape.

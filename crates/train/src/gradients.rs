@@ -18,15 +18,17 @@
 //! bytes) is a pure function of (data, seed, config) at any
 //! `DP_POOL_THREADS`.
 //!
-//! Each block owns a recycled [`BlockScratch`] — model-shaped
-//! gradient buffers, flat accumulators, coefficient vectors — so the
-//! steady-state iteration performs no gradient-sized allocations. The
-//! per-block mutexes are uncontended (each block index is claimed by
-//! exactly one pool task); they exist to satisfy `Sync` for the
-//! fan-out closure.
+//! Each block owns a recycled [`BlockScratch`] — the model workspace
+//! its frames are evaluated in, per-tangent gradient buffers, flat
+//! accumulators, coefficient vectors — so the steady-state iteration
+//! performs no allocation at all. The per-block mutexes are uncontended
+//! (each block index is claimed by exactly one pool task); they exist
+//! to satisfy `Sync` for the fan-out closure.
 
-use deepmd_core::model::ModelGrads;
+use deepmd_core::model::{ModelGrads, Workspace};
+use dp_mdsim::Vec3;
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// Upper bound on reduction blocks. More blocks raise the parallelism
 /// ceiling but cost one gradient-sized accumulator each; 8 covers the
@@ -36,14 +38,26 @@ pub const MAX_GRAD_BLOCKS: usize = 8;
 /// Recycled per-block working memory for the fan-out stage.
 #[derive(Default)]
 pub struct BlockScratch {
-    /// Model-shaped gradient buffer (lazily initialized, then reused).
-    pub grads: Option<ModelGrads>,
-    /// Force-contraction coefficient buffer (`3 · n_atoms`).
+    /// The workspace this block's frames are evaluated in: taken by a
+    /// forward pass, put back when the pass is consumed.
+    pub workspace: Option<Box<Workspace>>,
+    /// Per-frame gradient buffers, one per tangent of the force sweep
+    /// (the first doubles as the energy buffer); sized on first use.
+    pub grads: Vec<ModelGrads>,
+    /// Predicted forces of the current frame.
+    pub forces: Vec<Vec3>,
+    /// Force-contraction coefficients, one `3 · n_atoms` vector per
+    /// force group.
     pub coeffs: Vec<f64>,
     /// Flat gradient accumulators, `n_slots × n_params` used prefix.
     pub acc: Vec<f64>,
     /// Absolute-error accumulators, `n_slots` used prefix.
     pub abes: Vec<f64>,
+    /// Time `per_item` reports having spent in forward passes during
+    /// the current reduction (see [`GradScratch::block_reduce`]).
+    pub forward: Duration,
+    /// Time this block's task ran during the current reduction.
+    busy: Duration,
 }
 
 /// Recycled state of the block reduction: per-block scratch plus the
@@ -84,6 +98,11 @@ impl GradScratch {
     /// `scratch.acc[..n_slots * n_params]` / `scratch.abes[..n_slots]`
     /// (both pre-zeroed per call); items within a block run in
     /// ascending index order on one task.
+    ///
+    /// Returns the share of the blocks' busy time that `per_item`
+    /// booked on `scratch.forward` — how a caller whose items run
+    /// forward pass and gradient back to back splits the reduction's
+    /// wall time between the two phases.
     pub fn block_reduce(
         &mut self,
         n_items: usize,
@@ -92,7 +111,7 @@ impl GradScratch {
         per_item: &(dyn Fn(usize, &mut BlockScratch) + Sync),
         out: &mut Vec<f64>,
         out_abes: &mut Vec<f64>,
-    ) {
+    ) -> f64 {
         let nb = n_blocks(n_items);
         let len = n_slots * n_params;
         if self.blocks.len() < nb {
@@ -108,19 +127,23 @@ impl GradScratch {
                 s.abes.resize(n_slots, 0.0);
             }
             s.abes[..n_slots].fill(0.0);
+            s.forward = Duration::ZERO;
         }
         let blocks = &self.blocks[..nb];
         dp_pool::parallel_for(nb, &|b| {
+            let start = Instant::now();
             let mut s = blocks[b].lock().unwrap_or_else(|e| e.into_inner());
             let (lo, hi) = block_range(n_items, nb, b);
             for i in lo..hi {
                 per_item(i, &mut s);
             }
+            s.busy = start.elapsed();
         });
         out.resize(len, 0.0);
         out[..len].fill(0.0);
         out_abes.resize(n_slots, 0.0);
         out_abes[..n_slots].fill(0.0);
+        let (mut forward, mut busy) = (Duration::ZERO, Duration::ZERO);
         for blk in &self.blocks[..nb] {
             let s = blk.lock().unwrap_or_else(|e| e.into_inner());
             for (o, v) in out[..len].iter_mut().zip(&s.acc[..len]) {
@@ -129,9 +152,16 @@ impl GradScratch {
             for (o, v) in out_abes[..n_slots].iter_mut().zip(&s.abes[..n_slots]) {
                 *o += v;
             }
+            forward += s.forward;
+            busy += s.busy;
         }
         out.truncate(len);
         out_abes.truncate(n_slots);
+        if busy.is_zero() {
+            0.0
+        } else {
+            (forward.as_secs_f64() / busy.as_secs_f64()).min(1.0)
+        }
     }
 }
 

@@ -19,7 +19,8 @@ use dp_data::dataset::Snapshot;
 /// Which derivative implementation the trainer drives.
 ///
 /// [`Backend::Manual`] is the paper's Opt1+ path (handwritten fused
-/// kernels); [`Backend::Tape`] is the framework-Autograd baseline of
+/// kernels on the frame-batched core); [`Backend::Tape`] is the
+/// framework-Autograd baseline of
 /// Figure 7 — numerically identical, executed as fragmented primitive
 /// kernels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,16 +72,16 @@ pub fn energy_target_with(model: &DeepPotModel, pass: &ForwardPass, backend: Bac
 /// per-atom-scaled energy gradient into `acc` (length `n_params`) and
 /// returns the sample's absolute per-atom energy error.
 ///
-/// `scratch` is a recycled model-shaped gradient buffer (lazily
-/// created on first use) so the steady-state batch loop allocates
-/// nothing; summing `scale · g` directly into `acc` is bitwise
-/// identical to materialising the scaled per-sample vector first
+/// `scratch` holds recycled per-frame gradient buffers (created on
+/// first use) so the steady-state batch loop allocates nothing;
+/// summing `scale · g` directly into `acc` is bitwise identical to
+/// materialising the scaled per-sample vector first
 /// (`0 + scale·g == scale·g`, and accumulation order is the caller's).
 pub fn accumulate_energy_target(
     model: &DeepPotModel,
     pass: &ForwardPass,
     backend: Backend,
-    scratch: &mut Option<ModelGrads>,
+    scratch: &mut Vec<ModelGrads>,
     acc: &mut [f64],
 ) -> f64 {
     let n = pass.frame.types.len().max(1) as f64;
@@ -89,8 +90,7 @@ pub fn accumulate_energy_target(
     let scale = sign / n;
     match backend {
         Backend::Manual => {
-            let g = scratch.get_or_insert_with(|| model.zero_grads());
-            g.zero();
+            let g = &mut frame_grads(model, scratch, 1)[0];
             model.backward_energy_params(pass, g);
             model.add_flattened_scaled(g, scale, acc);
         }
@@ -104,6 +104,21 @@ pub fn accumulate_energy_target(
     err.abs()
 }
 
+/// The first `n` recycled per-frame gradient buffers, zeroed.
+fn frame_grads<'a>(
+    model: &DeepPotModel,
+    scratch: &'a mut Vec<ModelGrads>,
+    n: usize,
+) -> &'a mut [ModelGrads] {
+    while scratch.len() < n {
+        scratch.push(model.zero_grads());
+    }
+    for g in &mut scratch[..n] {
+        g.zero();
+    }
+    &mut scratch[..n]
+}
+
 /// Accumulating form of [`force_targets_with`]: for each round-robin
 /// force group `k`, adds the group's signed gradient into
 /// `acc[k * n_params ..]` and its absolute error into `abes[k]`.
@@ -113,7 +128,10 @@ pub fn accumulate_energy_target(
 /// untouched, which is the additive identity for the batch reduction.
 /// Group membership is the `i % n_groups` round-robin of
 /// [`force_groups`], iterated directly (`i = k, k+ng, …`) so no index
-/// lists are built.
+/// lists are built. The groups go through the model as the tangents of
+/// **one** dual sweep, each reducing into its own recycled buffer of
+/// `scratch` and from there into its own slot — bitwise what one sweep
+/// per group gives.
 #[allow(clippy::too_many_arguments)]
 pub fn accumulate_force_targets(
     model: &DeepPotModel,
@@ -122,7 +140,7 @@ pub fn accumulate_force_targets(
     frame: &Snapshot,
     n_groups: usize,
     backend: Backend,
-    scratch: &mut Option<ModelGrads>,
+    scratch: &mut Vec<ModelGrads>,
     coeffs: &mut Vec<f64>,
     acc: &mut [f64],
     abes: &mut [f64],
@@ -130,12 +148,9 @@ pub fn accumulate_force_targets(
     let n_atoms = frame.types.len();
     let ng = n_groups.max(1).min(n_atoms.max(1));
     let n_params = model.n_params();
-    if coeffs.len() < 3 * n_atoms {
-        coeffs.resize(3 * n_atoms, 0.0);
-    }
-    for k in 0..ng {
-        let coeffs = &mut coeffs[..3 * n_atoms];
-        coeffs.fill(0.0);
+    coeffs.clear();
+    coeffs.resize(ng * 3 * n_atoms, 0.0);
+    for (k, coeffs) in coeffs.chunks_exact_mut((3 * n_atoms).max(1)).enumerate() {
         let mut abs_sum = 0.0;
         let mut count = 0usize;
         let mut i = k;
@@ -148,22 +163,25 @@ pub fn accumulate_force_targets(
             }
             i += ng;
         }
-        let slot = &mut acc[k * n_params..(k + 1) * n_params];
-        match backend {
-            Backend::Manual => {
-                let g = scratch.get_or_insert_with(|| model.zero_grads());
-                g.zero();
-                model.grad_force_sum_params_into(pass, coeffs, g);
+        abes[k] += abs_sum / count.max(1) as f64;
+    }
+    match backend {
+        Backend::Manual => {
+            let grads = frame_grads(model, scratch, ng);
+            model.grad_force_sums_params_into(pass, coeffs, grads);
+            for (g, slot) in grads.iter().zip(acc.chunks_exact_mut(n_params)) {
                 model.add_flattened_scaled(g, 1.0, slot);
             }
-            Backend::Tape => {
+        }
+        Backend::Tape => {
+            let groups = coeffs.chunks_exact((3 * n_atoms).max(1));
+            for (coeffs, slot) in groups.zip(acc.chunks_exact_mut(n_params)) {
                 let grad = tape_path::grad_force_sum_params_tape(model, frame, coeffs);
                 for (a, gv) in slot.iter_mut().zip(&grad) {
                     *a += gv;
                 }
             }
         }
-        abes[k] += abs_sum / count.max(1) as f64;
     }
 }
 
@@ -322,7 +340,7 @@ mod tests {
         let n_groups = 4;
 
         let et = energy_target_with(&m, &pass, Backend::Manual);
-        let mut scratch = None;
+        let mut scratch = Vec::new();
         let mut acc = vec![0.0; n_params];
         let abe = accumulate_energy_target(&m, &pass, Backend::Manual, &mut scratch, &mut acc);
         assert_eq!(abe.to_bits(), et.abe.to_bits());

@@ -15,7 +15,7 @@
 
 use crate::checkpoint::{self, Checkpoint, OptKind};
 use crate::error::TrainError;
-use crate::gradients::GradScratch;
+use crate::gradients::{BlockScratch, GradScratch};
 use crate::metrics::{timed, EpochRecord, PhaseTimes, TrainHistory};
 use crate::targets::{
     accumulate_energy_target, accumulate_force_targets, energy_target_with, force_targets_with,
@@ -114,7 +114,10 @@ pub struct Trainer {
     pub cfg: TrainConfig,
 }
 
-struct LoopState {
+/// Everything one training loop carries from iteration to iteration:
+/// phase timers, counters, and the recycled buffers that keep the
+/// steady-state FEKF iteration allocation-free.
+pub struct LoopState {
     start: Instant,
     phases: PhaseTimes,
     iterations: u64,
@@ -139,8 +142,15 @@ struct LoopState {
     cache_stats: CacheStats,
 }
 
+impl Default for LoopState {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl LoopState {
-    fn new() -> Self {
+    /// Fresh state; the clock of `wall_s` starts now.
+    pub fn new() -> Self {
         LoopState {
             start: Instant::now(),
             phases: PhaseTimes::default(),
@@ -170,6 +180,74 @@ impl LoopState {
     fn return_delta(&mut self, d: Vec<f64>) {
         self.delta = d;
     }
+}
+
+/// Time `f`, a block reduction that returns the forward share of its
+/// busy time, and book its wall time on the forward and gradient phases
+/// in that proportion.
+fn timed_split(phases: &mut PhaseTimes, f: impl FnOnce() -> f64) {
+    let start = Instant::now();
+    let forward_share = f();
+    let wall = start.elapsed();
+    let forward = wall.mul_f64(forward_share);
+    phases.forward += forward;
+    phases.gradient += wall - forward;
+}
+
+/// Energy-phase work of one frame: forward in the block's workspace,
+/// then its signed energy gradient and absolute error into the block's
+/// first slot.
+fn energy_item(
+    model: &DeepPotModel,
+    cache: &EnvCache,
+    train: &Dataset,
+    idx: usize,
+    backend: Backend,
+    blk: &mut BlockScratch,
+) {
+    let n_params = model.n_params();
+    let start = Instant::now();
+    let ws = blk.workspace.take().unwrap_or_default();
+    let pass = model.forward_with_cache_in(ws, cache, idx, &train.frames[idx]);
+    blk.forward += start.elapsed();
+    blk.abes[0] += accumulate_energy_target(model, &pass, backend, &mut blk.grads, &mut blk.acc[..n_params]);
+    blk.workspace = Some(pass.into_workspace());
+}
+
+/// Force-phase work of one frame: forward and forces in the block's
+/// workspace, then every force group's signed gradient and absolute
+/// error into the group's slot.
+fn force_item(
+    model: &DeepPotModel,
+    cache: &EnvCache,
+    train: &Dataset,
+    idx: usize,
+    n_groups: usize,
+    backend: Backend,
+    blk: &mut BlockScratch,
+) {
+    let n_params = model.n_params();
+    let frame = &train.frames[idx];
+    let start = Instant::now();
+    let ws = blk.workspace.take().unwrap_or_default();
+    let pass = model.forward_with_cache_in(ws, cache, idx, frame);
+    blk.forces.clear();
+    blk.forces.resize(frame.types.len(), dp_mdsim::Vec3::ZERO);
+    model.forces_into(&pass, &mut blk.forces);
+    blk.forward += start.elapsed();
+    accumulate_force_targets(
+        model,
+        &pass,
+        &blk.forces,
+        frame,
+        n_groups,
+        backend,
+        &mut blk.grads,
+        &mut blk.coeffs,
+        &mut blk.acc[..n_groups * n_params],
+        &mut blk.abes[..n_groups],
+    );
+    blk.workspace = Some(pass.into_workspace());
 }
 
 impl Trainer {
@@ -420,12 +498,14 @@ impl Trainer {
     /// the robust paths). Returns the batch-mean absolute energy error,
     /// which the divergence guards watch.
     ///
-    /// Per-frame forward passes reuse cached neighbour environments
-    /// (`cache`); the batch gradient/error sums run through the
-    /// fixed-block engine of [`crate::gradients`], so the result is
-    /// bitwise independent of `DP_POOL_THREADS` and of whether the
-    /// cache is enabled.
-    fn fekf_iteration(
+    /// Each frame runs forward pass and gradient back to back in its
+    /// reduction block's workspace, against cached neighbour
+    /// environments (`cache`); the batch gradient/error sums run
+    /// through the fixed-block engine of [`crate::gradients`], so the
+    /// result is bitwise independent of `DP_POOL_THREADS` and of
+    /// whether the cache is enabled. Once every buffer has seen the
+    /// batch's frames, an iteration allocates nothing.
+    pub fn fekf_iteration(
         &self,
         model: &mut DeepPotModel,
         opt: &mut Fekf,
@@ -435,42 +515,27 @@ impl Trainer {
         state: &mut LoopState,
     ) -> f64 {
         let n_params = model.n_params();
+        let n_groups = self.cfg.force_updates.max(1);
         let inv_bs = 1.0 / batch.len() as f64;
         let backend = self.cfg.backend;
         let mut delta = state.take_delta(n_params);
         // Energy phase: forward all samples, reduce signed gradients
-        // and absolute errors (the early reduction of §3.1).
-        let passes = timed(&mut state.phases.forward, || {
-            batch
-                .par_iter()
-                .map(|&i| model.forward_with_cache(cache, i, &train.frames[i]))
-                .collect::<Vec<_>>()
-        });
-        // Early reduction (§3.1, Algorithm 1 line 7): gradients are
-        // *summed* over the batch ("Ŷ.sum().backward()"), errors are
-        // averaged. The Kalman gain normalizes by gᵀPg, so the summed
-        // gradient's √bs-growth is exactly what the √bs weight factor
-        // compensates (Eq. 2).
+        // and absolute errors (the early reduction of §3.1, Algorithm 1
+        // line 7): gradients are *summed* over the batch
+        // ("Ŷ.sum().backward()"), errors are averaged. The Kalman gain
+        // normalizes by gᵀPg, so the summed gradient's √bs-growth is
+        // exactly what the √bs weight factor compensates (Eq. 2).
         {
             let model = &*model;
-            let passes = &passes;
-            timed(&mut state.phases.gradient, || {
-                state.scratch.block_reduce(
-                    passes.len(),
+            let LoopState { phases, scratch, gsum, gabes, .. } = state;
+            timed_split(phases, || {
+                scratch.block_reduce(
+                    batch.len(),
                     1,
                     n_params,
-                    &|i, blk| {
-                        let abe = accumulate_energy_target(
-                            model,
-                            &passes[i],
-                            backend,
-                            &mut blk.grads,
-                            &mut blk.acc[..n_params],
-                        );
-                        blk.abes[0] += abe;
-                    },
-                    &mut state.gsum,
-                    &mut state.gabes,
+                    &|bi, blk| energy_item(model, cache, train, batch[bi], backend, blk),
+                    gsum,
+                    gabes,
                 )
             });
         }
@@ -479,44 +544,19 @@ impl Trainer {
             opt.step_into(&state.gsum, mean_abe, &mut delta);
             model.apply_update(&delta);
         });
-        // Force phase: fresh passes after the energy update.
-        let passes = timed(&mut state.phases.forward, || {
-            batch
-                .par_iter()
-                .map(|&i| {
-                    let frame = &train.frames[i];
-                    let pass = model.forward_with_cache(cache, i, frame);
-                    let forces = model.forces(&pass);
-                    (i, pass, forces)
-                })
-                .collect::<Vec<_>>()
-        });
-        let n_groups = self.cfg.force_updates.max(1);
+        // Force phase: fresh passes after the energy update; the force
+        // groups of a frame share its pass and one dual sweep.
         {
             let model = &*model;
-            let passes = &passes;
-            timed(&mut state.phases.gradient, || {
-                state.scratch.block_reduce(
-                    passes.len(),
+            let LoopState { phases, scratch, gsum, gabes, .. } = state;
+            timed_split(phases, || {
+                scratch.block_reduce(
+                    batch.len(),
                     n_groups,
                     n_params,
-                    &|bi, blk| {
-                        let (i, pass, forces) = &passes[bi];
-                        accumulate_force_targets(
-                            model,
-                            pass,
-                            forces,
-                            &train.frames[*i],
-                            n_groups,
-                            backend,
-                            &mut blk.grads,
-                            &mut blk.coeffs,
-                            &mut blk.acc[..n_groups * n_params],
-                            &mut blk.abes[..n_groups],
-                        );
-                    },
-                    &mut state.gsum,
-                    &mut state.gabes,
+                    &|bi, blk| force_item(model, cache, train, batch[bi], n_groups, backend, blk),
+                    gsum,
+                    gabes,
                 )
             });
         }
@@ -657,18 +697,7 @@ impl Trainer {
                     shard.len(),
                     1,
                     n_params,
-                    &|si, blk| {
-                        let i = shard[si];
-                        let pass = model_ref.forward_with_cache(cache, i, &train.frames[i]);
-                        let abe = accumulate_energy_target(
-                            model_ref,
-                            &pass,
-                            Backend::Manual,
-                            &mut blk.grads,
-                            &mut blk.acc[..n_params],
-                        );
-                        blk.abes[0] += abe;
-                    },
+                    &|si, blk| energy_item(model_ref, cache, train, shard[si], Backend::Manual, blk),
                     &mut g,
                     &mut abes,
                 );
@@ -698,22 +727,7 @@ impl Trainer {
                     n_groups,
                     n_params,
                     &|si, blk| {
-                        let i = shard[si];
-                        let frame = &train.frames[i];
-                        let pass = model_ref.forward_with_cache(cache, i, frame);
-                        let forces = model_ref.forces(&pass);
-                        accumulate_force_targets(
-                            model_ref,
-                            &pass,
-                            &forces,
-                            frame,
-                            n_groups,
-                            Backend::Manual,
-                            &mut blk.grads,
-                            &mut blk.coeffs,
-                            &mut blk.acc[..n_groups * n_params],
-                            &mut blk.abes[..n_groups],
-                        );
+                        force_item(model_ref, cache, train, shard[si], n_groups, Backend::Manual, blk)
                     },
                     &mut buf,
                     &mut abes,

@@ -18,7 +18,15 @@
 //!   `add_assign`) and the fused `P`-update, which every backend
 //!   implements FMA-free precisely so vector body and scalar tail (and
 //!   therefore every backend) round identically — including the exact
-//!   bitwise symmetry of the updated `P`.
+//!   bitwise symmetry of the updated `P`;
+//! * **≤ 2 ulp of libm** for `tanh` on `[−20, 20]` (the scalar backend
+//!   *is* libm; the SIMD backends run their own kernel), with the parts
+//!   of the contract the model relies on held exactly: odd symmetry,
+//!   `±0 → ±0`, saturation to `±1`, NaN in → NaN out (a poisoned
+//!   snapshot must still trip the serving breaker), and **position
+//!   independence** — the same value gives the same bits at every
+//!   offset, slice length and tail position, which is what makes a
+//!   frame-batched evaluation bitwise the per-atom one within a backend.
 //!
 //! `scalar` itself is swept too: a trivially-green scalar-vs-scalar run
 //! proves the `with_backend` plumbing on machines with no SIMD at all.
@@ -64,6 +72,68 @@ const EDGE_LENS: [usize; 15] = [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 65, 1
 
 /// `P` sizes for the fused-update bitwise check.
 const P_SIZES: [usize; 5] = [1, 5, 8, 17, 33];
+
+/// `tanh` band against libm, in units in the last place.
+const TANH_MAX_ULPS: u64 = 2;
+
+/// `tanh` of `xs` through `kind`'s kernel, as one slice.
+fn tanh_under(kind: BackendKind, xs: &[f64]) -> Vec<f64> {
+    backend::with_backend(kind, || {
+        let mut v = xs.to_vec();
+        backend::active().tanh(&mut v);
+        v
+    })
+    .expect("backend came from available()")
+}
+
+/// The `tanh` contract of one backend (see the module docs).
+fn tanh_checks(kind: BackendKind, rng: &mut XorShift64, profile: Profile) -> [VerifyCheck; 2] {
+    let gates = &["dp-tensor", "deepmd-core"];
+    let name = kind.name();
+    let mut band = Check::new("backend", format!("{name}/tanh_vs_libm"), gates, 0.0);
+    let mut pos = Check::new("backend", format!("{name}/tanh_position_independent"), gates, 0.0);
+
+    // A sweep of [−20, 20], random points, and magnitudes down to the
+    // subnormals; every point with its negation.
+    let n_random = 2_000 * (1 + profile.gemm_shapes());
+    let mut xs: Vec<f64> = (0..=8_000).map(|i| -20.0 + i as f64 * 0.005).collect();
+    xs.extend((0..n_random).map(|_| rng.range(-20.0, 20.0)));
+    xs.extend((0..640).map(|i| 10f64.powf(-(i as f64) * 0.5) * 1.7));
+    let negated: Vec<f64> = xs.iter().map(|x| -x).collect();
+    let (ys, ys_neg) = (tanh_under(kind, &xs), tanh_under(kind, &negated));
+    for ((&x, &y), &yn) in xs.iter().zip(&ys).zip(&ys_neg) {
+        let want = x.tanh();
+        let ulps = (y.to_bits() as i64 - want.to_bits() as i64).unsigned_abs();
+        band.exact(ulps <= TANH_MAX_ULPS, || {
+            format!("tanh({x:e}): {name} {y:.17e} vs libm {want:.17e} ({ulps} ulp)")
+        });
+        band.exact(yn.to_bits() == (-y).to_bits(), || {
+            format!("tanh(−{x:e}) = {yn:e} is not −tanh({x:e}) = {:e}", -y)
+        });
+    }
+    let special = [0.0, -0.0, 20.0, -20.0, 1e300, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+    let want = [0.0, -0.0, 1.0, -1.0, 1.0, 1.0, -1.0, f64::NAN];
+    for ((x, y), w) in special.iter().zip(tanh_under(kind, &special)).zip(want) {
+        band.exact(y.to_bits() == w.to_bits() || (y.is_nan() && w.is_nan()), || {
+            format!("tanh({x:e}): {name} gave {y:e}, the contract says {w:e}")
+        });
+    }
+
+    // Position independence: each value alone in a one-element slice
+    // fixes its bits; every window of the buffer must reproduce them.
+    let vals: Vec<f64> = (0..67).map(|_| rng.range(-6.0, 6.0)).collect();
+    let alone: Vec<f64> = vals.iter().map(|&v| tanh_under(kind, &[v])[0]).collect();
+    for off in 0..9 {
+        for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 58] {
+            let end = (off + len).min(vals.len());
+            let got = tanh_under(kind, &vals[off..end]);
+            pos.exact(bits_eq(&got, &alone[off..end]), || {
+                format!("tanh over [{off}, {end}): {name} differs from the one-element results")
+            });
+        }
+    }
+    [band.finish(), pos.finish()]
+}
 
 fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
@@ -221,6 +291,7 @@ fn backend_vs_scalar(kind: BackendKind, seed: u64, profile: Profile) -> Vec<Veri
         });
     }
 
+    let [th, tp] = tanh_checks(kind, &mut rng, profile);
     vec![
         mm.finish(),
         tn.finish(),
@@ -229,6 +300,8 @@ fn backend_vs_scalar(kind: BackendKind, seed: u64, profile: Profile) -> Vec<Veri
         dt.finish(),
         el.finish(),
         pu.finish(),
+        th,
+        tp,
     ]
 }
 

@@ -18,9 +18,12 @@
 //! * **tight-ULP** where only the combine order differs: the
 //!   4-accumulator `rowdot` behind `matmul_t`/`matvec` (`1e-13`), the
 //!   fused vs unfused `P` update (`1e-12`);
-//! * **FD-free analytic** `1e-9` for the handwritten backward vs the
-//!   tape autograd baseline — two different graphs over the same
-//!   arithmetic.
+//! * **FD-free analytic** `1e-9` for the handwritten backward on the
+//!   frame-batched core vs the tape autograd baseline — two different
+//!   graphs over the same arithmetic — including frames whose layout
+//!   has empty (centre type, neighbour type) blocks;
+//! * **bitwise** for the multi-tangent force-gradient sweep vs one
+//!   single-tangent sweep per tangent.
 
 use crate::gen::{self, XorShift64};
 use crate::{rel_err, Check, Profile, VerifyCheck};
@@ -227,6 +230,54 @@ pub fn env_cache_bitwise(seed: u64, _profile: Profile) -> VerifyCheck {
     check.finish()
 }
 
+/// Hold the batched core's energy, forces, `∇θE` and `∇θ(cᵀF)` on
+/// `frame` to the tape-autograd baseline.
+fn compare_with_tape(
+    check: &mut Check,
+    model: &deepmd_core::model::DeepPotModel,
+    frame: &dp_data::dataset::Snapshot,
+    label: &str,
+    seed: u64,
+) {
+    let pass = model.forward(frame);
+
+    let e_tape = tape_path::energy_tape(model, frame);
+    check.case(rel_err(pass.energy, e_tape), || {
+        format!("{label} energy: manual {:.15e} vs tape {e_tape:.15e}", pass.energy)
+    });
+
+    let fm = model.forces(&pass);
+    let ft = tape_path::forces_tape(model, frame);
+    for i in 0..fm.len() {
+        for a in 0..3 {
+            check.case(rel_err(fm[i].0[a], ft[i].0[a]), || {
+                format!(
+                    "{label} force atom {i} comp {a}: manual {:+.12e} vs tape {:+.12e}",
+                    fm[i].0[a], ft[i].0[a]
+                )
+            });
+        }
+    }
+
+    let gm = model.grad_energy_params(&pass);
+    let gt = tape_path::grad_energy_params_tape(model, frame);
+    for (i, (x, y)) in gm.iter().zip(&gt).enumerate() {
+        check.case(rel_err(*x, *y), || {
+            format!("{label} dE/dθ[{i}]: manual {x:+.12e} vs tape {y:+.12e}")
+        });
+    }
+
+    let mut rng = XorShift64::new(seed ^ 0xBEE5_0A7C);
+    let coeffs = gen::random_vec(&mut rng, 3 * frame.types.len());
+    let gm = model.grad_force_sum_params(&pass, &coeffs);
+    let gt = tape_path::grad_force_sum_params_tape(model, frame, &coeffs);
+    for (i, (x, y)) in gm.iter().zip(&gt).enumerate() {
+        check.case(rel_err(*x, *y), || {
+            format!("{label} d(cF)/dθ[{i}]: manual {x:+.12e} vs tape {y:+.12e}")
+        });
+    }
+}
+
 /// Handwritten derivative kernels vs the tape-autograd baseline — the
 /// same math through two independent graph constructions.
 pub fn manual_vs_tape(seed: u64, _profile: Profile) -> VerifyCheck {
@@ -239,42 +290,74 @@ pub fn manual_vs_tape(seed: u64, _profile: Profile) -> VerifyCheck {
     let model = gen::toy_model(seed.wrapping_add(3));
     for f in 0..2u64 {
         let frame = gen::toy_frame(seed.wrapping_add(30 + f));
-        let pass = model.forward(&frame);
+        compare_with_tape(&mut check, &model, &frame, &format!("frame {f}"), seed ^ f);
+    }
+    check.finish()
+}
 
-        let e_tape = tape_path::energy_tape(&model, &frame);
-        check.case(rel_err(pass.energy, e_tape), || {
-            format!("frame {f} energy: manual {:.15e} vs tape {e_tape:.15e}", pass.energy)
-        });
-
-        let fm = model.forces(&pass);
-        let ft = tape_path::forces_tape(&model, &frame);
-        for i in 0..fm.len() {
-            for a in 0..3 {
-                check.case(rel_err(fm[i].0[a], ft[i].0[a]), || {
-                    format!(
-                        "frame {f} force atom {i} comp {a}: manual {:+.12e} vs tape {:+.12e}",
-                        fm[i].0[a], ft[i].0[a]
-                    )
-                });
+/// The batched core lays a frame out by (centre type, neighbour type)
+/// block and runs each network over its block; hold it to the tape on
+/// two-species frames where blocks — or a whole type — are empty: the
+/// rocksalt toy frame (unlike neighbours only, so the like-pair blocks
+/// are empty) and the same geometry with every atom relabelled to type
+/// 0 (one populated block; type 1 has neither centres nor neighbours).
+pub fn batched_vs_tape_empty_blocks(seed: u64, _profile: Profile) -> VerifyCheck {
+    let mut check = Check::new(
+        "differential",
+        "backward/batched_vs_tape_empty_blocks",
+        &["deepmd-core"],
+        TOL_TAPE,
+    );
+    let model = gen::toy_model(seed.wrapping_add(5));
+    let mixed = gen::toy_frame(seed.wrapping_add(40));
+    let mut single = mixed.clone();
+    single.types.fill(0);
+    for (label, frame, want_empty) in [("unlike-only", &mixed, [true, false, false, true]), ("one-type", &single, [false, true, true, true])] {
+        // The premise: which (ti, tj) blocks have no rows at all.
+        let pass = model.forward(frame);
+        let mut empty = [true; 4];
+        for (&ti, env) in frame.types.iter().zip(&pass.frame_env().envs) {
+            for (tj, &(a, b)) in env.type_ranges.iter().enumerate() {
+                empty[ti * 2 + tj] &= a == b;
             }
         }
+        check.exact(empty == want_empty, || {
+            format!("{label}: empty blocks {empty:?}, the check was written for {want_empty:?}")
+        });
+        compare_with_tape(&mut check, &model, frame, label, seed);
+    }
+    check.finish()
+}
 
-        let gm = model.grad_energy_params(&pass);
-        let gt = tape_path::grad_energy_params_tape(&model, &frame);
-        for (i, (x, y)) in gm.iter().zip(&gt).enumerate() {
-            check.case(rel_err(*x, *y), || {
-                format!("frame {f} dE/dθ[{i}]: manual {x:+.12e} vs tape {y:+.12e}")
-            });
-        }
-
-        let mut rng = XorShift64::new(seed ^ 0xBEE5_0A7C ^ f);
-        let coeffs = gen::random_vec(&mut rng, 3 * frame.types.len());
-        let gm = model.grad_force_sum_params(&pass, &coeffs);
-        let gt = tape_path::grad_force_sum_params_tape(&model, &frame, &coeffs);
-        for (i, (x, y)) in gm.iter().zip(&gt).enumerate() {
-            check.case(rel_err(*x, *y), || {
-                format!("frame {f} d(cF)/dθ[{i}]: manual {x:+.12e} vs tape {y:+.12e}")
-            });
+/// The force-gradient sweep takes the trainer's force groups as the
+/// tangents of one call and runs the tangent-independent half of the
+/// reverse sweep once; each tangent's gradient must be bitwise what a
+/// call with that tangent alone gives.
+pub fn multi_tangent_vs_single(seed: u64, _profile: Profile) -> VerifyCheck {
+    let mut check = Check::new(
+        "differential",
+        "backward/multi_tangent_vs_single",
+        &["deepmd-core"],
+        0.0,
+    );
+    let model = gen::toy_model(seed.wrapping_add(11));
+    for f in 0..2u64 {
+        let frame = gen::toy_frame(seed.wrapping_add(60 + f));
+        let pass = model.forward(&frame);
+        let n = 3 * frame.types.len();
+        for n_tangents in [1usize, 2, 4] {
+            let mut rng = XorShift64::new(seed ^ 0x7A46_E275 ^ f ^ (n_tangents as u64) << 8);
+            let coeffs = gen::random_vec(&mut rng, n_tangents * n);
+            let mut stacked: Vec<_> = (0..n_tangents).map(|_| model.zero_grads()).collect();
+            model.grad_force_sums_params_into(&pass, &coeffs, &mut stacked);
+            for (t, got) in stacked.iter().enumerate() {
+                let want = model.grad_force_sum_params(&pass, &coeffs[t * n..(t + 1) * n]);
+                let got = model.flatten_grads(got);
+                let same = got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits());
+                check.exact(same, || {
+                    format!("frame {f}, tangent {t} of {n_tangents}: stacked sweep differs bitwise from its single-tangent call")
+                });
+            }
         }
     }
     check.finish()
@@ -439,6 +522,8 @@ pub fn run(seed: u64, profile: Profile) -> Vec<VerifyCheck> {
     out.push(kf_fused_vs_unfused(seed, profile));
     out.push(env_cache_bitwise(seed, profile));
     out.push(manual_vs_tape(seed, profile));
+    out.push(batched_vs_tape_empty_blocks(seed, profile));
+    out.push(multi_tangent_vs_single(seed, profile));
     out.push(serve_batched_vs_sequential(seed, profile));
     out.push(serve_degraded_energy(seed, profile));
     out.push(fekf_vs_baselines_bs1(seed, profile));
@@ -499,6 +584,10 @@ mod tests {
         let c = env_cache_bitwise(13, Profile::Quick);
         assert_eq!(c.failures, 0, "{:?}", c.details);
         let c = manual_vs_tape(13, Profile::Quick);
+        assert_eq!(c.failures, 0, "{:?}", c.details);
+        let c = batched_vs_tape_empty_blocks(13, Profile::Quick);
+        assert_eq!(c.failures, 0, "{:?}", c.details);
+        let c = multi_tangent_vs_single(13, Profile::Quick);
         assert_eq!(c.failures, 0, "{:?}", c.details);
     }
 }

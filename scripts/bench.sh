@@ -20,7 +20,9 @@
 # supercell (~2 GB resident)).
 #
 #   scripts/bench.sh                 # full sweep -> results/bench/
-#   scripts/bench.sh --smoke         # one shape per report (CI gate)
+#   scripts/bench.sh --smoke         # one shape per report (CI gate;
+#                                    # no BENCH_train_iter.json — the
+#                                    # gate's bench_e2e smoke covers it)
 #   scripts/bench.sh --paper         # adds the 10240 P block (~800 MB)
 #   BENCH_OUT=dir scripts/bench.sh   # alternate output directory
 #

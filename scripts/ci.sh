@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: build, test (scalar and auto compute backends crossed with
-# single- and multi-threaded pool), lint, a benchmark smoke run, a
-# serving-engine smoke, then a fault-injection soak.
+# single- and multi-threaded pool), lint, the allocation probe, a
+# benchmark smoke run, an end-to-end training smoke, a serving-engine
+# smoke, then a fault-injection soak.
 #
 # Everything runs --offline against the vendored dependency tree; no
 # network access is required (or attempted).
@@ -74,8 +75,26 @@ DP_BACKEND=auto cargo run --release --offline -p dp-verify --bin verify -- --see
 step "md_scale smoke (DP_POOL_THREADS=4)"
 DP_POOL_THREADS=4 cargo run --release --offline -p dp-domain --bin md_scale_smoke
 
+# Allocation probe, release build: a steady-state FEKF iteration
+# (forward, both reductions, all five KF updates, 2 pool threads)
+# allocates nothing, and the Vec-returning model wrappers allocate only
+# what they return.
+step "alloc probe (release)"
+cargo test --release --offline -p dp-bench --test alloc_probe -q
+
+# bench.sh --smoke skips the FEKF train_iter report: the bench_e2e
+# smoke below trains the same loop to its target, traced, with output
+# checks.
 step "bench smoke"
 BENCH_OUT="$(mktemp -d)" scripts/bench.sh --smoke
+
+# End-to-end smoke: FEKF on Cu to the pinned target RMSE, traced.
+# Exit code 0 means every output check passed (converged, held-out
+# RMSE under its ceiling, identical iteration counts across runs, the
+# trace accounts for the window).
+step "bench_e2e smoke (train_cu_small, traced)"
+cargo run --release --offline --quiet --manifest-path bench_e2e/Cargo.toml --bin bench_e2e -- \
+  --workload train_cu_small --seed 1 --seconds 3 --trace 1 >/dev/null
 
 # Serving engine smoke: 64 requests from 4 client threads with one
 # mid-run hot-swap, then a tiered publish (master + compressed +
