@@ -1,15 +1,16 @@
 //! Machine-readable kernel benchmarks for the perf trajectory.
 //!
 //! Sweeps `DP_POOL_THREADS ∈ {1, 2, 4}` (via `dp_pool::set_threads`) over
-//! the hot-path kernels and writes three JSON reports (schema in
+//! the hot-path kernels and writes two JSON reports (schema in
 //! `dp_bench::report`):
 //!
 //! * `BENCH_gemm.json`    — square GEMM and the tiled GEMV under the
 //!   active backend, plus a per-backend `gemm/<backend>` /
 //!   `gemv/<backend>` sweep of every backend this CPU supports
 //! * `BENCH_p_update.json`— KF block `q = P·g` and the fused `P` update
-//! * `BENCH_train_iter.json` — end-to-end FEKF iteration phase times
-//!   (not under `--smoke`)
+//!
+//! Whole-iteration timings are `bench_e2e`'s (`train_cu_small`,
+//! `train_water_dp2`).
 //!
 //! Every report is stamped with the resolved `DP_BACKEND` and detected
 //! CPU features (see `dp_bench::report`); an unsupported `DP_BACKEND`
@@ -20,13 +21,9 @@
 //! `--out=DIR` (default `results/bench`).
 
 use dp_bench::report::{measure, BenchReport};
-use dp_mdsim::systems::PaperSystem;
-use dp_optim::fekf::FekfConfig;
 use dp_optim::pmatrix::BlockP;
 use dp_optim::BlockLayout;
 use dp_tensor::Mat;
-use dp_train::recipes::{run_fekf, setup, ModelScale};
-use dp_train::trainer::TrainConfig;
 use std::path::PathBuf;
 
 struct Opts {
@@ -161,52 +158,6 @@ fn bench_p_update(opts: &Opts) -> BenchReport {
     rep
 }
 
-fn bench_train_iter(opts: &Opts) -> BenchReport {
-    let mut rep = BenchReport::new("train_iter");
-    let scale = dp_data::generate::GenScale {
-        frames_per_temperature: if opts.smoke { 8 } else { 16 },
-        equilibration: 80,
-        stride: 4,
-    };
-    let bs = 16;
-    for &t in THREADS {
-        dp_pool::set_threads(t);
-        let mut s = setup(PaperSystem::Al, &scale, ModelScale::Small, 2024);
-        let n_frames = s.train.len();
-        let n_params = s.model.n_params();
-        let cfg = TrainConfig {
-            batch_size: bs,
-            max_epochs: 1,
-            eval_frames: 4,
-            env_cache: true,
-            ..Default::default()
-        };
-        let out = run_fekf(&mut s, cfg, FekfConfig::default());
-        let iters = out.iterations.max(1) as f64;
-        let per = |d: std::time::Duration| d.as_secs_f64() * 1e9 / iters;
-        let shape = [n_params, bs];
-        rep.push("fekf_iter_forward", &shape, t, per(out.phases.forward), out.iterations as usize);
-        rep.push("fekf_iter_gradient", &shape, t, per(out.phases.gradient), out.iterations as usize);
-        rep.push("fekf_iter_kf", &shape, t, per(out.phases.optimizer), out.iterations as usize);
-        let total =
-            per(out.phases.forward) + per(out.phases.gradient) + per(out.phases.optimizer);
-        rep.push("fekf_iter_total", &shape, t, total, out.iterations as usize);
-        // Frames/s and cache effectiveness (the median_ns field holds the
-        // value the record name describes, not a time).
-        let fps = out.iterations as f64 * bs as f64 / (out.phases.total().as_secs_f64()).max(1e-9);
-        rep.push("fekf_frames_per_s", &shape, t, fps, out.iterations as usize);
-        rep.push("env_cache_hit_rate", &[n_frames], t, out.env_cache.hit_rate(), out.iterations as usize);
-        rep.push("env_cache_misses", &[n_frames], t, out.env_cache.misses as f64, out.iterations as usize);
-        eprintln!(
-            "train_iter t={t}: {:.1} ms/iter, {fps:.1} frames/s, hit rate {:.3} ({} iters)",
-            total / 1e6,
-            out.env_cache.hit_rate(),
-            out.iterations
-        );
-    }
-    rep
-}
-
 fn main() {
     let opts = parse_opts();
     // Fail loudly before measuring anything: a bench run under a
@@ -225,16 +176,10 @@ fn main() {
             .map(|k| k.name())
             .collect::<Vec<_>>()
     );
-    let mut reports = vec![
+    let reports = [
         ("BENCH_gemm.json", bench_gemm(&opts)),
         ("BENCH_p_update.json", bench_p_update(&opts)),
     ];
-    // The CI gate runs `bench_e2e --workload train_cu_small` right
-    // after the bench smoke: a whole traced FEKF run with its output
-    // checks, which makes a one-epoch training smoke here redundant.
-    if !opts.smoke {
-        reports.push(("BENCH_train_iter.json", bench_train_iter(&opts)));
-    }
     dp_pool::set_threads(1);
     for (file, rep) in &reports {
         let path = opts.out.join(file);

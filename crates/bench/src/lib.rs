@@ -26,7 +26,6 @@ use dp_mdsim::systems::PaperSystem;
 use dp_train::recipes::ModelScale;
 use std::fmt::Write as _;
 
-pub mod load;
 pub mod report;
 
 /// Parsed command-line options shared by the experiment binaries.

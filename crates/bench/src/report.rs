@@ -3,8 +3,8 @@
 //! The perf gate (ISSUE 2) wants the kernel benchmarks to leave a
 //! committed trajectory, so every record carries the knobs that decide
 //! the number — shape and thread count — plus the median so one noisy
-//! sample cannot move the baseline. The vendored `serde` shim has no
-//! `serde_json`, so the emitter below writes the (flat, numeric) schema
+//! sample cannot move the baseline. The workspace has no JSON
+//! dependency, so the emitter below writes the (flat, numeric) schema
 //! by hand:
 //!
 //! ```json
@@ -28,113 +28,7 @@
 
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// Number of log2 buckets in a [`Histogram`] — covers the full u64
-/// range, so any nanosecond latency or batch size fits.
-pub const HISTOGRAM_BUCKETS: usize = 64;
-
-/// Fixed-bucket log2 histogram with a lock- and allocation-free record
-/// path, built for hot-loop telemetry (per-request latencies, batch
-/// sizes). Bucket `b` holds values in `[2^b, 2^(b+1))` (value 0 lands
-/// in bucket 0), so relative resolution is a factor of 2 — enough to
-/// tell a p99 from a p50 without a single heap allocation or mutex on
-/// the serving path.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
-    /// Record one value. Wait-free: one `fetch_add` on the value's
-    /// bucket, no allocation.
-    pub fn record(&self, value: u64) {
-        let b = 63 - value.max(1).leading_zeros() as usize;
-        self.buckets[b].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total recorded count.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
-    /// The `q`-quantile (`q` in `[0, 1]`) as the geometric midpoint of
-    /// the bucket holding that rank, or `None` when nothing was
-    /// recorded. Accurate to the factor-of-2 bucket width.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (b, c) in self.buckets.iter().enumerate() {
-            seen += c.load(Ordering::Relaxed);
-            if seen >= rank {
-                // Geometric midpoint of [2^b, 2^(b+1)): 2^(b+0.5).
-                return Some(2f64.powi(b as i32) * std::f64::consts::SQRT_2);
-            }
-        }
-        None
-    }
-
-    /// Median (see [`Histogram::quantile`]).
-    pub fn p50(&self) -> Option<f64> {
-        self.quantile(0.50)
-    }
-
-    /// 90th percentile.
-    pub fn p90(&self) -> Option<f64> {
-        self.quantile(0.90)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&self) -> Option<f64> {
-        self.quantile(0.99)
-    }
-
-    /// 99.9th percentile — the serving-SLO tail metric (DESIGN §12).
-    pub fn p999(&self) -> Option<f64> {
-        self.quantile(0.999)
-    }
-
-    /// Largest recorded bucket's upper bound (an upper bound on the
-    /// maximum recorded value), or `None` when empty.
-    pub fn max_bound(&self) -> Option<f64> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, c)| c.load(Ordering::Relaxed) > 0)
-            .map(|(b, _)| 2f64.powi(b as i32 + 1))
-    }
-
-    /// Non-empty `(bucket_lower_bound, count)` pairs, low to high.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(b, c)| {
-                let n = c.load(Ordering::Relaxed);
-                (n > 0).then_some((1u64 << b, n))
-            })
-            .collect()
-    }
-}
 
 /// One measured configuration.
 #[derive(Clone, Debug, PartialEq)]
@@ -154,7 +48,7 @@ pub struct BenchRecord {
 /// A named collection of records, one per `BENCH_*.json` file.
 #[derive(Clone, Debug, Default)]
 pub struct BenchReport {
-    /// Report name (`"gemm"`, `"p_update"`, `"train_iter"`).
+    /// Report name (`"gemm"`, `"p_update"`, `"forward"`, `"serve_slo"`).
     pub bench: String,
     /// Compute backend the process resolved from `DP_BACKEND` at
     /// startup — the dispatch every record in this file ran under
@@ -329,8 +223,7 @@ impl VerifyReport {
         out
     }
 
-    /// Serialize to JSON (same hand-rolled emitter as [`BenchReport`]:
-    /// the vendored serde shim has no `serde_json`).
+    /// Serialize to JSON (same hand-rolled emitter as [`BenchReport`]).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
@@ -512,65 +405,5 @@ mod tests {
     #[test]
     fn escaped_strings_stay_valid() {
         assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-    }
-
-    #[test]
-    fn histogram_buckets_by_log2() {
-        let h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.quantile(0.5), None);
-        for v in [0u64, 1, 2, 3, 4, 7, 8, 1023, 1024] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 9);
-        // 0 and 1 share bucket 0; 2 and 3 bucket 1; 1023 bucket 9;
-        // 1024 bucket 10.
-        let buckets = h.nonzero_buckets();
-        assert_eq!(
-            buckets,
-            vec![(1, 2), (2, 2), (4, 2), (8, 1), (512, 1), (1024, 1)]
-        );
-    }
-
-    #[test]
-    fn histogram_percentiles_are_bucket_accurate() {
-        let h = Histogram::new();
-        // 90 values around 100 ns, 9 around 10 µs, 1 around 1 ms.
-        for _ in 0..90 {
-            h.record(100);
-        }
-        for _ in 0..9 {
-            h.record(10_000);
-        }
-        h.record(1_000_000);
-        let p50 = h.p50().unwrap();
-        let p90 = h.p90().unwrap();
-        let p99 = h.p99().unwrap();
-        assert!((64.0..256.0).contains(&p50), "p50 {p50}");
-        assert!((64.0..256.0).contains(&p90), "p90 {p90}");
-        assert!((8192.0..32768.0).contains(&p99), "p99 {p99}");
-        let p999 = h.p999().unwrap();
-        assert!((524288.0..2097152.0).contains(&p999), "p999 {p999}");
-        assert!(p50 <= p90 && p90 <= p99 && p99 <= p999);
-        assert!(h.max_bound().unwrap() >= 1_000_000.0);
-    }
-
-    #[test]
-    fn histogram_is_safe_under_concurrent_recording() {
-        let h = std::sync::Arc::new(Histogram::new());
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                let h = std::sync::Arc::clone(&h);
-                std::thread::spawn(move || {
-                    for i in 0..1000u64 {
-                        h.record(i * (t + 1));
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(h.count(), 4000);
     }
 }

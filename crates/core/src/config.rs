@@ -1,13 +1,12 @@
 //! Model hyper-parameters.
 
-use serde::{Deserialize, Serialize};
 
 /// DeePMD model configuration.
 ///
 /// The `paper()` preset matches §4 "Model parameters": embedding net
 /// `[25, 25, 25]`, fitting net `[400, 50, 50, 50, 1]` (400 = M·M^< with
 /// M = 25, M^< = 16), ~26.6k parameters for a single-species system.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ModelConfig {
     /// Number of atom types in the system.
     pub n_types: usize,

@@ -13,7 +13,6 @@ use crate::config::ModelConfig;
 use dp_data::dataset::{Dataset, Snapshot};
 use dp_mdsim::cell::Cell;
 use dp_mdsim::neighbor::NeighborList;
-use serde::{Deserialize, Serialize};
 
 /// Switching function `s(r)` and its derivative.
 ///
@@ -65,7 +64,7 @@ pub struct AtomEnv {
 /// Normalization statistics for environment rows (per centre type):
 /// radial mean/std and angular std, plus the constant neighbour-count
 /// scale used in the descriptor contraction.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct EnvStats {
     /// Mean of the raw radial column `s(r)`, per centre type.
     pub mean_radial: Vec<f64>,

@@ -89,11 +89,11 @@ impl Metrics {
 /// Evaluate energy/force RMSE of `model` over `data` (optionally only
 /// the first `max_frames` frames, for cheap in-training eval).
 pub fn evaluate(model: &DeepPotModel, data: &Dataset, max_frames: usize) -> Metrics {
-    use rayon::prelude::*;
-    let frames: Vec<&Snapshot> = data.frames.iter().take(max_frames.max(1)).collect();
-    let (se, sea, sf, nf, n_frames) = frames
-        .par_iter()
-        .map(|frame| {
+    let frames = &data.frames[..max_frames.max(1).min(data.frames.len())];
+    let (se, sea, sf, nf, n_frames) = dp_pool::map_reduce(
+        frames,
+        || (0.0, 0.0, 0.0, 0usize, 0usize),
+        |frame| {
             let pred = model.predict(frame);
             let de = pred.energy - frame.energy;
             let n = frame.types.len() as f64;
@@ -103,11 +103,9 @@ pub fn evaluate(model: &DeepPotModel, data: &Dataset, max_frames: usize) -> Metr
                 sf += d.norm2();
             }
             (de * de, (de / n) * (de / n), sf, 3 * frame.types.len(), 1usize)
-        })
-        .reduce(
-            || (0.0, 0.0, 0.0, 0usize, 0usize),
-            |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3, a.4 + b.4),
-        );
+        },
+        |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3, a.4 + b.4),
+    );
     let nfr = n_frames.max(1) as f64;
     Metrics {
         energy_rmse: (se / nfr).sqrt(),

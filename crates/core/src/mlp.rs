@@ -34,10 +34,9 @@ use dp_tensor::backend::Backend;
 use dp_tensor::kernel;
 use dp_tensor::Mat;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Layer flavour.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LayerKind {
     /// `y = tanh(xW + b)`.
     Tanh,
@@ -48,7 +47,7 @@ pub enum LayerKind {
 }
 
 /// One dense layer.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Layer {
     /// Weight matrix, `in × out`.
     pub w: Mat,
@@ -66,7 +65,7 @@ impl Layer {
 }
 
 /// A feed-forward network.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Mlp {
     /// The layers, applied in order.
     pub layers: Vec<Layer>,

@@ -46,7 +46,6 @@ use dp_data::stats::EnergyBias;
 use dp_mdsim::Vec3;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -81,7 +80,7 @@ impl AsMut<[f64]> for ModelGrads {
 }
 
 /// The Deep Potential model.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DeepPotModel {
     /// Hyper-parameters.
     pub cfg: ModelConfig,

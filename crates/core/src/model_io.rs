@@ -44,7 +44,7 @@ use crate::mlp::{Layer, LayerKind, Mlp};
 use crate::model::DeepPotModel;
 use crate::quant::{QuantLayer, QuantMlp, QuantizedModel, MAX_QUANT_IN, W_MAX};
 use dp_data::stats::EnergyBias;
-use dp_tensor::wire::crc32;
+use dp_tensor::wire::{save_atomic, Reader, Writer};
 use dp_tensor::Mat;
 use std::fs;
 use std::io;
@@ -63,104 +63,6 @@ const VERSION_QUANTIZED: u32 = 1;
 
 fn err(m: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, m.to_string())
-}
-
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64_vec(&mut self, v: &[f64]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.f64(x);
-        }
-    }
-    fn i16_vec(&mut self, v: &[i16]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.buf.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-    fn i32_vec(&mut self, v: &[i32]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.buf.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(err("truncated model file"));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> io::Result<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f64_vec(&mut self) -> io::Result<Vec<f64>> {
-        let n = self.u64()? as usize;
-        if n > self.buf.len() / 8 + 1 {
-            return Err(err("implausible vector length"));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f64()?);
-        }
-        Ok(out)
-    }
-    fn i16_vec(&mut self) -> io::Result<Vec<i16>> {
-        let n = self.u64()? as usize;
-        if n > self.buf.len() / 2 + 1 {
-            return Err(err("implausible vector length"));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(i16::from_le_bytes(self.take(2)?.try_into().unwrap()));
-        }
-        Ok(out)
-    }
-    fn i32_vec(&mut self) -> io::Result<Vec<i32>> {
-        let n = self.u64()? as usize;
-        if n > self.buf.len() / 4 + 1 {
-            return Err(err("implausible vector length"));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(i32::from_le_bytes(self.take(4)?.try_into().unwrap()));
-        }
-        Ok(out)
-    }
 }
 
 fn write_mlp(w: &mut Writer, mlp: &Mlp) {
@@ -197,17 +99,12 @@ fn read_mlp(r: &mut Reader) -> io::Result<Mlp> {
         };
         let rows = r.u64()? as usize;
         let cols = r.u64()? as usize;
-        if rows == 0 || cols == 0 || rows.saturating_mul(cols) > r.buf.len() / 8 + 1 {
-            return Err(err("implausible layer shape"));
-        }
-        let mut wdata = Vec::with_capacity(rows * cols);
-        for _ in 0..rows * cols {
-            wdata.push(r.f64()?);
-        }
-        let mut bdata = Vec::with_capacity(cols);
-        for _ in 0..cols {
-            bdata.push(r.f64()?);
-        }
+        let n_weights = rows
+            .checked_mul(cols)
+            .filter(|&n| n > 0)
+            .ok_or_else(|| err("implausible layer shape"))?;
+        let wdata = r.f64s(n_weights)?;
+        let bdata = r.f64s(cols)?;
         if wdata.iter().chain(&bdata).any(|v| !v.is_finite()) {
             return Err(err(&format!("non-finite weight in layer {li}")));
         }
@@ -276,25 +173,27 @@ fn read_header(r: &mut Reader) -> io::Result<(ModelConfig, EnvStats, EnergyBias)
     Ok((cfg, stats, bias))
 }
 
-/// Verify a mandatory CRC-32 trailer; returns the payload end offset.
-fn verify_crc_trailer(buf: &[u8]) -> io::Result<usize> {
-    if buf.len() < 12 {
-        return Err(err("truncated model file"));
+/// Check a record's magic and return its version.
+fn read_version(buf: &[u8], magic: &[u8; 4], bad_magic: &str) -> io::Result<u32> {
+    let mut r = Reader::new(buf);
+    if r.raw(4)? != magic {
+        return Err(err(bad_magic));
     }
-    let stored = u32::from_le_bytes(buf[buf.len() - 4..].try_into().unwrap());
-    let computed = crc32(&buf[..buf.len() - 4]);
-    if stored != computed {
-        return Err(err(&format!(
-            "checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-        )));
-    }
-    Ok(buf.len() - 4)
+    Ok(r.u32()?)
+}
+
+/// A reader over a record's payload, positioned past magic + version.
+/// With `crc`, the CRC-32 trailer is verified (and stripped) first.
+fn payload_reader(buf: &[u8], crc: bool) -> io::Result<Reader<'_>> {
+    let mut r = if crc { Reader::new_verifying_crc(buf)? } else { Reader::new(buf) };
+    r.raw(8)?;
+    Ok(r)
 }
 
 /// Serialize a model to bytes.
 pub fn to_bytes(model: &DeepPotModel) -> Vec<u8> {
-    let mut w = Writer { buf: Vec::new() };
-    w.buf.extend_from_slice(MAGIC);
+    let mut w = Writer::new();
+    w.raw(MAGIC);
     w.u32(VERSION);
     write_header(&mut w, &model.cfg, &model.stats, &model.bias);
     w.u64(model.embeddings.len() as u64);
@@ -305,27 +204,19 @@ pub fn to_bytes(model: &DeepPotModel) -> Vec<u8> {
     for m in &model.fittings {
         write_mlp(&mut w, m);
     }
-    let crc = crc32(&w.buf);
-    w.u32(crc);
-    w.buf
+    w.into_bytes_with_crc()
 }
 
 /// Deserialize a model from bytes. Accepts the current version 2
 /// (CRC-32 trailer, verified before decoding) and legacy version 1.
 pub fn from_bytes(buf: &[u8]) -> io::Result<DeepPotModel> {
-    let mut r = Reader { buf, pos: 0 };
-    if r.take(4)? != MAGIC {
-        return Err(err("bad magic"));
-    }
-    let version = r.u32()?;
-    let payload_end = match version {
-        1 => buf.len(),
-        2 => verify_crc_trailer(buf)?,
+    let mut r = match read_version(buf, MAGIC, "bad magic")? {
+        1 => payload_reader(buf, false)?,
+        2 => payload_reader(buf, true)?,
         v => return Err(err(&format!("unsupported version {v}"))),
     };
-    let mut r = Reader { buf: &buf[..payload_end], pos: r.pos };
     let (cfg, stats, bias) = read_header(&mut r)?;
-    let n_emb = r.u64()? as usize;
+    let n_emb = r.count(8)?;
     if n_emb != cfg.n_types * cfg.n_types {
         return Err(err("embedding count mismatch"));
     }
@@ -333,7 +224,7 @@ pub fn from_bytes(buf: &[u8]) -> io::Result<DeepPotModel> {
     for _ in 0..n_emb {
         embeddings.push(read_mlp(&mut r)?);
     }
-    let n_fit = r.u64()? as usize;
+    let n_fit = r.count(8)?;
     if n_fit != cfg.n_types {
         return Err(err("fitting count mismatch"));
     }
@@ -400,8 +291,8 @@ fn read_table(r: &mut Reader) -> io::Result<SplineTable> {
 /// The per-table fitted-error report rides along so a loaded artifact
 /// still knows its measured accuracy budget.
 pub fn compressed_to_bytes(model: &CompressedModel) -> Vec<u8> {
-    let mut w = Writer { buf: Vec::new() };
-    w.buf.extend_from_slice(MAGIC_COMPRESSED);
+    let mut w = Writer::new();
+    w.raw(MAGIC_COMPRESSED);
     w.u32(VERSION_COMPRESSED);
     write_header(&mut w, &model.cfg, &model.stats, &model.bias);
     w.u64(model.spec.n_bins as u64);
@@ -422,30 +313,23 @@ pub fn compressed_to_bytes(model: &CompressedModel) -> Vec<u8> {
     for m in &model.fittings {
         write_mlp(&mut w, m);
     }
-    let crc = crc32(&w.buf);
-    w.u32(crc);
-    w.buf
+    w.into_bytes_with_crc()
 }
 
 /// Deserialize a compressed model (CRC verified before decoding).
 pub fn compressed_from_bytes(buf: &[u8]) -> io::Result<CompressedModel> {
-    let mut r = Reader { buf, pos: 0 };
-    if r.take(4)? != MAGIC_COMPRESSED {
-        return Err(err("bad magic (expected DPCM)"));
-    }
-    let version = r.u32()?;
+    let version = read_version(buf, MAGIC_COMPRESSED, "bad magic (expected DPCM)")?;
     if version != VERSION_COMPRESSED {
         return Err(err(&format!("unsupported compressed-model version {version}")));
     }
-    let payload_end = verify_crc_trailer(buf)?;
-    let mut r = Reader { buf: &buf[..payload_end], pos: r.pos };
+    let mut r = payload_reader(buf, true)?;
     let (cfg, stats, bias) = read_header(&mut r)?;
     let spec = CompressSpec { n_bins: r.u64()? as usize, r_min: r.f64()? };
     if !(spec.r_min.is_finite() && spec.r_min > 0.0 && spec.r_min < cfg.rcut) {
         return Err(err("implausible compress r_min"));
     }
     let nt = cfg.n_types;
-    let n_tables = r.u64()? as usize;
+    let n_tables = r.count(8)?;
     if n_tables != nt * nt {
         return Err(err("spline-table count mismatch"));
     }
@@ -460,7 +344,7 @@ pub fn compressed_from_bytes(buf: &[u8]) -> io::Result<CompressedModel> {
         ensure_finite("table fit report", &[max_value_err, max_deriv_err])?;
         fits.push(TableFit { ti: idx / nt, tj: idx % nt, max_value_err, max_deriv_err });
     }
-    let n_emb = r.u64()? as usize;
+    let n_emb = r.count(8)?;
     if n_emb != nt * nt {
         return Err(err("embedding count mismatch"));
     }
@@ -468,7 +352,7 @@ pub fn compressed_from_bytes(buf: &[u8]) -> io::Result<CompressedModel> {
     for _ in 0..n_emb {
         embeddings.push(read_mlp(&mut r)?);
     }
-    let n_fit = r.u64()? as usize;
+    let n_fit = r.count(8)?;
     if n_fit != nt {
         return Err(err("fitting count mismatch"));
     }
@@ -555,8 +439,8 @@ fn read_quant_mlp(r: &mut Reader) -> io::Result<QuantMlp> {
 ///               w i16 vec | b i32 vec
 /// ```
 pub fn quantized_to_bytes(model: &QuantizedModel) -> Vec<u8> {
-    let mut w = Writer { buf: Vec::new() };
-    w.buf.extend_from_slice(MAGIC_QUANTIZED);
+    let mut w = Writer::new();
+    w.raw(MAGIC_QUANTIZED);
     w.u32(VERSION_QUANTIZED);
     write_header(&mut w, &model.cfg, &model.stats, &model.bias);
     w.f64(model.input_bound);
@@ -572,32 +456,25 @@ pub fn quantized_to_bytes(model: &QuantizedModel) -> Vec<u8> {
     for m in &model.qfittings {
         write_quant_mlp(&mut w, m);
     }
-    let crc = crc32(&w.buf);
-    w.u32(crc);
-    w.buf
+    w.into_bytes_with_crc()
 }
 
 /// Deserialize a quantized model (CRC verified before decoding; the
 /// integer payload is bounds-checked back onto the quantization grid,
 /// so the overflow-freedom argument holds for loaded artifacts too).
 pub fn quantized_from_bytes(buf: &[u8]) -> io::Result<QuantizedModel> {
-    let mut r = Reader { buf, pos: 0 };
-    if r.take(4)? != MAGIC_QUANTIZED {
-        return Err(err("bad magic (expected DPQT)"));
-    }
-    let version = r.u32()?;
+    let version = read_version(buf, MAGIC_QUANTIZED, "bad magic (expected DPQT)")?;
     if version != VERSION_QUANTIZED {
         return Err(err(&format!("unsupported quantized-model version {version}")));
     }
-    let payload_end = verify_crc_trailer(buf)?;
-    let mut r = Reader { buf: &buf[..payload_end], pos: r.pos };
+    let mut r = payload_reader(buf, true)?;
     let (cfg, stats, bias) = read_header(&mut r)?;
     let input_bound = r.f64()?;
     if !(input_bound.is_finite() && input_bound > 0.0) {
         return Err(err("implausible quantization input bound"));
     }
     let nt = cfg.n_types;
-    let n_tables = r.u64()? as usize;
+    let n_tables = r.count(8)?;
     if n_tables != nt * nt {
         return Err(err("spline-table count mismatch"));
     }
@@ -605,7 +482,7 @@ pub fn quantized_from_bytes(buf: &[u8]) -> io::Result<QuantizedModel> {
     for _ in 0..n_tables {
         tables.push(read_table(&mut r)?);
     }
-    let n_emb = r.u64()? as usize;
+    let n_emb = r.count(8)?;
     if n_emb != nt * nt {
         return Err(err("embedding count mismatch"));
     }
@@ -613,7 +490,7 @@ pub fn quantized_from_bytes(buf: &[u8]) -> io::Result<QuantizedModel> {
     for _ in 0..n_emb {
         embeddings.push(read_mlp(&mut r)?);
     }
-    let n_qfit = r.u64()? as usize;
+    let n_qfit = r.count(8)?;
     if n_qfit != nt {
         return Err(err("fitting count mismatch"));
     }
@@ -626,7 +503,7 @@ pub fn quantized_from_bytes(buf: &[u8]) -> io::Result<QuantizedModel> {
 
 /// Atomic save/load for the compressed artifact.
 pub fn save_compressed(model: &CompressedModel, path: impl AsRef<Path>) -> io::Result<()> {
-    write_atomic(path.as_ref(), &compressed_to_bytes(model))
+    save_atomic(path, &compressed_to_bytes(model))
 }
 
 /// See [`save_compressed`].
@@ -636,7 +513,7 @@ pub fn load_compressed(path: impl AsRef<Path>) -> io::Result<CompressedModel> {
 
 /// Atomic save/load for the quantized artifact.
 pub fn save_quantized(model: &QuantizedModel, path: impl AsRef<Path>) -> io::Result<()> {
-    write_atomic(path.as_ref(), &quantized_to_bytes(model))
+    save_atomic(path, &quantized_to_bytes(model))
 }
 
 /// See [`save_quantized`].
@@ -644,19 +521,11 @@ pub fn load_quantized(path: impl AsRef<Path>) -> io::Result<QuantizedModel> {
     quantized_from_bytes(&fs::read(path)?)
 }
 
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = Path::new(&tmp);
-    fs::write(tmp, bytes)?;
-    fs::rename(tmp, path)
-}
-
 /// Write a model to `path` crash-safely: the bytes go to a temporary
 /// sibling first and are renamed over the destination, so a crash
 /// mid-write can never leave a torn model file behind.
 pub fn save(model: &DeepPotModel, path: impl AsRef<Path>) -> io::Result<()> {
-    write_atomic(path.as_ref(), &to_bytes(model))
+    save_atomic(path, &to_bytes(model))
 }
 
 /// Read a model from `path`.

@@ -2,7 +2,6 @@
 
 use dp_mdsim::md::LabeledFrame;
 use dp_mdsim::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// One training sample ("image" in the paper's terminology): an atomic
 /// configuration with its energy and force labels.
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 pub type Snapshot = LabeledFrame;
 
 /// A labelled dataset for one physical system.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Dataset {
     /// System name (e.g. "Cu").
     pub name: String,

@@ -13,8 +13,8 @@
 //! done"); this plays the same role for our pipeline.
 
 use crate::dataset::{Dataset, Snapshot};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dp_mdsim::Vec3;
+use dp_tensor::wire::{save_atomic, Reader, WireError, Writer};
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -22,84 +22,89 @@ use std::path::Path;
 const MAGIC: &[u8; 4] = b"DPDS";
 const VERSION: u32 = 1;
 
-/// Serialize a dataset to bytes.
-pub fn to_bytes(ds: &Dataset) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    put_string(&mut buf, &ds.name);
-    buf.put_u64_le(ds.type_names.len() as u64);
-    for t in &ds.type_names {
-        put_string(&mut buf, t);
+fn put_vec3s(w: &mut Writer, vs: &[Vec3]) {
+    for v in vs {
+        for c in v.0 {
+            w.f64(c);
+        }
     }
-    buf.put_u64_le(ds.frames.len() as u64);
-    for f in &ds.frames {
-        for c in f.cell {
-            buf.put_f64_le(c);
-        }
-        buf.put_u64_le(f.types.len() as u64);
-        for &t in &f.types {
-            buf.put_u64_le(t as u64);
-        }
-        for p in &f.pos {
-            for c in p.0 {
-                buf.put_f64_le(c);
-            }
-        }
-        buf.put_f64_le(f.energy);
-        for v in &f.forces {
-            for c in v.0 {
-                buf.put_f64_le(c);
-            }
-        }
-        buf.put_f64_le(f.temperature);
-    }
-    buf.freeze()
 }
 
-/// Deserialize a dataset from bytes.
-pub fn from_bytes(mut b: &[u8]) -> io::Result<Dataset> {
+/// Serialize a dataset to bytes.
+pub fn to_bytes(ds: &Dataset) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.raw(MAGIC);
+    w.u32(VERSION);
+    w.bytes(ds.name.as_bytes());
+    w.u64(ds.type_names.len() as u64);
+    for t in &ds.type_names {
+        w.bytes(t.as_bytes());
+    }
+    w.u64(ds.frames.len() as u64);
+    for f in &ds.frames {
+        for c in f.cell {
+            w.f64(c);
+        }
+        w.u64(f.types.len() as u64);
+        for &t in &f.types {
+            w.u64(t as u64);
+        }
+        put_vec3s(&mut w, &f.pos);
+        w.f64(f.energy);
+        put_vec3s(&mut w, &f.forces);
+        w.f64(f.temperature);
+    }
+    w.into_bytes()
+}
+
+fn get_string(r: &mut Reader) -> io::Result<String> {
+    String::from_utf8(r.bytes()?.to_vec())
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "invalid utf8"))
+}
+
+fn get_vec3s(r: &mut Reader, n: usize) -> Result<Vec<Vec3>, WireError> {
+    let flat = r.f64s(3 * n)?;
+    Ok(flat.chunks_exact(3).map(|c| Vec3::new(c[0], c[1], c[2])).collect())
+}
+
+/// Deserialize a dataset from bytes. Every count in the stream is
+/// checked against the bytes left behind it before anything is
+/// allocated, so a corrupt or hostile length is an `InvalidData` error.
+pub fn from_bytes(buf: &[u8]) -> io::Result<Dataset> {
     let err = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
-    if b.remaining() < 8 || &b[..4] != MAGIC {
+    let mut r = Reader::new(buf);
+    if r.raw(4)? != MAGIC {
         return Err(err("bad magic"));
     }
-    b.advance(4);
-    let version = b.get_u32_le();
-    if version != VERSION {
+    if r.u32()? != VERSION {
         return Err(err("unsupported version"));
     }
-    let name = get_string(&mut b)?;
-    let n_types = get_u64(&mut b)? as usize;
+    let name = get_string(&mut r)?;
+    // A type name is at least its 8-byte length prefix.
+    let n_types = r.count(8)?;
     let mut type_names = Vec::with_capacity(n_types);
     for _ in 0..n_types {
-        type_names.push(get_string(&mut b)?);
+        type_names.push(get_string(&mut r)?);
     }
-    let n_frames = get_u64(&mut b)? as usize;
+    // An empty frame is cell + atom count + energy + temperature.
+    let n_frames = r.count(3 * 8 + 8 + 8 + 8)?;
     let mut ds = Dataset::new(&name, type_names.clone());
     for _ in 0..n_frames {
-        if b.remaining() < 3 * 8 + 8 {
-            return Err(err("truncated frame header"));
-        }
-        let cell = [b.get_f64_le(), b.get_f64_le(), b.get_f64_le()];
-        let n = b.get_u64_le() as usize;
-        let need = n * 8 + n * 24 + 8 + n * 24 + 8;
-        if b.remaining() < need {
-            return Err(err("truncated frame body"));
-        }
+        let cell = [r.f64()?, r.f64()?, r.f64()?];
+        // An atom is a type id, a position and a force.
+        let n = r.count(8 + 24 + 24)?;
         let mut types = Vec::with_capacity(n);
         for _ in 0..n {
-            types.push(b.get_u64_le() as usize);
+            let t = r.u64()?;
+            if t >= n_types as u64 {
+                return Err(err("type id out of range"));
+            }
+            types.push(t as usize);
         }
-        let mut pos = Vec::with_capacity(n);
-        for _ in 0..n {
-            pos.push(Vec3::new(b.get_f64_le(), b.get_f64_le(), b.get_f64_le()));
-        }
-        let energy = b.get_f64_le();
-        let mut forces = Vec::with_capacity(n);
-        for _ in 0..n {
-            forces.push(Vec3::new(b.get_f64_le(), b.get_f64_le(), b.get_f64_le()));
-        }
-        let temperature = b.get_f64_le();
+        let pos = get_vec3s(&mut r, n)?;
+        let energy = r.f64()?;
+        let forces = get_vec3s(&mut r, n)?;
+        let temperature = r.f64()?;
         ds.push(Snapshot {
             cell,
             types,
@@ -113,41 +118,14 @@ pub fn from_bytes(mut b: &[u8]) -> io::Result<Dataset> {
     Ok(ds)
 }
 
-/// Write a dataset to `path`.
+/// Write a dataset to `path` crash-safely (temporary sibling + rename).
 pub fn save(ds: &Dataset, path: impl AsRef<Path>) -> io::Result<()> {
-    fs::write(path, to_bytes(ds))
+    save_atomic(path, &to_bytes(ds))
 }
 
 /// Read a dataset from `path`.
 pub fn load(path: impl AsRef<Path>) -> io::Result<Dataset> {
-    let bytes = fs::read(path)?;
-    from_bytes(&bytes)
-}
-
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u64_le(s.len() as u64);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_u64(b: &mut &[u8]) -> io::Result<u64> {
-    if b.remaining() < 8 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "truncated u64"));
-    }
-    Ok(b.get_u64_le())
-}
-
-fn get_string(b: &mut &[u8]) -> io::Result<String> {
-    let err = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
-    if b.remaining() < 8 {
-        return Err(err("truncated string length"));
-    }
-    let len = b.get_u64_le() as usize;
-    if b.remaining() < len {
-        return Err(err("truncated string body"));
-    }
-    let s = String::from_utf8(b[..len].to_vec()).map_err(|_| err("invalid utf8"))?;
-    b.advance(len);
-    Ok(s)
+    from_bytes(&fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -269,6 +247,23 @@ mod tests {
         let bytes = to_bytes(&d);
         for cut in [4usize, 9, 20, bytes.len() - 5] {
             assert!(from_bytes(&bytes[..cut]).is_err(), "cut at {cut} must error");
+        }
+        // Every count field patched to a length the stream cannot hold:
+        // the name and first type-name lengths, n_types, n_frames, and
+        // the first frame's atom count.
+        let name_len = 8;
+        let n_types = name_len + 8 + d.name.len();
+        let type0_len = n_types + 8;
+        let n_frames = type0_len + d.type_names.iter().map(|t| 8 + t.len()).sum::<usize>();
+        let n_atoms = n_frames + 8 + 3 * 8;
+        for at in [name_len, n_types, type0_len, n_frames, n_atoms] {
+            let remaining = (bytes.len() - at - 8) as u64;
+            for hostile in [u64::MAX, 1 << 61, remaining + 1] {
+                let mut bad = bytes.clone();
+                bad[at..at + 8].copy_from_slice(&hostile.to_le_bytes());
+                let e = from_bytes(&bad).expect_err("hostile count must be rejected");
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData, "count {hostile} at {at}: {e}");
+            }
         }
     }
 }

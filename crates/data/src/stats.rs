@@ -8,10 +8,9 @@
 //! system solved by Gaussian elimination with partial pivoting.
 
 use crate::dataset::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// Per-type energy bias (eV/atom of that type).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EnergyBias {
     /// Bias per type id.
     pub per_type: Vec<f64>,

@@ -7,10 +7,9 @@
 //! this.
 
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Orthorhombic periodic cell with edge lengths `(lx, ly, lz)` in Å.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Cell {
     lengths: [f64; 3],
 }

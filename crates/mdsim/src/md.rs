@@ -11,11 +11,10 @@ use crate::potential::Potential;
 use crate::state::State;
 use crate::vec3::Vec3;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One labelled snapshot: configuration plus its exact energy/forces
 /// under the labelling potential (our "ab initio" oracle).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LabeledFrame {
     /// Cell edge lengths (Å).
     pub cell: [f64; 3],

@@ -5,10 +5,9 @@ use crate::cell::Cell;
 use crate::units::{temperature_from_kinetic, KE_CONV};
 use crate::vec3::Vec3;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Harmonic bond between two atoms.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Bond {
     /// First atom index.
     pub i: usize,
@@ -17,7 +16,7 @@ pub struct Bond {
 }
 
 /// Angle `i–j–k` centred on `j`.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Angle {
     /// First flank atom.
     pub i: usize,
@@ -28,7 +27,7 @@ pub struct Angle {
 }
 
 /// Bonded topology (empty for atomic crystals).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Topology {
     /// Bond list.
     pub bonds: Vec<Bond>,
@@ -37,7 +36,7 @@ pub struct Topology {
 }
 
 /// Full dynamical state of a periodic atomic system.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct State {
     /// Periodic cell.
     pub cell: Cell,

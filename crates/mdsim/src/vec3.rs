@@ -1,10 +1,9 @@
 //! Minimal 3-vector used throughout the MD engine.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
 /// A 3-component `f64` vector (position, velocity, force).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Vec3(pub [f64; 3]);
 
 impl Vec3 {

@@ -7,10 +7,9 @@
 //! when growing the Adam batch size in Table 1.
 
 use dp_tensor::wire::{Reader, WireError, Writer};
-use serde::{Deserialize, Serialize};
 
 /// Adam hyper-parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct AdamConfig {
     /// Base learning rate.
     pub lr: f64,

@@ -12,10 +12,9 @@
 //! differences are their extra 100 type-embedding parameters and the
 //! placement of the remainder chunk).
 
-use serde::{Deserialize, Serialize};
 
 /// One diagonal block: a contiguous range of the flat parameter vector.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Block {
     /// Start index (inclusive) in the flat parameter vector.
     pub start: usize,
@@ -36,7 +35,7 @@ impl Block {
 }
 
 /// Partition of the flat parameter vector into diagonal blocks.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BlockLayout {
     /// Blocks in parameter order.
     pub blocks: Vec<Block>,

@@ -2,10 +2,9 @@
 //! `λ_{t+1} = λ_t·ν + 1 − ν`, i.e. `λ` approaches 1 geometrically with
 //! rate `ν`.
 
-use serde::{Deserialize, Serialize};
 
 /// Forgetting / memory factor state.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MemoryFactor {
     /// Current λ ∈ (0, 1].
     pub lambda: f64,

@@ -19,7 +19,6 @@
 use crate::blocks::BlockLayout;
 use dp_tensor::kernel;
 use dp_tensor::Mat;
-use rayon::prelude::*;
 
 /// Block-diagonal `P = diag(P₁ … P_L)`, initialized to identity.
 #[derive(Clone, Debug)]
@@ -72,10 +71,9 @@ impl BlockP {
         kernel::launch("p_update_fused");
         let inv_lambda = 1.0 / lambda;
         let be = dp_tensor::backend::active();
-        p.as_mut_slice()
-            .par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(i, row)| be.p_update_rows(row, n, i, q, a, inv_lambda));
+        dp_pool::for_each_chunk_mut(p.as_mut_slice(), n, |i, row| {
+            be.p_update_rows(row, n, i, q, a, inv_lambda)
+        });
     }
 
     /// Unfused (framework-style) update: the same arithmetic through

@@ -9,10 +9,9 @@
 //! per-sample `P`s of order `O((r−1)·N·N_b)` — the crate quantifies
 //! both so the scaling report can print them side by side.
 
-use serde::{Deserialize, Serialize};
 
 /// Per-collective communication statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CommStats {
     /// Number of participating ranks.
     pub ranks: usize,
@@ -37,7 +36,7 @@ impl CommStats {
 }
 
 /// Interconnect model: the paper's nodes use RoCE at 25 GB/s.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ClusterModel {
     /// Per-message latency (s).
     pub latency_s: f64,

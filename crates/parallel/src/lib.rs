@@ -8,7 +8,7 @@
 //!
 //! This crate provides the equivalent runtime on OS threads:
 //!
-//! * [`ring`] — a real chunked ring-allreduce over crossbeam channels
+//! * [`ring`] — a real chunked ring-allreduce over `std::sync::mpsc` channels
 //!   (r − 1 scatter-reduce steps + r − 1 allgather steps) with a
 //!   fault-tolerant link protocol: checksummed messages, reverse
 //!   acknowledgements, bounded retransmission, and graceful

@@ -1,4 +1,4 @@
-//! Chunked ring-allreduce over crossbeam channels, with a
+//! Chunked ring-allreduce over bounded `std::sync::mpsc` channels, with a
 //! fault-tolerant link protocol.
 //!
 //! The classic two-phase algorithm Horovod uses: with `r` ranks the
@@ -25,8 +25,8 @@
 use crate::comm_model::CommStats;
 use crate::error::CommError;
 use crate::fault::FaultPlan;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use dp_tensor::wire::crc32;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -46,10 +46,10 @@ struct Ack {
 /// A rank's four channel endpoints: data to its successor, data from
 /// its predecessor, and the matching reverse acknowledgement lanes.
 struct Link {
-    tx: Sender<Msg>,
+    tx: SyncSender<Msg>,
     ack_rx: Receiver<Ack>,
     rx: Receiver<Msg>,
-    ack_tx: Sender<Ack>,
+    ack_tx: SyncSender<Ack>,
 }
 
 #[derive(Default)]
@@ -148,7 +148,10 @@ fn exchange(
             let outcome = if incoming.is_some() {
                 link.ack_rx.recv_timeout(POLL)
             } else {
-                link.ack_rx.try_recv()
+                link.ack_rx.try_recv().map_err(|e| match e {
+                    TryRecvError::Empty => RecvTimeoutError::Timeout,
+                    TryRecvError::Disconnected => RecvTimeoutError::Disconnected,
+                })
             };
             let mut resend = false;
             match outcome {
@@ -231,16 +234,16 @@ pub fn ring_allreduce_faulty(
     let cap = 2 * (plan.max_retries as usize + 2);
     let mut links: Vec<Option<Link>> = (0..r).map(|_| None).collect();
     {
-        let mut data_tx: Vec<Option<Sender<Msg>>> = (0..r).map(|_| None).collect();
+        let mut data_tx: Vec<Option<SyncSender<Msg>>> = (0..r).map(|_| None).collect();
         let mut data_rx: Vec<Option<Receiver<Msg>>> = (0..r).map(|_| None).collect();
-        let mut ack_tx: Vec<Option<Sender<Ack>>> = (0..r).map(|_| None).collect();
+        let mut ack_tx: Vec<Option<SyncSender<Ack>>> = (0..r).map(|_| None).collect();
         let mut ack_rx: Vec<Option<Receiver<Ack>>> = (0..r).map(|_| None).collect();
         for i in 0..r {
             let next = (i + 1) % r;
-            let (tx, rx) = bounded::<Msg>(cap);
+            let (tx, rx) = sync_channel::<Msg>(cap);
             data_tx[i] = Some(tx);
             data_rx[next] = Some(rx);
-            let (atx, arx) = bounded::<Ack>(cap);
+            let (atx, arx) = sync_channel::<Ack>(cap);
             ack_tx[next] = Some(atx);
             ack_rx[i] = Some(arx);
         }

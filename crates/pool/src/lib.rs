@@ -1,5 +1,7 @@
-//! dp-pool — the deterministic work-sharing thread pool behind the
-//! workspace's `rayon` shim.
+//! dp-pool — the workspace's one parallel runtime: a deterministic
+//! work-sharing thread pool ([`parallel_for`]) and the three slice
+//! helpers every parallel loop in the workspace is written with
+//! ([`for_each_chunk_mut`], [`map_collect`], [`map_reduce`]).
 //!
 //! Design constraints, in order:
 //!
@@ -372,36 +374,102 @@ fn run_region(
     }
 }
 
-/// Run `body(i, &mut items[i])` for every element, distributing over
-/// the pool. Blocks until all tasks completed.
+/// Most tasks a slice helper splits one region into. Fixed, so block
+/// boundaries — and with them every floating-point combination order
+/// in [`map_reduce`] — are a function of the item count alone, never of
+/// the thread count. 64 keeps dispatch overhead negligible while any
+/// plausible worker count still load-balances (blocks are handed out
+/// dynamically).
+const MAX_BLOCKS: usize = 64;
+
+/// Items per block for a region of `len` items: `ceil(len / 64)`, at
+/// least 1. Block `b` covers `[b·block_len, min((b+1)·block_len, len))`.
+fn block_len(len: usize) -> usize {
+    len.div_ceil(MAX_BLOCKS).max(1)
+}
+
+/// Run `body(i, chunk_i)` for every `chunk`-long piece of `data` (the
+/// last may be shorter), distributing blocks of consecutive chunks
+/// over the pool. Blocks until all chunks are done.
 ///
-/// The per-domain building block of `dp-domain`: each task gets
-/// exclusive `&mut` access to its own element (safe because
-/// [`parallel_for`] claims every index exactly once, so the mutable
-/// borrows are provably disjoint), letting a 3D grid of domain states
-/// be advanced in place without interior mutability or cloning. All
-/// [`parallel_for`] guarantees carry over — in particular the outcome
-/// is independent of the thread count and of index-to-worker
-/// assignment whenever the per-element effects are disjoint.
-pub fn parallel_for_each_mut<T: Send>(items: &mut [T], body: &(dyn Fn(usize, &mut T) + Sync)) {
+/// Each task gets exclusive `&mut` access to its own chunks — the
+/// row-parallel building block of the GEMM family and the fused `P`
+/// update. All [`parallel_for`] guarantees carry over: nothing is
+/// allocated, and the outcome is independent of the thread count
+/// whenever the per-chunk effects are disjoint.
+///
+/// # Panics
+/// Panics if `chunk == 0`.
+pub fn for_each_chunk_mut<T: Send>(
+    data: &mut [T],
+    chunk: usize,
+    body: impl Fn(usize, &mut [T]) + Sync,
+) {
+    assert!(chunk > 0, "for_each_chunk_mut: chunk size must be positive");
     struct Base<T>(*mut T);
-    // SAFETY: the pointer is only dereferenced at distinct offsets by
+    // SAFETY: the pointer is only dereferenced over disjoint ranges by
     // distinct tasks (exactly-once index claim), and `T: Send` lets the
-    // resulting `&mut T` cross threads.
+    // resulting `&mut [T]` cross threads.
     unsafe impl<T: Send> Sync for Base<T> {}
-    let base = Base(items.as_mut_ptr());
+    let base = Base(data.as_mut_ptr());
     // Capture the Sync wrapper itself, not its raw-pointer field
     // (edition-2021 closures capture field paths).
     let base = &base;
-    let n = items.len();
-    parallel_for(n, &|i| {
-        debug_assert!(i < n);
-        // SAFETY: `i` is claimed exactly once per region, so no two
-        // tasks alias this element; the slice outlives the region
-        // because `parallel_for` blocks until completion.
-        let item = unsafe { &mut *base.0.add(i) };
-        body(i, item);
+    let len = data.len();
+    let n_chunks = len.div_ceil(chunk);
+    let bl = block_len(n_chunks);
+    parallel_for(n_chunks.div_ceil(bl), &|b| {
+        for i in b * bl..((b + 1) * bl).min(n_chunks) {
+            let start = i * chunk;
+            let end = (start + chunk).min(len);
+            // SAFETY: block `b` is claimed exactly once per region and
+            // owns chunks `[b·bl, (b+1)·bl)`, so no two tasks alias
+            // `[start, end)`, which lies inside `data`; the slice
+            // outlives the region because `parallel_for` blocks until
+            // completion.
+            let piece = unsafe { std::slice::from_raw_parts_mut(base.0.add(start), end - start) };
+            body(i, piece);
+        }
     });
+}
+
+/// Run `body(i, &mut items[i])` for every element, distributing over
+/// the pool: [`for_each_chunk_mut`] with one element per chunk. The
+/// per-domain building block of `dp-domain` — a 3D grid of domain
+/// states is advanced in place without interior mutability or cloning.
+pub fn parallel_for_each_mut<T: Send>(items: &mut [T], body: &(dyn Fn(usize, &mut T) + Sync)) {
+    for_each_chunk_mut(items, 1, |i, item| body(i, &mut item[0]));
+}
+
+/// `items.iter().map(f).collect::<Vec<_>>()` with the calls distributed
+/// over the pool; the output keeps index order.
+pub fn map_collect<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let mut out: Vec<Option<R>> = Vec::new();
+    out.resize_with(items.len(), || None);
+    for_each_chunk_mut(&mut out, 1, |i, slot| slot[0] = Some(f(&items[i])));
+    out.into_iter().map(|r| r.expect("every index runs exactly once")).collect()
+}
+
+/// Ordered block reduction of `map(item)` under `op`.
+///
+/// The items are cut into at most 64 blocks of `ceil(len / 64)`
+/// consecutive items; each block is a left fold from `identity()` in
+/// index order (one pool task per block), and the block partials are
+/// combined in block order, again from `identity()`, on the submitting
+/// thread. The grouping is fixed by `items.len()`, so a floating-point
+/// result is bit-identical at every thread count — which is also why
+/// this is *not* interchangeable with a work-stealing `reduce`, whose
+/// grouping is decided at run time. An empty input yields `identity()`.
+pub fn map_reduce<T: Sync, R: Send>(
+    items: &[T],
+    identity: impl Fn() -> R + Sync,
+    map: impl Fn(&T) -> R + Sync,
+    op: impl Fn(R, R) -> R + Sync,
+) -> R {
+    let blocks: Vec<&[T]> = items.chunks(block_len(items.len())).collect();
+    let partials =
+        map_collect(&blocks, |block| block.iter().fold(identity(), |acc, x| op(acc, map(x))));
+    partials.into_iter().fold(identity(), &op)
 }
 
 /// True when called from inside a pool task (useful for diagnostics).
@@ -490,6 +558,88 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
+    }
+
+    /// The grouping of `map_reduce` made visible: a non-associative
+    /// string `op` spells out which operands met in which order.
+    #[test]
+    fn reduce_blocks_are_ceil_len_over_64_at_any_thread_count() {
+        let _g = LOCK.lock().unwrap();
+        let op = |a: String, b: String| format!("({a} {b})");
+        for len in [0usize, 1, 63, 64, 65, 4097] {
+            let items: Vec<usize> = (0..len).collect();
+            let expect = items
+                .chunks(len.div_ceil(64).max(1))
+                .map(|block| block.iter().fold(String::new(), |acc, i| op(acc, i.to_string())))
+                .fold(String::new(), op);
+            for threads in [1, 2, 8] {
+                set_threads(threads);
+                let got = map_reduce(&items, String::new, |i| i.to_string(), op);
+                assert_eq!(got, expect, "len {len}, {threads} threads");
+            }
+        }
+    }
+
+    /// A sum whose rounding depends on the grouping (magnitudes span
+    /// nine decades; the plain left fold ends in ...bf0c), pinned to
+    /// the bits the same reduction had through the iterator adapter
+    /// layer the call sites used before they moved here, computed at
+    /// that commit.
+    #[test]
+    fn reduce_matches_the_pinned_bits_at_any_thread_count() {
+        let _g = LOCK.lock().unwrap();
+        let xs: Vec<f64> = (0..1000)
+            .map(|i| {
+                let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
+                let mag = [1e-3, 1.0, 1e3, 1e6][i % 4];
+                (h as f64 / (1u64 << 53) as f64 - 0.5) * mag
+            })
+            .collect();
+        for threads in [1, 2, 8] {
+            set_threads(threads);
+            let sum = map_reduce(&xs, || 0.0, |&x| x * 1.000000119, |a, b| a + b);
+            assert_eq!(sum.to_bits(), 0xc10d_be5e_2a30_bf18, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn every_chunk_is_visited_exactly_once_with_its_own_range() {
+        let _g = LOCK.lock().unwrap();
+        set_threads(4);
+        let (len, chunk) = (1003, 7);
+        let mut data = vec![usize::MAX; len];
+        let visits: Vec<AtomicUsize> = (0..len.div_ceil(chunk)).map(|_| AtomicUsize::new(0)).collect();
+        for_each_chunk_mut(&mut data, chunk, |i, piece| {
+            visits[i].fetch_add(1, Ordering::Relaxed);
+            assert_eq!(piece.len(), if i == len / chunk { len % chunk } else { chunk });
+            piece.fill(i);
+        });
+        assert!(visits.iter().all(|v| v.load(Ordering::Relaxed) == 1));
+        assert!(data.iter().enumerate().all(|(j, &v)| v == j / chunk));
+    }
+
+    #[test]
+    fn collect_keeps_index_order() {
+        let _g = LOCK.lock().unwrap();
+        set_threads(4);
+        let xs: Vec<usize> = (0..1000).collect();
+        assert_eq!(map_collect(&xs, |&x| x * 3), (0..1000).map(|x| x * 3).collect::<Vec<_>>());
+        assert!(map_collect(&[] as &[usize], |&x| x).is_empty());
+    }
+
+    #[test]
+    fn helper_task_panic_propagates_to_submitter() {
+        let _g = LOCK.lock().unwrap();
+        set_threads(4);
+        let xs: Vec<usize> = (0..500).collect();
+        let r = panic::catch_unwind(|| map_collect(&xs, |&x| assert_ne!(x, 321)));
+        assert!(r.is_err(), "panic must reach the submitter");
+        let r = panic::catch_unwind(|| {
+            map_reduce(&xs, || 0, |&x| if x == 499 { panic!("boom") } else { x }, |a, b| a + b)
+        });
+        assert!(r.is_err(), "panic must reach the submitter");
+        // Pool is still usable afterwards.
+        assert_eq!(map_reduce(&xs, || 0, |&x| x, |a, b| a + b), 499 * 500 / 2);
     }
 
     #[test]

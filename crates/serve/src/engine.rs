@@ -196,8 +196,8 @@ impl Engine {
         snap
     }
 
-    /// Raw access to the engine's counters (the bench binary reports
-    /// through this).
+    /// Raw access to the engine's counters (the overload soak reads the
+    /// per-lane depth histograms through this).
     pub fn raw_stats(&self) -> &ServeStats {
         &self.shared.stats
     }

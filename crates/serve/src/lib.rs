@@ -19,7 +19,7 @@
 //!   to sequential single-frame calls at any thread count.
 //! * [`ServeStats`] — queue depth, batch-size and latency histograms
 //!   (log2 fixed buckets, allocation-free record path), swap count and
-//!   cache hit rate, exportable through `dp_bench::report`.
+//!   cache hit rate.
 //!
 //! ```no_run
 //! use dp_serve::{BatchPolicy, Engine, ModelRegistry};

@@ -4,14 +4,116 @@
 //! depth).
 //!
 //! Every counter on the request path is an atomic or a fixed-bucket
-//! [`Histogram`] (`dp_bench::report`) — no lock, no allocation — so
-//! the stats layer cannot perturb the latencies it measures. Snapshots
-//! ([`ServeStats::snapshot`]) are taken off-path and exported through
-//! `dp_bench::report::BenchReport` by the `bench_serve` and
-//! `overload_soak` binaries.
+//! [`Histogram`] — no lock, no allocation — so the stats layer cannot
+//! perturb the latencies it measures. Snapshots
+//! ([`ServeStats::snapshot`]) are taken off-path.
 
-use dp_bench::report::{BenchReport, Histogram};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Number of log2 buckets in a [`Histogram`] — covers the full u64
+/// range, so any nanosecond latency or batch size fits.
+pub const HISTOGRAM_BUCKETS: usize = 64;
+
+/// Fixed-bucket log2 histogram with a lock- and allocation-free record
+/// path, built for hot-loop telemetry (per-request latencies, batch
+/// sizes). Bucket `b` holds values in `[2^b, 2^(b+1))` (value 0 lands
+/// in bucket 0), so relative resolution is a factor of 2 — enough to
+/// tell a p99 from a p50 without a single heap allocation or mutex on
+/// the serving path.
+#[derive(Debug)]
+pub struct Histogram {
+    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+}
+
+impl Histogram {
+    /// An empty histogram.
+    pub fn new() -> Self {
+        Histogram::default()
+    }
+
+    /// Record one value. Wait-free: one `fetch_add` on the value's
+    /// bucket, no allocation.
+    pub fn record(&self, value: u64) {
+        let b = 63 - value.max(1).leading_zeros() as usize;
+        self.buckets[b].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Total recorded count.
+    pub fn count(&self) -> u64 {
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+    }
+
+    /// The `q`-quantile (`q` in `[0, 1]`) as the geometric midpoint of
+    /// the bucket holding that rank, or `None` when nothing was
+    /// recorded. Accurate to the factor-of-2 bucket width.
+    pub fn quantile(&self, q: f64) -> Option<f64> {
+        let total = self.count();
+        if total == 0 {
+            return None;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        for (b, c) in self.buckets.iter().enumerate() {
+            seen += c.load(Ordering::Relaxed);
+            if seen >= rank {
+                // Geometric midpoint of [2^b, 2^(b+1)): 2^(b+0.5).
+                return Some(2f64.powi(b as i32) * std::f64::consts::SQRT_2);
+            }
+        }
+        None
+    }
+
+    /// Median (see [`Histogram::quantile`]).
+    pub fn p50(&self) -> Option<f64> {
+        self.quantile(0.50)
+    }
+
+    /// 90th percentile.
+    pub fn p90(&self) -> Option<f64> {
+        self.quantile(0.90)
+    }
+
+    /// 99th percentile.
+    pub fn p99(&self) -> Option<f64> {
+        self.quantile(0.99)
+    }
+
+    /// 99.9th percentile — the serving-SLO tail metric (DESIGN §12).
+    pub fn p999(&self) -> Option<f64> {
+        self.quantile(0.999)
+    }
+
+    /// Largest recorded bucket's upper bound (an upper bound on the
+    /// maximum recorded value), or `None` when empty.
+    pub fn max_bound(&self) -> Option<f64> {
+        self.buckets
+            .iter()
+            .enumerate()
+            .rev()
+            .find(|(_, c)| c.load(Ordering::Relaxed) > 0)
+            .map(|(b, _)| 2f64.powi(b as i32 + 1))
+    }
+
+    /// Non-empty `(bucket_lower_bound, count)` pairs, low to high.
+    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter_map(|(b, c)| {
+                let n = c.load(Ordering::Relaxed);
+                (n > 0).then_some((1u64 << b, n))
+            })
+            .collect()
+    }
+}
 
 /// Atomic counters and histograms updated by the engine.
 #[derive(Debug, Default)]
@@ -177,37 +279,6 @@ impl ServeStats {
             max_depth: self.max_depth.load(Ordering::Relaxed),
         }
     }
-
-    /// Append the snapshot to a [`BenchReport`] under `name`, with the
-    /// shape column carrying the configured max batch size.
-    pub fn report_into(&self, report: &mut BenchReport, name: &str, max_batch: usize, threads: usize, swaps: u64) {
-        let snap = self.snapshot(swaps);
-        let mut push = |metric: &str, value: f64| {
-            report.push(
-                &format!("{name}_{metric}"),
-                &[max_batch],
-                threads,
-                value,
-                snap.requests as usize,
-            );
-        };
-        push("p50_ns", snap.latency_p50_ns.unwrap_or(0.0));
-        push("p90_ns", snap.latency_p90_ns.unwrap_or(0.0));
-        push("p99_ns", snap.latency_p99_ns.unwrap_or(0.0));
-        push("p999_ns", snap.latency_p999_ns.unwrap_or(0.0));
-        push("mean_batch", snap.mean_batch);
-        push("cache_hit_rate", snap.cache_hit_rate);
-        push("shed", snap.shed as f64);
-        push("deadline_miss", snap.deadline_miss as f64);
-        push("breaker_trips", snap.breaker_trips as f64);
-        push("degraded", snap.degraded as f64);
-        push("max_depth", snap.max_depth as f64);
-        push(
-            "interactive_depth_p50",
-            self.interactive_depth.p50().unwrap_or(0.0),
-        );
-        push("bulk_depth_p50", self.bulk_depth.p50().unwrap_or(0.0));
-    }
 }
 
 #[cfg(test)]
@@ -261,20 +332,62 @@ mod tests {
     }
 
     #[test]
-    fn report_rows_carry_the_batch_shape() {
-        let s = ServeStats::new();
-        s.record_request(512);
-        let mut r = BenchReport::new("serve");
-        s.report_into(&mut r, "serve", 8, 4, 1);
-        assert!(r.find("serve_p50_ns", &[8], 4).is_some());
-        assert!(r.find("serve_p999_ns", &[8], 4).is_some());
-        assert!(r.find("serve_cache_hit_rate", &[8], 4).is_some());
-        assert!(r.find("serve_shed", &[8], 4).is_some());
-        assert!(r.find("serve_deadline_miss", &[8], 4).is_some());
-        assert!(r.find("serve_breaker_trips", &[8], 4).is_some());
-        assert!(r.find("serve_degraded", &[8], 4).is_some());
-        assert!(r.find("serve_max_depth", &[8], 4).is_some());
-        assert!(r.find("serve_interactive_depth_p50", &[8], 4).is_some());
-        assert!(r.find("serve_bulk_depth_p50", &[8], 4).is_some());
+    fn histogram_buckets_by_log2() {
+        let h = Histogram::new();
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.quantile(0.5), None);
+        for v in [0u64, 1, 2, 3, 4, 7, 8, 1023, 1024] {
+            h.record(v);
+        }
+        assert_eq!(h.count(), 9);
+        // 0 and 1 share bucket 0; 2 and 3 bucket 1; 1023 bucket 9;
+        // 1024 bucket 10.
+        let buckets = h.nonzero_buckets();
+        assert_eq!(
+            buckets,
+            vec![(1, 2), (2, 2), (4, 2), (8, 1), (512, 1), (1024, 1)]
+        );
+    }
+
+    #[test]
+    fn histogram_percentiles_are_bucket_accurate() {
+        let h = Histogram::new();
+        // 90 values around 100 ns, 9 around 10 µs, 1 around 1 ms.
+        for _ in 0..90 {
+            h.record(100);
+        }
+        for _ in 0..9 {
+            h.record(10_000);
+        }
+        h.record(1_000_000);
+        let p50 = h.p50().unwrap();
+        let p90 = h.p90().unwrap();
+        let p99 = h.p99().unwrap();
+        assert!((64.0..256.0).contains(&p50), "p50 {p50}");
+        assert!((64.0..256.0).contains(&p90), "p90 {p90}");
+        assert!((8192.0..32768.0).contains(&p99), "p99 {p99}");
+        let p999 = h.p999().unwrap();
+        assert!((524288.0..2097152.0).contains(&p999), "p999 {p999}");
+        assert!(p50 <= p90 && p90 <= p99 && p99 <= p999);
+        assert!(h.max_bound().unwrap() >= 1_000_000.0);
+    }
+
+    #[test]
+    fn histogram_is_safe_under_concurrent_recording() {
+        let h = std::sync::Arc::new(Histogram::new());
+        let threads: Vec<_> = (0..4)
+            .map(|t| {
+                let h = std::sync::Arc::clone(&h);
+                std::thread::spawn(move || {
+                    for i in 0..1000u64 {
+                        h.record(i * (t + 1));
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(h.count(), 4000);
     }
 }

@@ -9,7 +9,7 @@
 //! region is purely atomic increments into pre-resolved `Arc`s — no
 //! lock, no allocation, same discipline as [`crate::stats::ServeStats`].
 
-use dp_bench::report::{BenchReport, Histogram};
+use crate::stats::Histogram;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -138,31 +138,6 @@ impl TenantTable {
             .map(|(id, s)| (*id, s.snapshot()))
             .collect()
     }
-
-    /// Append per-tenant latency percentiles and outcome counters to a
-    /// [`BenchReport`] — one row group per tenant, the shape column
-    /// carrying `[tenant_id, shards]`.
-    pub fn report_into(&self, report: &mut BenchReport, name: &str, shards: usize) {
-        for (tenant, snap) in self.snapshots() {
-            let shape = [tenant as usize, shards];
-            let mut push = |metric: &str, value: f64| {
-                report.push(
-                    &format!("{name}_{metric}"),
-                    &shape,
-                    1,
-                    value,
-                    snap.requests as usize,
-                );
-            };
-            push("p50_ns", snap.p50_ns.unwrap_or(0.0));
-            push("p99_ns", snap.p99_ns.unwrap_or(0.0));
-            push("p999_ns", snap.p999_ns.unwrap_or(0.0));
-            push("requests", snap.requests as f64);
-            push("ok", snap.ok as f64);
-            push("errors", snap.errors as f64);
-            push("degraded", snap.degraded as f64);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -195,16 +170,5 @@ mod tests {
         assert_eq!(snap.degraded, 1);
         assert!(snap.p50_ns.unwrap() > 0.0);
         assert!(snap.p999_ns.unwrap() >= snap.p50_ns.unwrap());
-    }
-
-    #[test]
-    fn report_rows_are_per_tenant() {
-        let t = TenantTable::new();
-        t.handle(1).record(512, true, false);
-        t.handle(2).record(1024, false, false);
-        let mut r = BenchReport::new("fleet");
-        t.report_into(&mut r, "tenant", 3);
-        assert!(r.find("tenant_p999_ns", &[1, 3], 1).is_some());
-        assert!(r.find("tenant_errors", &[2, 3], 1).is_some());
     }
 }

@@ -27,13 +27,20 @@
 //! inside a fused region are still attributed to the enclosing fused
 //! kernel instead of being counted individually.
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static FUSION: AtomicBool = AtomicBool::new(false);
 static COUNTS: Mutex<BTreeMap<&'static str, u64>> = Mutex::new(BTreeMap::new());
+
+/// Lock the counter map. Every update is a single insert, increment or
+/// clear, so a panic while the lock is held cannot leave the map
+/// half-updated and poisoning is ignored.
+fn counts_map() -> MutexGuard<'static, BTreeMap<&'static str, u64>> {
+    COUNTS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Enable or disable kernel-launch counting globally.
 pub fn set_counting(on: bool) {
@@ -67,7 +74,7 @@ pub fn launch(name: &'static str) {
     if dp_pool::taskctx::get() > 0 {
         return;
     }
-    *COUNTS.lock().entry(name).or_insert(0) += 1;
+    *counts_map().entry(name).or_insert(0) += 1;
 }
 
 /// Run `f` as a fused kernel region.
@@ -97,17 +104,17 @@ impl Drop for FusedGuard {
 
 /// Reset all counters to zero.
 pub fn reset() {
-    COUNTS.lock().clear();
+    counts_map().clear();
 }
 
 /// Snapshot of the per-kernel launch counts.
 pub fn counts() -> BTreeMap<&'static str, u64> {
-    COUNTS.lock().clone()
+    counts_map().clone()
 }
 
 /// Total number of launches across all kernels.
 pub fn total_launches() -> u64 {
-    COUNTS.lock().values().sum()
+    counts_map().values().sum()
 }
 
 /// Convenience: run `f` with counting enabled and return `(result, total

@@ -3,7 +3,7 @@
 //!
 //! Dimensions in the DeePMD workload are small-to-medium (neighbour counts
 //! ≲ 200, feature widths ≤ 400), so the kernels favour a cache-friendly
-//! `i-k-j` loop order with an optional rayon split over row blocks for the
+//! `i-k-j` loop order with an optional `dp-pool` split over row blocks for the
 //! larger products (notably the Kalman-filter `P·g` GEMVs over blocks of
 //! up to 10240×10240). Every public kernel reports one launch to
 //! [`crate::kernel`].
@@ -18,11 +18,9 @@
 
 use crate::backend::{self, GEMM_MR};
 use crate::kernel;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Row-major dense matrix of `f64`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Mat {
     rows: usize,
     cols: usize,
@@ -179,10 +177,9 @@ impl Mat {
         // boundaries are a function of the shapes alone, so scheduling
         // cannot change any accumulation order.
         if work >= be.par_flops_threshold() {
-            out.data
-                .par_chunks_mut(GEMM_MR * n)
-                .enumerate()
-                .for_each(|(g, crows)| be.gemm_row_group(a, bd, k, n, g * GEMM_MR, crows));
+            dp_pool::for_each_chunk_mut(&mut out.data, GEMM_MR * n, |g, crows| {
+                be.gemm_row_group(a, bd, k, n, g * GEMM_MR, crows)
+            });
         } else {
             for (g, crows) in out.data.chunks_mut(GEMM_MR * n).enumerate() {
                 be.gemm_row_group(a, bd, k, n, g * GEMM_MR, crows);
@@ -210,10 +207,9 @@ impl Mat {
         let rows = self.rows;
         let be = backend::active();
         if rows * m * n >= be.par_flops_threshold() {
-            out.data
-                .par_chunks_mut(GEMM_MR * n)
-                .enumerate()
-                .for_each(|(g, crows)| be.gemm_tn_row_group(a, bd, rows, m, n, g * GEMM_MR, crows));
+            dp_pool::for_each_chunk_mut(&mut out.data, GEMM_MR * n, |g, crows| {
+                be.gemm_tn_row_group(a, bd, rows, m, n, g * GEMM_MR, crows)
+            });
         } else {
             for (g, crows) in out.data.chunks_mut(GEMM_MR * n).enumerate() {
                 be.gemm_tn_row_group(a, bd, rows, m, n, g * GEMM_MR, crows);
@@ -241,10 +237,9 @@ impl Mat {
         let bd = &b.data;
         let be = backend::active();
         if m * n * k >= be.par_flops_threshold() {
-            out.data
-                .par_chunks_mut(GEMM_MR * n)
-                .enumerate()
-                .for_each(|(g, crows)| be.gemm_nt_row_group(a, bd, k, n, g * GEMM_MR, crows));
+            dp_pool::for_each_chunk_mut(&mut out.data, GEMM_MR * n, |g, crows| {
+                be.gemm_nt_row_group(a, bd, k, n, g * GEMM_MR, crows)
+            });
         } else {
             for (g, crows) in out.data.chunks_mut(GEMM_MR * n).enumerate() {
                 be.gemm_nt_row_group(a, bd, k, n, g * GEMM_MR, crows);
@@ -284,7 +279,7 @@ impl Mat {
         let data = &self.data;
         let be = backend::active();
         if self.rows * n >= be.par_flops_threshold() {
-            out.par_chunks_mut(1).enumerate().for_each(|(i, o)| {
+            dp_pool::for_each_chunk_mut(out, 1, |i, o| {
                 o[0] = be.dot(&data[i * n..(i + 1) * n], x);
             });
         } else {

@@ -8,13 +8,8 @@
 
 use crate::backend;
 use crate::kernel;
-use rayon::prelude::*;
 
-/// Work threshold before a reduction is split across rayon workers.
-const PAR_LEN_THRESHOLD: usize = 1 << 16;
-
-/// Dot product `x · y` with a *strict left-to-right fold* (parallelized
-/// over fixed blocks above [`PAR_LEN_THRESHOLD`]).
+/// Dot product `x · y` as a *strict left-to-right fold*.
 ///
 /// Deliberately **not** a [`crate::backend`] primitive: the EKF gain
 /// `a = 1/(λ + gᵀq)` consumes this exact fold order, and the golden
@@ -29,11 +24,7 @@ const PAR_LEN_THRESHOLD: usize = 1 << 16;
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
     kernel::launch("dot");
-    if x.len() >= PAR_LEN_THRESHOLD {
-        x.par_iter().zip(y.par_iter()).map(|(a, b)| a * b).sum()
-    } else {
-        x.iter().zip(y).map(|(a, b)| a * b).sum()
-    }
+    x.iter().zip(y).map(|(a, b)| a * b).sum()
 }
 
 /// `y += alpha * x`.

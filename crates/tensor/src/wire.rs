@@ -1,15 +1,21 @@
 //! Little-endian wire codec shared by every on-disk and on-the-wire
-//! format in the workspace: optimizer state blobs, model checkpoints
-//! (`model_io` v2), training checkpoints, and the checksummed
-//! allreduce messages of the fault-tolerant ring.
+//! format in the workspace: optimizer state blobs, model and serving
+//! artifacts (`model_io`), datasets (`dp_data::io`), training
+//! checkpoints, serving frames, and the checksummed allreduce messages
+//! of the fault-tolerant ring.
 //!
 //! The format is deliberately primitive — fixed-width little-endian
 //! integers and IEEE-754 `f64` bits, length-prefixed vectors — so a
 //! reader can validate structure (truncation, implausible lengths)
 //! before touching the payload, and a CRC-32 trailer can validate the
-//! payload before anything is deserialized into live state.
+//! payload before anything is deserialized into live state. Every
+//! length prefix is checked against the bytes actually left in the
+//! stream before anything is allocated for it.
 
 use std::fmt;
+use std::fs;
+use std::io;
+use std::path::Path;
 
 /// Decode failure. Carries enough context to say *where* a stream went
 /// bad, which matters when a checkpoint is rejected after a crash.
@@ -50,9 +56,25 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Length prefixes above this are treated as corruption rather than
-/// honest data (1 GiB of f64s in one field is not something we write).
-const MAX_PLAUSIBLE_LEN: u64 = 1 << 27;
+/// Every decode failure is `InvalidData` to the file-level loaders.
+impl From<WireError> for io::Error {
+    fn from(e: WireError) -> Self {
+        io::Error::new(io::ErrorKind::InvalidData, e)
+    }
+}
+
+/// Write `bytes` to `path` crash-safely: they go to a temporary sibling
+/// (`<path>.tmp`) that is then renamed over the destination, so a
+/// reader sees either the previous file or the new one, never a torn
+/// one.
+pub fn save_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
+    let path = path.as_ref();
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = Path::new(&tmp);
+    fs::write(tmp, bytes)?;
+    fs::rename(tmp, path)
+}
 
 const fn build_crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
@@ -133,6 +155,22 @@ impl Writer {
         self.u64(v.len() as u64);
         for &x in v {
             self.f64(x);
+        }
+    }
+
+    /// Append a length-prefixed `i16` vector.
+    pub fn i16_vec(&mut self, v: &[i16]) {
+        self.u64(v.len() as u64);
+        for &x in v {
+            self.buf.extend_from_slice(&x.to_le_bytes());
+        }
+    }
+
+    /// Append a length-prefixed `i32` vector.
+    pub fn i32_vec(&mut self, v: &[i32]) {
+        self.u64(v.len() as u64);
+        for &x in v {
+            self.buf.extend_from_slice(&x.to_le_bytes());
         }
     }
 
@@ -238,26 +276,63 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(s.try_into().unwrap()))
     }
 
+    /// Read a `u64` count of elements that each occupy at least
+    /// `min_bytes` further bytes of the stream, and fail unless the
+    /// stream still holds that many — the bound every length prefix
+    /// passes before anything is allocated or looped over for it. A
+    /// count whose byte size overflows is [`WireError::Invalid`]; one
+    /// the stream is too short for is [`WireError::Truncated`].
+    pub fn count(&mut self, min_bytes: usize) -> Result<usize, WireError> {
+        let n = self.u64()?;
+        let needed = usize::try_from(n)
+            .ok()
+            .and_then(|n| n.checked_mul(min_bytes))
+            .ok_or_else(|| WireError::Invalid(format!("implausible element count {n}")))?;
+        if self.remaining() < needed {
+            return Err(WireError::Truncated { at: self.pos, needed });
+        }
+        Ok(n as usize)
+    }
+
+    /// Read `n` packed `W`-byte little-endian values.
+    fn packed<const W: usize, T>(
+        &mut self,
+        n: usize,
+        from_le: fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, WireError> {
+        let bytes = n
+            .checked_mul(W)
+            .ok_or_else(|| WireError::Invalid(format!("implausible element count {n}")))?;
+        Ok(self.take(bytes)?.chunks_exact(W).map(|c| from_le(c.try_into().unwrap())).collect())
+    }
+
+    /// Read `n` packed `f64`s with no length prefix.
+    pub fn f64s(&mut self, n: usize) -> Result<Vec<f64>, WireError> {
+        self.packed(n, f64::from_le_bytes)
+    }
+
     /// Read a length-prefixed `f64` vector.
     pub fn f64_vec(&mut self) -> Result<Vec<f64>, WireError> {
-        let n = self.u64()?;
-        if n > MAX_PLAUSIBLE_LEN {
-            return Err(WireError::Invalid(format!("implausible vector length {n}")));
-        }
-        let mut v = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            v.push(self.f64()?);
-        }
-        Ok(v)
+        let n = self.count(8)?;
+        self.packed(n, f64::from_le_bytes)
+    }
+
+    /// Read a length-prefixed `i16` vector.
+    pub fn i16_vec(&mut self) -> Result<Vec<i16>, WireError> {
+        let n = self.count(2)?;
+        self.packed(n, i16::from_le_bytes)
+    }
+
+    /// Read a length-prefixed `i32` vector.
+    pub fn i32_vec(&mut self) -> Result<Vec<i32>, WireError> {
+        let n = self.count(4)?;
+        self.packed(n, i32::from_le_bytes)
     }
 
     /// Read a length-prefixed byte string.
     pub fn bytes(&mut self) -> Result<&'a [u8], WireError> {
-        let n = self.u64()?;
-        if n > MAX_PLAUSIBLE_LEN {
-            return Err(WireError::Invalid(format!("implausible byte length {n}")));
-        }
-        self.take(n as usize)
+        let n = self.count(1)?;
+        self.take(n)
     }
 
     /// Read `n` raw bytes with no length prefix.
@@ -416,5 +491,48 @@ mod tests {
         let buf = w.into_bytes();
         let mut r = Reader::new(&buf);
         assert!(matches!(r.f64_vec(), Err(WireError::Invalid(_))));
+    }
+
+    /// A length prefix is believed only as far as the stream behind it
+    /// reaches: nothing is reserved for elements that are not there.
+    #[test]
+    fn length_prefix_is_bounded_by_the_remaining_stream() {
+        let mut w = Writer::new();
+        w.u64(1 << 26); // 512 MiB of f64s, were it honest
+        w.f64(1.0);
+        let buf = w.into_bytes();
+        let needed = |r: Result<(), WireError>| match r {
+            Err(WireError::Truncated { at: 8, needed }) => needed,
+            other => panic!("expected Truncated at 8, got {other:?}"),
+        };
+        assert_eq!(needed(Reader::new(&buf).f64_vec().map(drop)), 8 << 26);
+        assert_eq!(needed(Reader::new(&buf).i32_vec().map(drop)), 4 << 26);
+        assert_eq!(needed(Reader::new(&buf).i16_vec().map(drop)), 2 << 26);
+        assert_eq!(needed(Reader::new(&buf).bytes().map(drop)), 1 << 26);
+        assert_eq!(needed(Reader::new(&buf).count(48).map(drop)), 48 << 26);
+    }
+
+    #[test]
+    fn integer_vectors_roundtrip() {
+        let mut w = Writer::new();
+        w.i16_vec(&[i16::MIN, -1, 0, 2047]);
+        w.i32_vec(&[i32::MAX, -7]);
+        let buf = w.into_bytes();
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.i16_vec().unwrap(), vec![i16::MIN, -1, 0, 2047]);
+        assert_eq!(r.i32_vec().unwrap(), vec![i32::MAX, -7]);
+        r.expect_end().unwrap();
+    }
+
+    #[test]
+    fn save_atomic_replaces_the_file_and_leaves_no_temporary() {
+        let path = std::env::temp_dir().join(format!("dp_wire_atomic_{}.bin", std::process::id()));
+        save_atomic(&path, b"first").unwrap();
+        save_atomic(&path, b"second").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"second");
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(".tmp");
+        assert!(!Path::new(&tmp).exists());
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -7,7 +7,7 @@
 //! into every worker executing one of the region's tasks.
 
 use dp_tensor::kernel;
-use rayon::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 #[test]
 fn fused_scope_spans_pool_workers() {
@@ -18,19 +18,18 @@ fn fused_scope_spans_pool_workers() {
     kernel::set_counting(true);
     kernel::set_fusion_enabled(true);
 
-    let xs: Vec<f64> = (0..10_000).map(|i| i as f64).collect();
-    let sum: f64 = kernel::fused("fused_parallel_region", || {
-        xs.par_iter()
-            .map(|&x| {
-                // A primitive launched from whichever thread runs this
-                // task — must be attributed to the enclosing fused scope.
-                kernel::launch("inner_primitive");
-                x * 2.0
-            })
-            .sum()
+    let n = 10_000;
+    let ran = AtomicU64::new(0);
+    kernel::fused("fused_parallel_region", || {
+        dp_pool::parallel_for(n, &|_| {
+            // A primitive launched from whichever thread runs this
+            // task — must be attributed to the enclosing fused scope.
+            kernel::launch("inner_primitive");
+            ran.fetch_add(1, Ordering::Relaxed);
+        })
     });
 
-    assert_eq!(sum, xs.iter().map(|&x| x * 2.0).sum::<f64>());
+    assert_eq!(ran.load(Ordering::Relaxed), n as u64);
     assert_eq!(
         kernel::total_launches(),
         1,
@@ -43,9 +42,8 @@ fn fused_scope_spans_pool_workers() {
     // Outside the scope, and after the region, counting is primitive-wise
     // again — the workers' context was reset when the region ended.
     kernel::launch("after");
-    let n: u64 = xs.par_iter().map(|_| { kernel::launch("after"); 0u64 }).sum();
-    assert_eq!(n, 0);
-    assert_eq!(kernel::counts().get("after"), Some(&(1 + xs.len() as u64)));
+    dp_pool::parallel_for(n, &|_| kernel::launch("after"));
+    assert_eq!(kernel::counts().get("after"), Some(&(1 + n as u64)));
 
     kernel::set_counting(false);
     kernel::set_fusion_enabled(false);

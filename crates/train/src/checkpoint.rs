@@ -18,7 +18,7 @@
 //! before decoding and validate dimensions against the live run, so a
 //! torn or mismatched file is a typed error — never a poisoned resume.
 
-use dp_tensor::wire::{crc32, Reader, Writer};
+use dp_tensor::wire::{save_atomic, Reader, Writer};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -161,12 +161,7 @@ impl Checkpoint {
     /// Write crash-safely: temporary sibling + rename, so readers see
     /// either the previous checkpoint or this one, never a torn file.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let path = path.as_ref();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = Path::new(&tmp);
-        fs::write(tmp, self.to_bytes())?;
-        fs::rename(tmp, path)
+        save_atomic(path, &self.to_bytes())
     }
 
     /// Read and verify a checkpoint file.
@@ -195,10 +190,7 @@ pub fn load_latest(dir: &Path) -> io::Result<Option<Checkpoint>> {
 /// Quick integrity probe used by tests and tooling: does the buffer
 /// carry a valid CRC trailer?
 pub fn verify_bytes(buf: &[u8]) -> bool {
-    buf.len() >= 4 && {
-        let stored = u32::from_le_bytes(buf[buf.len() - 4..].try_into().unwrap());
-        stored == crc32(&buf[..buf.len() - 4])
-    }
+    Reader::new_verifying_crc(buf).is_ok()
 }
 
 #[cfg(test)]

@@ -32,7 +32,6 @@ use dp_optim::rlekf::Rlekf;
 use dp_parallel::{CommError, DeviceGroup, FaultPlan};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -357,19 +356,17 @@ impl Trainer {
         for epoch in 1..=self.cfg.max_epochs {
             for batch in sampler.epoch(&mut rng) {
                 let grad = timed(&mut state.phases.gradient, || {
-                    let (mut gsum, _lsum) = batch
-                        .par_iter()
-                        .map(|&i| loss::loss_and_grad(model, &train.frames[i], &weights))
-                        .map(|(l, g)| (g, l))
-                        .reduce(
-                            || (vec![0.0; model.n_params()], 0.0),
-                            |(mut ga, la), (gb, lb)| {
-                                for (a, b) in ga.iter_mut().zip(&gb) {
-                                    *a += b;
-                                }
-                                (ga, la + lb)
-                            },
-                        );
+                    let mut gsum = dp_pool::map_reduce(
+                        &batch,
+                        || vec![0.0; model.n_params()],
+                        |&i| loss::loss_and_grad(model, &train.frames[i], &weights).1,
+                        |mut ga, gb| {
+                            for (a, b) in ga.iter_mut().zip(&gb) {
+                                *a += b;
+                            }
+                            ga
+                        },
+                    );
                     let inv = 1.0 / batch.len() as f64;
                     for g in &mut gsum {
                         *g *= inv;
@@ -601,13 +598,10 @@ impl Trainer {
             for batch in sampler.epoch(&mut rng) {
                 // Energy update: one gradient per lane.
                 let targets: Vec<_> = timed(&mut state.phases.gradient, || {
-                    batch
-                        .par_iter()
-                        .map(|&i| {
-                            let pass = model.forward(&train.frames[i]);
-                            energy_target_with(model, &pass, self.cfg.backend)
-                        })
-                        .collect()
+                    dp_pool::map_collect(&batch, |&i| {
+                        let pass = model.forward(&train.frames[i]);
+                        energy_target_with(model, &pass, self.cfg.backend)
+                    })
                 });
                 timed(&mut state.phases.optimizer, || {
                     let grads: Vec<Vec<f64>> = targets.iter().map(|t| t.grad.clone()).collect();
@@ -617,22 +611,12 @@ impl Trainer {
                 });
                 // Force updates.
                 let per_sample: Vec<_> = timed(&mut state.phases.gradient, || {
-                    batch
-                        .par_iter()
-                        .map(|&i| {
-                            let frame = &train.frames[i];
-                            let pass = model.forward(frame);
-                            let forces = model.forces(&pass);
-                            force_targets_with(
-                                model,
-                                &pass,
-                                &forces,
-                                frame,
-                                n_groups,
-                                self.cfg.backend,
-                            )
-                        })
-                        .collect()
+                    dp_pool::map_collect(&batch, |&i| {
+                        let frame = &train.frames[i];
+                        let pass = model.forward(frame);
+                        let forces = model.forces(&pass);
+                        force_targets_with(model, &pass, &forces, frame, n_groups, self.cfg.backend)
+                    })
                 });
                 timed(&mut state.phases.optimizer, || {
                     for k in 0..n_groups {

@@ -67,7 +67,7 @@ pub struct Fingerprint {
 
 impl Fingerprint {
     /// Serialize to the committed JSON form (hand-rolled, like every
-    /// other emitter in this workspace — no serde_json).
+    /// other emitter in this workspace — no JSON dependency).
     pub fn to_json(&self) -> String {
         let trace: Vec<String> = self.loss_trace.iter().map(|b| format!("\"{b:016x}\"")).collect();
         format!(

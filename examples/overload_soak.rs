@@ -24,9 +24,9 @@
 //! 5. after all chaos the engine still serves finite responses (the
 //!    breaker routed around any poisoned snapshot).
 //!
-//! Writes `BENCH_serve_slo.json` (same schema as `BENCH_serve.json`,
-//! plus shed / deadline-miss / breaker-trip / degraded / max-depth and
-//! p999 rows).
+//! Writes `BENCH_serve_slo.json` (the `dp_bench::report` schema:
+//! requests/s, latency percentiles, and shed / deadline-miss /
+//! breaker-trip / degraded / max-depth rows).
 //!
 //! Run with:
 //! ```text
@@ -419,13 +419,23 @@ fn main() {
         served,
     );
     rep.push("serve_slo_shed_fraction", &[slo.batch.max_batch], threads, shed_fraction, served);
-    engine.raw_stats().report_into(
-        &mut rep,
-        "serve_slo",
-        slo.batch.max_batch,
-        threads,
-        registry.swap_count(),
-    );
+    let mut push = |metric: &str, value: f64| {
+        rep.push(&format!("serve_slo_{metric}"), &[slo.batch.max_batch], threads, value, served);
+    };
+    push("p50_ns", stats.latency_p50_ns.unwrap_or(0.0));
+    push("p90_ns", stats.latency_p90_ns.unwrap_or(0.0));
+    push("p99_ns", stats.latency_p99_ns.unwrap_or(0.0));
+    push("p999_ns", stats.latency_p999_ns.unwrap_or(0.0));
+    push("mean_batch", stats.mean_batch);
+    push("cache_hit_rate", stats.cache_hit_rate);
+    push("shed", stats.shed as f64);
+    push("deadline_miss", stats.deadline_miss as f64);
+    push("breaker_trips", stats.breaker_trips as f64);
+    push("degraded", stats.degraded as f64);
+    push("max_depth", stats.max_depth as f64);
+    let raw = engine.raw_stats();
+    push("interactive_depth_p50", raw.interactive_depth.p50().unwrap_or(0.0));
+    push("bulk_depth_p50", raw.bulk_depth.p50().unwrap_or(0.0));
     engine.shutdown();
 
     let path = opts.out.join("BENCH_serve_slo.json");

@@ -1,28 +1,15 @@
 #!/usr/bin/env bash
-# Benchmark sweep: writes the machine-readable perf trajectory
-# (BENCH_gemm.json, BENCH_p_update.json, BENCH_train_iter.json,
-# BENCH_forward.json — the last adds forward/backward kernel timings,
-# FEKF frames/s with the env cache off vs on, and cache hit rates —
-# plus BENCH_serve.json: serving requests/s and latency percentiles at
-# max_batch 1/8/32 together with the fidelity sweep — per-tier
-# requests/s on a paper-sized model with master/compressed/quantized
-# pins (shape [0]/[1]/[2]) and the accuracy budget each cheap tier
-# spends (max per-atom energy error and, for the compressed tier, max
-# force-component error vs the f64 master) — BENCH_serve_slo.json:
-# shed / deadline-miss / breaker-trip / degradation counters and tail
-# latency under the seeded chaos overload soak —
-# BENCH_serve_fleet.json: open-loop multi-tenant fleet serving
-# (bounded-Pareto arrivals, per-tenant p50/p99/p999 and outcome
-# counters at shard counts 1/2/4/8) — and
-# BENCH_md_scale.json: linked-cell vs O(N²) neighbour construction and
-# decomposed-MD NVE step throughput (atoms/s, ns/day) across supercell
-# sizes, domain grids, and thread counts; --paper adds the 10⁶-atom
-# supercell (~2 GB resident)).
+# Kernel micro-benchmark sweep: writes BENCH_gemm.json,
+# BENCH_p_update.json and BENCH_forward.json (forward/backward kernel
+# timings, FEKF frames/s with the env cache off vs on, cache hit
+# rates), plus BENCH_serve_slo.json: shed / deadline-miss /
+# breaker-trip / degradation counters and tail latency under the
+# seeded chaos overload soak. End-to-end numbers — training
+# time-to-accuracy, the online loop, fleet serving, served and
+# decomposed MD — are bench_e2e's (see bench_e2e/README.md).
 #
 #   scripts/bench.sh                 # full sweep -> results/bench/
-#   scripts/bench.sh --smoke         # one shape per report (CI gate;
-#                                    # no BENCH_train_iter.json — the
-#                                    # gate's bench_e2e smoke covers it)
+#   scripts/bench.sh --smoke         # one shape per report (CI gate)
 #   scripts/bench.sh --paper         # adds the 10240 P block (~800 MB)
 #   BENCH_OUT=dir scripts/bench.sh   # alternate output directory
 #
@@ -53,8 +40,7 @@ cd "$(dirname "$0")/.."
 
 OUT="${BENCH_OUT:-results/bench}"
 
-cargo build --release --offline -p dp-bench --bin bench_kernels --bin bench_forward --bin bench_md_scale
-cargo build --release --offline -p dp-serve --bin bench_serve --bin bench_fleet
+cargo build --release --offline -p dp-bench --bin bench_kernels --bin bench_forward
 cargo build --release --offline --example overload_soak
 
 KERNEL_ARGS=()
@@ -62,14 +48,11 @@ FORWARD_ARGS=()
 SOAK_PROFILE=full
 for arg in "$@"; do
     KERNEL_ARGS+=("$arg")
-    # bench_forward/bench_serve have no --paper scale; pass the rest.
+    # bench_forward has no --paper scale; pass the rest.
     [[ "$arg" == "--paper" ]] || FORWARD_ARGS+=("$arg")
     [[ "$arg" == "--smoke" ]] && SOAK_PROFILE=quick
 done
 
 cargo run --release --offline -p dp-bench --bin bench_kernels -- "--out=${OUT}" "${KERNEL_ARGS[@]+"${KERNEL_ARGS[@]}"}"
 cargo run --release --offline -p dp-bench --bin bench_forward -- "--out=${OUT}" "${FORWARD_ARGS[@]+"${FORWARD_ARGS[@]}"}"
-cargo run --release --offline -p dp-bench --bin bench_md_scale -- "--out=${OUT}" "${KERNEL_ARGS[@]+"${KERNEL_ARGS[@]}"}"
-cargo run --release --offline -p dp-serve --bin bench_serve -- "--out=${OUT}" "${FORWARD_ARGS[@]+"${FORWARD_ARGS[@]}"}"
-cargo run --release --offline -p dp-serve --bin bench_fleet -- "--out=${OUT}" "${FORWARD_ARGS[@]+"${FORWARD_ARGS[@]}"}"
 exec cargo run --release --offline --example overload_soak -- --profile "${SOAK_PROFILE}" --seed 1234 "--out=${OUT}"

@@ -20,6 +20,18 @@ step() { printf '\n==> %s\n' "$*"; }
 step "cargo build --release"
 cargo build --release --offline
 
+# One parallel runtime on a std-only substrate: the only vendored
+# crates are the RNG pair and the two dev-only harness shims, and a
+# serving build pulls in neither the bench harness nor the trainer.
+step "dependency shape (vendor/, dp-serve tree)"
+[[ "$(ls vendor | xargs)" == "criterion proptest rand rand_chacha" ]] \
+  || { echo "error: vendor/ must hold exactly criterion proptest rand rand_chacha, found: $(ls vendor | xargs)" >&2; exit 1; }
+SERVE_TREE="$(cargo tree --offline -p dp-serve -e normal)"
+if grep -E 'dp-(bench|train)' <<<"$SERVE_TREE"; then
+  echo "error: dp-serve must not depend on dp-bench or dp-train" >&2
+  exit 1
+fi
+
 # Backend matrix: the whole workspace under the forced-scalar oracle
 # backend and under auto dispatch (the widest SIMD tier this CPU has —
 # scalar again on machines with none). DP_BACKEND=scalar is the
@@ -82,9 +94,9 @@ DP_POOL_THREADS=4 cargo run --release --offline -p dp-domain --bin md_scale_smok
 step "alloc probe (release)"
 cargo test --release --offline -p dp-bench --test alloc_probe -q
 
-# bench.sh --smoke skips the FEKF train_iter report: the bench_e2e
-# smoke below trains the same loop to its target, traced, with output
-# checks.
+# Kernel micro-benches (gemm, P update, forward), one shape each.
+# Fleet serving, decomposed-MD throughput and whole-iteration FEKF
+# timings are bench_e2e workloads (fleet_open, md_domain, train_*).
 step "bench smoke"
 BENCH_OUT="$(mktemp -d)" scripts/bench.sh --smoke
 
