@@ -1,122 +1,115 @@
 //! # dp-bench — experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (see
-//! `DESIGN.md` §4 for the experiment index):
+//! One binary, `reproduce`, regenerates every table and figure of the
+//! paper's evaluation from one registry ([`experiments::REGISTRY`], see
+//! `DESIGN.md` §4 for the experiment index): each experiment returns
+//! its tables plus the paper's shape claims evaluated on the rows it
+//! just measured, and [`document`] splices both into `EXPERIMENTS.md`,
+//! so a claim can only be stated by the code that evaluated it.
 //!
-//! | binary | reproduces |
-//! |---|---|
-//! | `table1` | Adam epochs-to-target vs batch size |
-//! | `table3` | dataset inventory |
-//! | `table4` | FEKF bs-32 vs Adam bs-1 convergence ratio + RMSE |
-//! | `table5` | Cu time-to-accuracy across batch/device configs |
-//! | `fig4`   | quasi-learning-rate factor sweep |
-//! | `fig7a`  | end-to-end wall time Adam/RLEKF/FEKF/FEKF-opt |
-//! | `fig7b`  | kernel-launch counts per optimization level |
-//! | `fig7c`  | iteration-time decomposition per optimization level |
-//! | `memory_report` | §5.3 P-matrix memory accounting |
-//! | `scaling_report` | §5.3 communication/scalability analysis |
-//!
-//! Every binary accepts `--paper-scale` (full-size network and larger
-//! datasets) and sizing flags; the defaults are tuned so the whole
-//! suite completes on a small CPU box. Results print in the paper's
-//! row/series layout so EXPERIMENTS.md can compare line by line.
+//! The two kernel micro-benchmarks (`bench_kernels`, `bench_forward`)
+//! write `BENCH_*.json` through [`report`].
 
 use dp_data::generate::GenScale;
 use dp_mdsim::systems::PaperSystem;
 use dp_train::recipes::ModelScale;
 use std::fmt::Write as _;
 
+pub mod document;
+pub mod experiments;
 pub mod report;
 
-/// Parsed command-line options shared by the experiment binaries.
+/// What an experiment may vary: everything else is a protocol constant
+/// of the experiment itself.
 #[derive(Clone, Debug)]
-pub struct Args {
+pub struct Ctx {
     /// Use the paper-size network and heavier datasets.
     pub paper_scale: bool,
-    /// Systems to run (default differs per binary).
+    /// Systems to run (default differs per experiment).
     pub systems: Option<Vec<PaperSystem>>,
-    /// Frames per generation temperature.
-    pub frames: Option<usize>,
-    /// Epoch budget override.
-    pub epochs: Option<usize>,
-    /// Batch size override.
-    pub batch: Option<usize>,
     /// Random seed.
     pub seed: u64,
 }
 
-impl Args {
-    /// Parse `std::env::args()`. Unknown flags abort with usage help.
-    pub fn parse() -> Self {
-        let mut out = Args {
-            paper_scale: false,
-            systems: None,
-            frames: None,
-            epochs: None,
-            batch: None,
-            seed: 2024,
-        };
-        for arg in std::env::args().skip(1) {
-            if arg == "--paper-scale" {
-                out.paper_scale = true;
-            } else if arg == "--quick" {
-                out.paper_scale = false;
-            } else if let Some(v) = arg.strip_prefix("--systems=") {
-                out.systems = Some(
-                    v.split(',')
-                        .map(|s| {
-                            parse_system(s)
-                                .unwrap_or_else(|| die(&format!("unknown system '{s}'")))
-                        })
-                        .collect(),
-                );
-            } else if let Some(v) = arg.strip_prefix("--frames=") {
-                out.frames = Some(v.parse().unwrap_or_else(|_| die("bad --frames")));
-            } else if let Some(v) = arg.strip_prefix("--epochs=") {
-                out.epochs = Some(v.parse().unwrap_or_else(|_| die("bad --epochs")));
-            } else if let Some(v) = arg.strip_prefix("--batch=") {
-                out.batch = Some(v.parse().unwrap_or_else(|_| die("bad --batch")));
-            } else if let Some(v) = arg.strip_prefix("--seed=") {
-                out.seed = v.parse().unwrap_or_else(|_| die("bad --seed"));
-            } else if arg == "--help" || arg == "-h" {
-                eprintln!(
-                    "flags: --paper-scale --systems=Cu,Al,... --frames=N --epochs=N --batch=N --seed=N"
-                );
-                std::process::exit(0);
-            } else {
-                die(&format!("unknown flag '{arg}' (try --help)"));
-            }
-        }
-        out
-    }
-
-    /// The model scale implied by the flags.
-    pub fn model_scale(&self) -> ModelScale {
-        if self.paper_scale {
-            ModelScale::Paper
-        } else {
-            ModelScale::Small
-        }
-    }
-
-    /// The data-generation scale implied by the flags, with a
-    /// per-binary quick default for frames-per-temperature.
-    pub fn gen_scale(&self, quick_frames: usize) -> GenScale {
-        let frames = self
-            .frames
-            .unwrap_or(if self.paper_scale { 4 * quick_frames } else { quick_frames });
-        GenScale { frames_per_temperature: frames, equilibration: 80, stride: 4 }
-    }
-
-    /// Systems to run, with a per-binary default.
-    pub fn systems_or(&self, default: &[PaperSystem]) -> Vec<PaperSystem> {
-        self.systems.clone().unwrap_or_else(|| default.to_vec())
+impl Default for Ctx {
+    fn default() -> Self {
+        Ctx { paper_scale: false, systems: None, seed: 2024 }
     }
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
+impl Ctx {
+    /// The network scale, from a per-experiment quick default.
+    pub fn model_scale(&self, quick: ModelScale) -> ModelScale {
+        if self.paper_scale { ModelScale::Paper } else { quick }
+    }
+
+    /// The data-generation scale, from a per-experiment quick default
+    /// for frames-per-temperature.
+    pub fn gen_scale(&self, quick_frames: usize) -> GenScale {
+        let frames = if self.paper_scale { 4 * quick_frames } else { quick_frames };
+        GenScale { frames_per_temperature: frames, equilibration: 80, stride: 4 }
+    }
+
+    /// Systems to run, with a per-experiment default.
+    pub fn systems_or(&self, default: &[PaperSystem]) -> Vec<PaperSystem> {
+        self.systems.clone().unwrap_or_else(|| default.to_vec())
+    }
+
+    /// The one system of a single-system experiment.
+    pub fn system_or(&self, default: PaperSystem) -> PaperSystem {
+        self.systems_or(&[default])[0]
+    }
+}
+
+/// The `reproduce` command line: positional experiment names plus
+/// `--paper-scale`, `--systems=`, `--seed=`, `--write`.
+#[derive(Clone, Debug)]
+pub struct Args {
+    /// Experiments to run, in registry order (all when none is named).
+    pub experiments: Vec<&'static experiments::Experiment>,
+    /// Splice the outcomes into `EXPERIMENTS.md`.
+    pub write: bool,
+    /// Knobs handed to every experiment.
+    pub ctx: Ctx,
+}
+
+impl Args {
+    /// Usage line printed by `--help` and after a parse error.
+    pub const USAGE: &'static str =
+        "usage: reproduce [EXPERIMENT...] [--paper-scale] [--systems=Cu,Al,...] [--seed=N] [--write]";
+
+    /// Parse the arguments after the program name.
+    pub fn parse(args: impl Iterator<Item = String>) -> Result<Args, String> {
+        let mut out = Args { experiments: Vec::new(), write: false, ctx: Ctx::default() };
+        let mut named = Vec::new();
+        for arg in args {
+            if arg == "--paper-scale" {
+                out.ctx.paper_scale = true;
+            } else if arg == "--write" {
+                out.write = true;
+            } else if let Some(v) = arg.strip_prefix("--systems=") {
+                let systems: Result<Vec<_>, _> = v
+                    .split(',')
+                    .map(|s| parse_system(s).ok_or_else(|| format!("unknown system '{s}'")))
+                    .collect();
+                out.ctx.systems = Some(systems?);
+            } else if let Some(v) = arg.strip_prefix("--seed=") {
+                out.ctx.seed = v.parse().map_err(|_| format!("bad --seed '{v}'"))?;
+            } else if arg.starts_with('-') {
+                return Err(format!("unknown flag '{arg}'"));
+            } else if experiments::REGISTRY.iter().any(|e| e.name == arg) {
+                named.push(arg);
+            } else {
+                let known: Vec<&str> = experiments::REGISTRY.iter().map(|e| e.name).collect();
+                return Err(format!("unknown experiment '{arg}' (known: {})", known.join(" ")));
+            }
+        }
+        out.experiments = experiments::REGISTRY
+            .iter()
+            .filter(|e| named.is_empty() || named.iter().any(|n| n == e.name))
+            .collect();
+        Ok(out)
+    }
 }
 
 /// Parse a system name as written in the paper ("Cu", "H2O", …).
@@ -126,10 +119,11 @@ pub fn parse_system(s: &str) -> Option<PaperSystem> {
         .find(|sys| sys.preset().name.eq_ignore_ascii_case(s))
 }
 
-/// Minimal fixed-width table printer for the experiment outputs.
+/// Minimal fixed-width table; its rendering is a valid Markdown table.
+#[derive(Clone, Debug)]
 pub struct Table {
     headers: Vec<String>,
-    rows: Vec<Vec<String>>,
+    pub(crate) rows: Vec<Vec<String>>,
 }
 
 impl Table {
@@ -141,19 +135,19 @@ impl Table {
         }
     }
 
-    /// Append one row (stringified cells).
-    pub fn row(&mut self, cells: &[String]) {
+    /// Append one row.
+    pub fn row(&mut self, cells: &[&dyn std::fmt::Display]) {
         assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
-        self.rows.push(cells.to_vec());
+        self.rows.push(cells.iter().map(|c| c.to_string()).collect());
     }
 
     /// Render with aligned columns.
     pub fn render(&self) -> String {
         let ncol = self.headers.len();
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
+        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
             for (c, cell) in row.iter().enumerate() {
-                widths[c] = widths[c].max(cell.len());
+                widths[c] = widths[c].max(cell.chars().count());
             }
         }
         let mut out = String::new();
@@ -172,11 +166,6 @@ impl Table {
             line(&mut out, row);
         }
         out
-    }
-
-    /// Print to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
     }
 }
 
@@ -201,24 +190,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_system_accepts_paper_names() {
-        assert_eq!(parse_system("Cu"), Some(PaperSystem::Cu));
-        assert_eq!(parse_system("h2o"), Some(PaperSystem::H2O));
-        assert_eq!(parse_system("hfo2"), Some(PaperSystem::HfO2));
-        assert_eq!(parse_system("Xx"), None);
+    fn args_select_experiments_in_registry_order_and_reject_unknowns() {
+        let parse = |s: &str| Args::parse(s.split_whitespace().map(String::from));
+        let all = parse("").unwrap();
+        assert_eq!(all.experiments.len(), experiments::REGISTRY.len());
+        assert!(!all.write && !all.ctx.paper_scale && all.ctx.seed == 2024);
+        let some = parse("fig7b table3 --seed=7 --systems=cu,hfo2 --write").unwrap();
+        let names: Vec<&str> = some.experiments.iter().map(|e| e.name).collect();
+        assert_eq!(names, ["table3", "fig7b"]);
+        assert!(some.write);
+        assert_eq!(some.ctx.seed, 7);
+        assert_eq!(some.ctx.systems, Some(vec![PaperSystem::Cu, PaperSystem::HfO2]));
+        for bad in ["table9", "--quick", "--frames=3", "--systems=Xx", "--seed=x"] {
+            assert!(parse(bad).is_err(), "{bad} must be rejected");
+        }
     }
 
     #[test]
     fn table_renders_aligned_columns() {
         let mut t = Table::new(&["sys", "value"]);
-        t.row(&["Cu".into(), "1.5".into()]);
-        t.row(&["NaCl".into(), "20".into()]);
+        t.row(&[&"Cu", &1.5]);
+        t.row(&[&"NaCl", &"20 µs"]);
         let r = t.render();
         let lines: Vec<&str> = r.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("sys"));
         assert!(lines[2].contains("Cu"));
-        assert!(lines.iter().all(|l| l.len() == lines[0].len()));
+        assert!(lines.iter().all(|l| l.chars().count() == lines[0].chars().count()));
     }
 
     #[test]

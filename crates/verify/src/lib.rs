@@ -50,7 +50,7 @@
 //!    real encoded frames at every shard count × thread count.
 //!
 //! Everything is generated from a seed by the vendored-dep-free
-//! [`gen`] library and reported through [`dp_bench::report`]'s
+//! [`gen`] library and reported through the [`report`] module's
 //! `VerifyReport` JSON schema; the `verify` bin drives all families
 //! with seed/case-count knobs and is wired into `scripts/ci.sh`
 //! (quick profile) and documented in `scripts/bench.sh` (full).
@@ -74,8 +74,9 @@ pub mod gen;
 pub mod golden;
 pub mod gradcheck;
 pub mod invariants;
+pub mod report;
 
-pub use dp_bench::report::{VerifyCheck, VerifyReport};
+pub use report::{VerifyCheck, VerifyReport};
 
 /// How many generated cases each oracle runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -21,14 +21,20 @@ step "cargo build --release"
 cargo build --release --offline
 
 # One parallel runtime on a std-only substrate: the only vendored
-# crates are the RNG pair and the two dev-only harness shims, and a
-# serving build pulls in neither the bench harness nor the trainer.
-step "dependency shape (vendor/, dp-serve tree)"
-[[ "$(ls vendor | xargs)" == "criterion proptest rand rand_chacha" ]] \
-  || { echo "error: vendor/ must hold exactly criterion proptest rand rand_chacha, found: $(ls vendor | xargs)" >&2; exit 1; }
+# crates are the RNG pair and the dev-only proptest shim; a serving
+# build pulls in neither the bench harness nor the trainer, and the
+# correctness harness does not link the bench harness.
+step "dependency shape (vendor/, dp-serve and dp-verify trees)"
+[[ "$(ls vendor | xargs)" == "proptest rand rand_chacha" ]] \
+  || { echo "error: vendor/ must hold exactly proptest rand rand_chacha, found: $(ls vendor | xargs)" >&2; exit 1; }
 SERVE_TREE="$(cargo tree --offline -p dp-serve -e normal)"
 if grep -E 'dp-(bench|train)' <<<"$SERVE_TREE"; then
   echo "error: dp-serve must not depend on dp-bench or dp-train" >&2
+  exit 1
+fi
+VERIFY_TREE="$(cargo tree --offline -p dp-verify -e normal)"
+if grep 'dp-bench' <<<"$VERIFY_TREE"; then
+  echo "error: dp-verify must not depend on dp-bench" >&2
   exit 1
 fi
 
@@ -93,6 +99,18 @@ DP_POOL_THREADS=4 cargo run --release --offline -p dp-domain --bin md_scale_smok
 # what they return.
 step "alloc probe (release)"
 cargo test --release --offline -p dp-bench --test alloc_probe -q
+
+# Paper reproduction gate: the four experiments whose claims are closed
+# forms or launch counts (about a second). `reproduce` exits non-zero
+# iff an exact claim of an experiment it ran is not reproduced. The
+# two cheapest training experiments ride along as a does-not-panic
+# smoke: their verdicts depend on the backend, so only a crash (an exit
+# code other than 0 or 1) fails them here.
+step "reproduce (exact claims of table3 memory scaling fig7b)"
+cargo run --release --offline -p dp-bench --bin reproduce -- table3 memory scaling fig7b >/dev/null
+
+step "reproduce smoke (fig4 fig7c)"
+cargo run --release --offline -p dp-bench --bin reproduce -- fig4 fig7c >/dev/null || [[ $? -eq 1 ]]
 
 # Kernel micro-benches (gemm, P update, forward), one shape each.
 # Fleet serving, decomposed-MD throughput and whole-iteration FEKF
