@@ -30,6 +30,10 @@
 //! region at a time; a thread that submits while another thread's region
 //! is published runs its own region on itself, for the same reason.
 
+// Every `unsafe` block argues its soundness and every `unsafe fn` states
+// its contract; `scripts/ci.sh`'s clippy step holds the line.
+#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
+
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
@@ -133,8 +137,12 @@ struct Job {
 struct JobPtr(*const Job);
 // SAFETY: the Job is pinned on the submitter's stack until every executor
 // has dropped out of `active`; the pointer is only dereferenced by
-// executors registered in `active` under the pool lock.
+// executors registered in `active` under the pool lock. `Job`'s fields
+// are atomics, a `Copy` context and a pointer to a `Sync` closure, so
+// the workers may hold it.
 unsafe impl Send for JobPtr {}
+// SAFETY: as for `Send` — a shared `JobPtr` gives out nothing but the
+// same `&Job`, which is only ever read through its atomics.
 unsafe impl Sync for JobPtr {}
 
 struct PoolState {

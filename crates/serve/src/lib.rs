@@ -34,6 +34,10 @@
 //! registry.publish(get_model()).unwrap();
 //! ```
 
+// Every `unsafe` block argues its soundness and every `unsafe fn` states
+// its contract; `scripts/ci.sh`'s clippy step holds the line.
+#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
+
 pub mod batch;
 pub mod chaos;
 pub mod demo;

@@ -14,6 +14,9 @@
 //!   `target_feature` and probed at startup.
 //! * [`BackendKind::Neon`] — aarch64 f64×2 with FMA.
 //!
+//! The three SIMD backends are instantiations: their kernels are written
+//! once, generic over the register type, in `simd.rs`.
+//!
 //! # Dispatch
 //!
 //! The process-global backend is resolved once, on first use, from the
@@ -45,6 +48,9 @@
 //! keeps *exact* symmetry and cross-backend bit-equality.
 
 use std::fmt;
+
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+use crate::simd;
 
 /// Identifier for one compiled-in backend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -180,6 +186,12 @@ pub trait Backend: Sync + Send {
     /// GEMM micro-kernel: accumulate `C[i0.., :] += A[i0.., :] · B` for
     /// the row group held in `crows` (up to `GEMM_MR` rows of width `n`;
     /// `A` is `…×k`, `B` is `k×n`). `k` ascends for every output element.
+    ///
+    /// Precondition of all three `gemm_*_row_group` methods, in every
+    /// backend: `n > 0` and `crows` holds whole rows. A product with an
+    /// empty output has no row groups, so callers return before forming
+    /// one (as [`crate::Mat`] and the slice GEMMs below do); `n == 0`
+    /// here is a caller bug and panics.
     fn gemm_row_group(&self, a: &[f64], bd: &[f64], k: usize, n: usize, i0: usize, crows: &mut [f64]);
 
     /// `Aᵀ·B` micro-kernel: accumulate `C[i0.., :] += Aᵀ[i0.., :] · B`
@@ -314,6 +326,19 @@ fn dot_scalar(row: &[f64], x: &[f64]) -> f64 {
 /// count or the backend.
 pub(crate) const GEMM_MR: usize = 4;
 
+/// Rows in the row group `crows` of an `n`-column output: the one
+/// place the precondition shared by the three `gemm_*_row_group`
+/// methods of every backend is checked.
+#[inline]
+pub(crate) fn group_rows(crows: &[f64], n: usize) -> usize {
+    debug_assert!(
+        n > 0 && crows.len().is_multiple_of(n),
+        "row group: {} values are not whole rows of {n} columns",
+        crows.len()
+    );
+    crows.len() / n
+}
+
 impl Backend for ScalarBackend {
     fn kind(&self) -> BackendKind {
         BackendKind::Scalar
@@ -354,7 +379,7 @@ impl Backend for ScalarBackend {
     }
 
     fn gemm_row_group(&self, a: &[f64], bd: &[f64], k: usize, n: usize, i0: usize, crows: &mut [f64]) {
-        let nr = crows.len() / n;
+        let nr = group_rows(crows, n);
         if nr == GEMM_MR {
             let (c0, rest) = crows.split_at_mut(n);
             let (c1, rest) = rest.split_at_mut(n);
@@ -398,7 +423,7 @@ impl Backend for ScalarBackend {
         i0: usize,
         crows: &mut [f64],
     ) {
-        let nr = crows.len() / n;
+        let nr = group_rows(crows, n);
         if nr == GEMM_MR {
             let (c0, rest) = crows.split_at_mut(n);
             let (c1, rest) = rest.split_at_mut(n);
@@ -430,7 +455,7 @@ impl Backend for ScalarBackend {
     }
 
     fn gemm_nt_row_group(&self, a: &[f64], bd: &[f64], k: usize, n: usize, i0: usize, crows: &mut [f64]) {
-        let nr = crows.len() / n;
+        let nr = group_rows(crows, n);
         for j in 0..n {
             let brow = &bd[j * k..(j + 1) * k];
             for r in 0..nr {
@@ -460,14 +485,76 @@ impl Backend for ScalarBackend {
 }
 
 // ---------------------------------------------------------------------------
-// x86-64 backends: AVX2 (f64×4 FMA) and AVX-512F (f64×8 FMA).
+// SIMD backends: the kernels of `simd.rs`, instantiated per ISA.
 // ---------------------------------------------------------------------------
 
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::{Backend, BackendKind, GEMM_MR};
-    use std::arch::x86_64::*;
+/// One `Backend` method of a SIMD backend: `$kernel` run with the
+/// `$feat` target features enabled. The `#[inline(always)]` kernel
+/// becomes the body of the nested function, so its intrinsics compile
+/// to instructions, and the (non-inlinable) feature boundary is crossed
+/// once per method call.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+macro_rules! shim {
+    ($feat:literal, fn $method:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)? = $kernel:expr) => {
+        fn $method(&self, $($arg: $ty),*) $(-> $ret)? {
+            #[target_feature(enable = $feat)]
+            unsafe fn enter($($arg: $ty),*) $(-> $ret)? {
+                $kernel($($arg),*)
+            }
+            // SAFETY: the kernels ask only that the CPU has the features
+            // of their `Lanes` type, which are the ones this shim
+            // enables. `instance` is the only way to one of these
+            // backends, and every path to it — `resolve`, `auto_kind`,
+            // `with_backend` — goes through `supported`, which probed
+            // the CPU for exactly these features.
+            unsafe { enter($($arg),*) }
+        }
+    };
+}
 
+/// A SIMD backend: `simd.rs`'s kernels on the register type `$lanes`,
+/// with the GEMM register tile `$tile` vectors wide.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+macro_rules! simd_backend {
+    (
+        $(#[$doc:meta])*
+        $name:ident: $kind:ident, $lanes:ty, tile = $tile:literal, features = $feat:literal,
+        par_flops_threshold = $par:expr, tanh = $tanh:expr $(,)?
+    ) => {
+        $(#[$doc])*
+        struct $name;
+
+        impl Backend for $name {
+            fn kind(&self) -> BackendKind {
+                BackendKind::$kind
+            }
+
+            fn par_flops_threshold(&self) -> usize {
+                $par
+            }
+
+            fn tanh(&self, v: &mut [f64]) {
+                $tanh(v)
+            }
+
+            shim!($feat, fn dot(x: &[f64], y: &[f64]) -> f64 = simd::dot::<$lanes>);
+            shim!($feat, fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) = simd::axpy::<$lanes>);
+            shim!($feat, fn scale(alpha: f64, y: &mut [f64]) = simd::scale::<$lanes>);
+            shim!($feat, fn add_assign(dst: &mut [f64], src: &[f64]) = simd::add_assign::<$lanes>);
+            shim!($feat, fn gemm_row_group(a: &[f64], bd: &[f64], k: usize, n: usize, i0: usize, crows: &mut [f64])
+                = simd::gemm_row_group::<$lanes, $tile>);
+            shim!($feat, fn gemm_tn_row_group(a: &[f64], bd: &[f64], rows: usize, m: usize, n: usize, i0: usize, crows: &mut [f64])
+                = simd::gemm_tn_row_group::<$lanes, $tile>);
+            shim!($feat, fn gemm_nt_row_group(a: &[f64], bd: &[f64], k: usize, n: usize, i0: usize, crows: &mut [f64])
+                = simd::gemm_nt_row_group::<$lanes>);
+            shim!($feat, fn p_update_rows(rows: &mut [f64], n: usize, i0: usize, q: &[f64], a: f64, inv_lambda: f64)
+                = simd::p_update_rows::<$lanes>);
+        }
+    };
+}
+
+#[cfg(target_arch = "x86_64")]
+simd_backend! {
     /// AVX2 + FMA backend: 4 × f64 lanes.
     ///
     /// Reduction contract: `dot` keeps two vector accumulators (8
@@ -475,966 +562,50 @@ mod x86 {
     /// `((l0+l1)+(l2+l3))`, then folds the scalar tail in ascending
     /// order. All of that is a pure function of the operand length, so
     /// results are bitwise reproducible within this backend.
-    pub struct Avx2Backend;
+    ///
+    /// GEMM tile: 4 rows × 2 ymm accumulators + 2 `B` vectors + 1
+    /// broadcast = 11 of 16 ymm registers.
+    Avx2Backend: Avx2, std::arch::x86_64::__m256d, tile = 2, features = "avx2,fma",
+    // ~3–4× the scalar per-flop throughput against the same ~5–15 µs
+    // region overhead moves the crossover up one power of two (measured
+    // via BENCH_gemm/BENCH_p_update sweeps, DESIGN §13).
+    par_flops_threshold = 1 << 18,
+    // SAFETY: as in `shim!` — this backend is reachable only after
+    // `supported` saw AVX2 and FMA.
+    tanh = |v| unsafe { crate::tanh::x86::tanh_avx2(v) },
+}
 
+#[cfg(target_arch = "x86_64")]
+simd_backend! {
     /// AVX-512F backend: 8 × f64 lanes, same schedule shape as AVX2
     /// (two vector accumulators, fixed pairwise lane reduction, ascending
     /// scalar tail).
-    pub struct Avx512Backend;
-
-    // SAFETY (applies to every `unsafe` block in the impls below): the
-    // dispatch layer only ever hands out `Avx2Backend`/`Avx512Backend`
-    // after `is_x86_feature_detected!` confirmed the features at
-    // startup, so the `target_feature` functions are callable.
-
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn dot_avx2(x: &[f64], y: &[f64]) -> f64 {
-        debug_assert_eq!(x.len(), y.len());
-        let n = x.len();
-        let (xp, yp) = (x.as_ptr(), y.as_ptr());
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 8 <= n {
-            acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(xp.add(i)), _mm256_loadu_pd(yp.add(i)), acc0);
-            acc1 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(xp.add(i + 4)),
-                _mm256_loadu_pd(yp.add(i + 4)),
-                acc1,
-            );
-            i += 8;
-        }
-        if i + 4 <= n {
-            acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(xp.add(i)), _mm256_loadu_pd(yp.add(i)), acc0);
-            i += 4;
-        }
-        let acc = _mm256_add_pd(acc0, acc1);
-        let mut l = [0.0f64; 4];
-        _mm256_storeu_pd(l.as_mut_ptr(), acc);
-        let mut sum = (l[0] + l[1]) + (l[2] + l[3]);
-        while i < n {
-            sum += x[i] * y[i];
-            i += 1;
-        }
-        sum
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn axpy_avx2(alpha: f64, x: &[f64], y: &mut [f64]) {
-        let n = y.len();
-        let av = _mm256_set1_pd(alpha);
-        let mut i = 0;
-        while i + 4 <= n {
-            let prod = _mm256_mul_pd(av, _mm256_loadu_pd(x.as_ptr().add(i)));
-            let sum = _mm256_add_pd(_mm256_loadu_pd(y.as_ptr().add(i)), prod);
-            _mm256_storeu_pd(y.as_mut_ptr().add(i), sum);
-            i += 4;
-        }
-        while i < n {
-            y[i] += alpha * x[i];
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn scale_avx2(alpha: f64, y: &mut [f64]) {
-        let n = y.len();
-        let av = _mm256_set1_pd(alpha);
-        let mut i = 0;
-        while i + 4 <= n {
-            _mm256_storeu_pd(y.as_mut_ptr().add(i), _mm256_mul_pd(_mm256_loadu_pd(y.as_ptr().add(i)), av));
-            i += 4;
-        }
-        while i < n {
-            y[i] *= alpha;
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn add_assign_avx2(dst: &mut [f64], src: &[f64]) {
-        let n = dst.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            let sum = _mm256_add_pd(_mm256_loadu_pd(dst.as_ptr().add(i)), _mm256_loadu_pd(src.as_ptr().add(i)));
-            _mm256_storeu_pd(dst.as_mut_ptr().add(i), sum);
-            i += 4;
-        }
-        while i < n {
-            dst[i] += src[i];
-            i += 1;
-        }
-    }
-
-    /// One accumulator row of the i-k-j GEMM fan-out:
-    /// `crow[j] += x · brow[j]` vectorized over `j`.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn fan_row_avx2(x: f64, brow: *const f64, crow: &mut [f64]) {
-        let n = crow.len();
-        let xv = _mm256_set1_pd(x);
-        let mut j = 0;
-        while j + 4 <= n {
-            let c = _mm256_fmadd_pd(xv, _mm256_loadu_pd(brow.add(j)), _mm256_loadu_pd(crow.as_ptr().add(j)));
-            _mm256_storeu_pd(crow.as_mut_ptr().add(j), c);
-            j += 4;
-        }
-        while j < n {
-            crow[j] += x * *brow.add(j);
-            j += 1;
-        }
-    }
-
-    /// Register-blocked 4-row fan-out: the j-loop is tiled so the C
-    /// accumulators live in registers across the whole k-loop, streaming
-    /// each B row once per tile instead of re-loading and re-storing C
-    /// on every k step (the unblocked `fan_row` schedule is ~3 memory
-    /// ops per FMA; this is <1). Per C element the arithmetic is the
-    /// identical ascending-k FMA chain seeded from the incoming C value,
-    /// so results are bitwise equal to the unblocked schedule — the
-    /// blocking only changes where partial sums live, not the rounding.
     ///
-    /// `x_r(kk) = *xr.add(kk * xstride)` serves both operand layouts:
-    /// stride 1 walks a row of A (NN GEMM), stride `m` walks a column
-    /// (TN GEMM).
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn fan4_avx2(
-        x0: *const f64,
-        x1: *const f64,
-        x2: *const f64,
-        x3: *const f64,
-        xstride: usize,
-        bd: *const f64,
-        k: usize,
-        n: usize,
-        c0: &mut [f64],
-        c1: &mut [f64],
-        c2: &mut [f64],
-        c3: &mut [f64],
-    ) {
-        let mut j = 0;
-        // 8-column tiles: 4 rows × 2 ymm accumulators + 2 B vectors + 1
-        // broadcast = 11 of 16 ymm registers.
-        while j + 8 <= n {
-            let c0p = c0.as_mut_ptr().add(j);
-            let c1p = c1.as_mut_ptr().add(j);
-            let c2p = c2.as_mut_ptr().add(j);
-            let c3p = c3.as_mut_ptr().add(j);
-            let mut a00 = _mm256_loadu_pd(c0p);
-            let mut a01 = _mm256_loadu_pd(c0p.add(4));
-            let mut a10 = _mm256_loadu_pd(c1p);
-            let mut a11 = _mm256_loadu_pd(c1p.add(4));
-            let mut a20 = _mm256_loadu_pd(c2p);
-            let mut a21 = _mm256_loadu_pd(c2p.add(4));
-            let mut a30 = _mm256_loadu_pd(c3p);
-            let mut a31 = _mm256_loadu_pd(c3p.add(4));
-            for kk in 0..k {
-                let bp = bd.add(kk * n + j);
-                let b0 = _mm256_loadu_pd(bp);
-                let b1 = _mm256_loadu_pd(bp.add(4));
-                let xv = _mm256_set1_pd(*x0.add(kk * xstride));
-                a00 = _mm256_fmadd_pd(xv, b0, a00);
-                a01 = _mm256_fmadd_pd(xv, b1, a01);
-                let xv = _mm256_set1_pd(*x1.add(kk * xstride));
-                a10 = _mm256_fmadd_pd(xv, b0, a10);
-                a11 = _mm256_fmadd_pd(xv, b1, a11);
-                let xv = _mm256_set1_pd(*x2.add(kk * xstride));
-                a20 = _mm256_fmadd_pd(xv, b0, a20);
-                a21 = _mm256_fmadd_pd(xv, b1, a21);
-                let xv = _mm256_set1_pd(*x3.add(kk * xstride));
-                a30 = _mm256_fmadd_pd(xv, b0, a30);
-                a31 = _mm256_fmadd_pd(xv, b1, a31);
-            }
-            _mm256_storeu_pd(c0p, a00);
-            _mm256_storeu_pd(c0p.add(4), a01);
-            _mm256_storeu_pd(c1p, a10);
-            _mm256_storeu_pd(c1p.add(4), a11);
-            _mm256_storeu_pd(c2p, a20);
-            _mm256_storeu_pd(c2p.add(4), a21);
-            _mm256_storeu_pd(c3p, a30);
-            _mm256_storeu_pd(c3p.add(4), a31);
-            j += 8;
-        }
-        // Single-vector tile for a 4..7-column remainder.
-        while j + 4 <= n {
-            let c0p = c0.as_mut_ptr().add(j);
-            let c1p = c1.as_mut_ptr().add(j);
-            let c2p = c2.as_mut_ptr().add(j);
-            let c3p = c3.as_mut_ptr().add(j);
-            let mut a0 = _mm256_loadu_pd(c0p);
-            let mut a1 = _mm256_loadu_pd(c1p);
-            let mut a2 = _mm256_loadu_pd(c2p);
-            let mut a3 = _mm256_loadu_pd(c3p);
-            for kk in 0..k {
-                let b0 = _mm256_loadu_pd(bd.add(kk * n + j));
-                a0 = _mm256_fmadd_pd(_mm256_set1_pd(*x0.add(kk * xstride)), b0, a0);
-                a1 = _mm256_fmadd_pd(_mm256_set1_pd(*x1.add(kk * xstride)), b0, a1);
-                a2 = _mm256_fmadd_pd(_mm256_set1_pd(*x2.add(kk * xstride)), b0, a2);
-                a3 = _mm256_fmadd_pd(_mm256_set1_pd(*x3.add(kk * xstride)), b0, a3);
-            }
-            _mm256_storeu_pd(c0p, a0);
-            _mm256_storeu_pd(c1p, a1);
-            _mm256_storeu_pd(c2p, a2);
-            _mm256_storeu_pd(c3p, a3);
-            j += 4;
-        }
-        // Scalar tail columns: same ascending-k mul+add chain as the
-        // unblocked tail.
-        while j < n {
-            let mut s0 = c0[j];
-            let mut s1 = c1[j];
-            let mut s2 = c2[j];
-            let mut s3 = c3[j];
-            for kk in 0..k {
-                let b = *bd.add(kk * n + j);
-                s0 += *x0.add(kk * xstride) * b;
-                s1 += *x1.add(kk * xstride) * b;
-                s2 += *x2.add(kk * xstride) * b;
-                s3 += *x3.add(kk * xstride) * b;
-            }
-            c0[j] = s0;
-            c1[j] = s1;
-            c2[j] = s2;
-            c3[j] = s3;
-            j += 1;
-        }
-    }
-
-    /// FMA-free `P`-update row (see `Backend::p_update_rows`): vector
-    /// body and scalar tail evaluate the identical mul/sub/mul tree, so
-    /// the result is bitwise equal to the scalar backend.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn p_update_row_avx2(row: &mut [f64], qi: f64, q: &[f64], a: f64, inv_lambda: f64) {
-        let n = row.len();
-        let qiv = _mm256_set1_pd(qi);
-        let av = _mm256_set1_pd(a);
-        let lv = _mm256_set1_pd(inv_lambda);
-        let mut j = 0;
-        while j + 4 <= n {
-            let t = _mm256_mul_pd(av, _mm256_mul_pd(qiv, _mm256_loadu_pd(q.as_ptr().add(j))));
-            let p = _mm256_sub_pd(_mm256_loadu_pd(row.as_ptr().add(j)), t);
-            _mm256_storeu_pd(row.as_mut_ptr().add(j), _mm256_mul_pd(p, lv));
-            j += 4;
-        }
-        while j < n {
-            row[j] = (row[j] - a * (qi * q[j])) * inv_lambda;
-            j += 1;
-        }
-    }
-
-    impl Backend for Avx2Backend {
-        fn kind(&self) -> BackendKind {
-            BackendKind::Avx2
-        }
-
-        fn par_flops_threshold(&self) -> usize {
-            // ~3–4× the scalar per-flop throughput against the same
-            // ~5–15 µs region overhead moves the crossover up one
-            // power of two (measured via BENCH_gemm/BENCH_p_update
-            // sweeps, DESIGN §13).
-            1 << 18
-        }
-
-        fn dot(&self, x: &[f64], y: &[f64]) -> f64 {
-            unsafe { dot_avx2(x, y) }
-        }
-
-        fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
-            debug_assert_eq!(x.len(), y.len());
-            unsafe { axpy_avx2(alpha, x, y) }
-        }
-
-        fn scale(&self, alpha: f64, y: &mut [f64]) {
-            unsafe { scale_avx2(alpha, y) }
-        }
-
-        fn add_assign(&self, dst: &mut [f64], src: &[f64]) {
-            debug_assert_eq!(dst.len(), src.len());
-            unsafe { add_assign_avx2(dst, src) }
-        }
-
-        fn gemm_row_group(&self, a: &[f64], bd: &[f64], k: usize, n: usize, i0: usize, crows: &mut [f64]) {
-            let nr = crows.len() / n.max(1);
-            if nr == GEMM_MR && n > 0 && k > 0 {
-                let (c0, rest) = crows.split_at_mut(n);
-                let (c1, rest) = rest.split_at_mut(n);
-                let (c2, c3) = rest.split_at_mut(n);
-                let ap = a.as_ptr();
-                unsafe {
-                    fan4_avx2(
-                        ap.add(i0 * k),
-                        ap.add((i0 + 1) * k),
-                        ap.add((i0 + 2) * k),
-                        ap.add((i0 + 3) * k),
-                        1,
-                        bd.as_ptr(),
-                        k,
-                        n,
-                        c0,
-                        c1,
-                        c2,
-                        c3,
-                    )
-                };
-            } else {
-                for (r, crow) in crows.chunks_mut(n).enumerate() {
-                    let arow = &a[(i0 + r) * k..(i0 + r + 1) * k];
-                    for (kk, &aik) in arow.iter().enumerate() {
-                        unsafe { fan_row_avx2(aik, bd.as_ptr().add(kk * n), crow) };
-                    }
-                }
-            }
-        }
-
-        #[allow(clippy::too_many_arguments)]
-    fn gemm_tn_row_group(
-            &self,
-            a: &[f64],
-            bd: &[f64],
-            rows: usize,
-            m: usize,
-            n: usize,
-            i0: usize,
-            crows: &mut [f64],
-        ) {
-            let nr = crows.len() / n.max(1);
-            if nr == GEMM_MR && n > 0 && rows > 0 {
-                let (c0, rest) = crows.split_at_mut(n);
-                let (c1, rest) = rest.split_at_mut(n);
-                let (c2, c3) = rest.split_at_mut(n);
-                let ap = a.as_ptr();
-                unsafe {
-                    fan4_avx2(
-                        ap.add(i0),
-                        ap.add(i0 + 1),
-                        ap.add(i0 + 2),
-                        ap.add(i0 + 3),
-                        m,
-                        bd.as_ptr(),
-                        rows,
-                        n,
-                        c0,
-                        c1,
-                        c2,
-                        c3,
-                    )
-                };
-            } else {
-                for kk in 0..rows {
-                    let arow = &a[kk * m..(kk + 1) * m];
-                    let brow = bd[kk * n..(kk + 1) * n].as_ptr();
-                    for (r, crow) in crows.chunks_mut(n).enumerate() {
-                        unsafe { fan_row_avx2(arow[i0 + r], brow, crow) };
-                    }
-                }
-            }
-        }
-
-        fn gemm_nt_row_group(&self, a: &[f64], bd: &[f64], k: usize, n: usize, i0: usize, crows: &mut [f64]) {
-            let nr = crows.len() / n;
-            for j in 0..n {
-                let brow = &bd[j * k..(j + 1) * k];
-                for r in 0..nr {
-                    let arow = &a[(i0 + r) * k..(i0 + r + 1) * k];
-                    crows[r * n + j] = unsafe { dot_avx2(arow, brow) };
-                }
-            }
-        }
-
-        fn p_update_rows(&self, rows: &mut [f64], n: usize, i0: usize, q: &[f64], a: f64, inv_lambda: f64) {
-            for (r, row) in rows.chunks_mut(n).enumerate() {
-                unsafe { p_update_row_avx2(row, q[i0 + r], q, a, inv_lambda) };
-            }
-        }
-
-        fn tanh(&self, v: &mut [f64]) {
-            unsafe { crate::tanh::x86::tanh_avx2(v) }
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    unsafe fn dot_avx512(x: &[f64], y: &[f64]) -> f64 {
-        debug_assert_eq!(x.len(), y.len());
-        let n = x.len();
-        let (xp, yp) = (x.as_ptr(), y.as_ptr());
-        let mut acc0 = _mm512_setzero_pd();
-        let mut acc1 = _mm512_setzero_pd();
-        let mut i = 0;
-        while i + 16 <= n {
-            acc0 = _mm512_fmadd_pd(_mm512_loadu_pd(xp.add(i)), _mm512_loadu_pd(yp.add(i)), acc0);
-            acc1 = _mm512_fmadd_pd(
-                _mm512_loadu_pd(xp.add(i + 8)),
-                _mm512_loadu_pd(yp.add(i + 8)),
-                acc1,
-            );
-            i += 16;
-        }
-        if i + 8 <= n {
-            acc0 = _mm512_fmadd_pd(_mm512_loadu_pd(xp.add(i)), _mm512_loadu_pd(yp.add(i)), acc0);
-            i += 8;
-        }
-        let acc = _mm512_add_pd(acc0, acc1);
-        let mut l = [0.0f64; 8];
-        _mm512_storeu_pd(l.as_mut_ptr(), acc);
-        let mut sum = ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
-        while i < n {
-            sum += x[i] * y[i];
-            i += 1;
-        }
-        sum
-    }
-
-    #[target_feature(enable = "avx512f")]
-    unsafe fn axpy_avx512(alpha: f64, x: &[f64], y: &mut [f64]) {
-        let n = y.len();
-        let av = _mm512_set1_pd(alpha);
-        let mut i = 0;
-        while i + 8 <= n {
-            let prod = _mm512_mul_pd(av, _mm512_loadu_pd(x.as_ptr().add(i)));
-            let sum = _mm512_add_pd(_mm512_loadu_pd(y.as_ptr().add(i)), prod);
-            _mm512_storeu_pd(y.as_mut_ptr().add(i), sum);
-            i += 8;
-        }
-        while i < n {
-            y[i] += alpha * x[i];
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    unsafe fn scale_avx512(alpha: f64, y: &mut [f64]) {
-        let n = y.len();
-        let av = _mm512_set1_pd(alpha);
-        let mut i = 0;
-        while i + 8 <= n {
-            _mm512_storeu_pd(y.as_mut_ptr().add(i), _mm512_mul_pd(_mm512_loadu_pd(y.as_ptr().add(i)), av));
-            i += 8;
-        }
-        while i < n {
-            y[i] *= alpha;
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    unsafe fn add_assign_avx512(dst: &mut [f64], src: &[f64]) {
-        let n = dst.len();
-        let mut i = 0;
-        while i + 8 <= n {
-            let sum = _mm512_add_pd(_mm512_loadu_pd(dst.as_ptr().add(i)), _mm512_loadu_pd(src.as_ptr().add(i)));
-            _mm512_storeu_pd(dst.as_mut_ptr().add(i), sum);
-            i += 8;
-        }
-        while i < n {
-            dst[i] += src[i];
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    unsafe fn fan_row_avx512(x: f64, brow: *const f64, crow: &mut [f64]) {
-        let n = crow.len();
-        let xv = _mm512_set1_pd(x);
-        let mut j = 0;
-        while j + 8 <= n {
-            let c = _mm512_fmadd_pd(xv, _mm512_loadu_pd(brow.add(j)), _mm512_loadu_pd(crow.as_ptr().add(j)));
-            _mm512_storeu_pd(crow.as_mut_ptr().add(j), c);
-            j += 8;
-        }
-        while j < n {
-            crow[j] += x * *brow.add(j);
-            j += 1;
-        }
-    }
-
-    /// Register-blocked 4-row fan-out, AVX-512 edition of `fan4_avx2`
-    /// (same bitwise-preserving argument: per-element ascending-k FMA
-    /// chain seeded from the incoming C value, identical to the
-    /// unblocked `fan_row` schedule). Primary tile is 32 columns: 4 rows
-    /// × 4 zmm accumulators + 4 B vectors + 1 broadcast = 21 of 32 zmm
-    /// registers, 4 broadcast loads amortized over 16 FMAs.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn fan4_avx512(
-        x0: *const f64,
-        x1: *const f64,
-        x2: *const f64,
-        x3: *const f64,
-        xstride: usize,
-        bd: *const f64,
-        k: usize,
-        n: usize,
-        c0: &mut [f64],
-        c1: &mut [f64],
-        c2: &mut [f64],
-        c3: &mut [f64],
-    ) {
-        let mut j = 0;
-        while j + 32 <= n {
-            let c0p = c0.as_mut_ptr().add(j);
-            let c1p = c1.as_mut_ptr().add(j);
-            let c2p = c2.as_mut_ptr().add(j);
-            let c3p = c3.as_mut_ptr().add(j);
-            let mut a00 = _mm512_loadu_pd(c0p);
-            let mut a01 = _mm512_loadu_pd(c0p.add(8));
-            let mut a02 = _mm512_loadu_pd(c0p.add(16));
-            let mut a03 = _mm512_loadu_pd(c0p.add(24));
-            let mut a10 = _mm512_loadu_pd(c1p);
-            let mut a11 = _mm512_loadu_pd(c1p.add(8));
-            let mut a12 = _mm512_loadu_pd(c1p.add(16));
-            let mut a13 = _mm512_loadu_pd(c1p.add(24));
-            let mut a20 = _mm512_loadu_pd(c2p);
-            let mut a21 = _mm512_loadu_pd(c2p.add(8));
-            let mut a22 = _mm512_loadu_pd(c2p.add(16));
-            let mut a23 = _mm512_loadu_pd(c2p.add(24));
-            let mut a30 = _mm512_loadu_pd(c3p);
-            let mut a31 = _mm512_loadu_pd(c3p.add(8));
-            let mut a32 = _mm512_loadu_pd(c3p.add(16));
-            let mut a33 = _mm512_loadu_pd(c3p.add(24));
-            for kk in 0..k {
-                let bp = bd.add(kk * n + j);
-                let b0 = _mm512_loadu_pd(bp);
-                let b1 = _mm512_loadu_pd(bp.add(8));
-                let b2 = _mm512_loadu_pd(bp.add(16));
-                let b3 = _mm512_loadu_pd(bp.add(24));
-                let xv = _mm512_set1_pd(*x0.add(kk * xstride));
-                a00 = _mm512_fmadd_pd(xv, b0, a00);
-                a01 = _mm512_fmadd_pd(xv, b1, a01);
-                a02 = _mm512_fmadd_pd(xv, b2, a02);
-                a03 = _mm512_fmadd_pd(xv, b3, a03);
-                let xv = _mm512_set1_pd(*x1.add(kk * xstride));
-                a10 = _mm512_fmadd_pd(xv, b0, a10);
-                a11 = _mm512_fmadd_pd(xv, b1, a11);
-                a12 = _mm512_fmadd_pd(xv, b2, a12);
-                a13 = _mm512_fmadd_pd(xv, b3, a13);
-                let xv = _mm512_set1_pd(*x2.add(kk * xstride));
-                a20 = _mm512_fmadd_pd(xv, b0, a20);
-                a21 = _mm512_fmadd_pd(xv, b1, a21);
-                a22 = _mm512_fmadd_pd(xv, b2, a22);
-                a23 = _mm512_fmadd_pd(xv, b3, a23);
-                let xv = _mm512_set1_pd(*x3.add(kk * xstride));
-                a30 = _mm512_fmadd_pd(xv, b0, a30);
-                a31 = _mm512_fmadd_pd(xv, b1, a31);
-                a32 = _mm512_fmadd_pd(xv, b2, a32);
-                a33 = _mm512_fmadd_pd(xv, b3, a33);
-            }
-            _mm512_storeu_pd(c0p, a00);
-            _mm512_storeu_pd(c0p.add(8), a01);
-            _mm512_storeu_pd(c0p.add(16), a02);
-            _mm512_storeu_pd(c0p.add(24), a03);
-            _mm512_storeu_pd(c1p, a10);
-            _mm512_storeu_pd(c1p.add(8), a11);
-            _mm512_storeu_pd(c1p.add(16), a12);
-            _mm512_storeu_pd(c1p.add(24), a13);
-            _mm512_storeu_pd(c2p, a20);
-            _mm512_storeu_pd(c2p.add(8), a21);
-            _mm512_storeu_pd(c2p.add(16), a22);
-            _mm512_storeu_pd(c2p.add(24), a23);
-            _mm512_storeu_pd(c3p, a30);
-            _mm512_storeu_pd(c3p.add(8), a31);
-            _mm512_storeu_pd(c3p.add(16), a32);
-            _mm512_storeu_pd(c3p.add(24), a33);
-            j += 32;
-        }
-        // Single-vector tiles for an 8..31-column remainder.
-        while j + 8 <= n {
-            let c0p = c0.as_mut_ptr().add(j);
-            let c1p = c1.as_mut_ptr().add(j);
-            let c2p = c2.as_mut_ptr().add(j);
-            let c3p = c3.as_mut_ptr().add(j);
-            let mut a0 = _mm512_loadu_pd(c0p);
-            let mut a1 = _mm512_loadu_pd(c1p);
-            let mut a2 = _mm512_loadu_pd(c2p);
-            let mut a3 = _mm512_loadu_pd(c3p);
-            for kk in 0..k {
-                let b0 = _mm512_loadu_pd(bd.add(kk * n + j));
-                a0 = _mm512_fmadd_pd(_mm512_set1_pd(*x0.add(kk * xstride)), b0, a0);
-                a1 = _mm512_fmadd_pd(_mm512_set1_pd(*x1.add(kk * xstride)), b0, a1);
-                a2 = _mm512_fmadd_pd(_mm512_set1_pd(*x2.add(kk * xstride)), b0, a2);
-                a3 = _mm512_fmadd_pd(_mm512_set1_pd(*x3.add(kk * xstride)), b0, a3);
-            }
-            _mm512_storeu_pd(c0p, a0);
-            _mm512_storeu_pd(c1p, a1);
-            _mm512_storeu_pd(c2p, a2);
-            _mm512_storeu_pd(c3p, a3);
-            j += 8;
-        }
-        // Scalar tail columns: same ascending-k mul+add chain as the
-        // unblocked tail.
-        while j < n {
-            let mut s0 = c0[j];
-            let mut s1 = c1[j];
-            let mut s2 = c2[j];
-            let mut s3 = c3[j];
-            for kk in 0..k {
-                let b = *bd.add(kk * n + j);
-                s0 += *x0.add(kk * xstride) * b;
-                s1 += *x1.add(kk * xstride) * b;
-                s2 += *x2.add(kk * xstride) * b;
-                s3 += *x3.add(kk * xstride) * b;
-            }
-            c0[j] = s0;
-            c1[j] = s1;
-            c2[j] = s2;
-            c3[j] = s3;
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    unsafe fn p_update_row_avx512(row: &mut [f64], qi: f64, q: &[f64], a: f64, inv_lambda: f64) {
-        let n = row.len();
-        let qiv = _mm512_set1_pd(qi);
-        let av = _mm512_set1_pd(a);
-        let lv = _mm512_set1_pd(inv_lambda);
-        let mut j = 0;
-        while j + 8 <= n {
-            let t = _mm512_mul_pd(av, _mm512_mul_pd(qiv, _mm512_loadu_pd(q.as_ptr().add(j))));
-            let p = _mm512_sub_pd(_mm512_loadu_pd(row.as_ptr().add(j)), t);
-            _mm512_storeu_pd(row.as_mut_ptr().add(j), _mm512_mul_pd(p, lv));
-            j += 8;
-        }
-        while j < n {
-            row[j] = (row[j] - a * (qi * q[j])) * inv_lambda;
-            j += 1;
-        }
-    }
-
-    impl Backend for Avx512Backend {
-        fn kind(&self) -> BackendKind {
-            BackendKind::Avx512
-        }
-
-        fn par_flops_threshold(&self) -> usize {
-            // Widest lanes, fastest per-flop: the crossover against the
-            // fixed region overhead moves up another factor of two over
-            // AVX2 (measured, DESIGN §13).
-            1 << 19
-        }
-
-        fn dot(&self, x: &[f64], y: &[f64]) -> f64 {
-            unsafe { dot_avx512(x, y) }
-        }
-
-        fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
-            debug_assert_eq!(x.len(), y.len());
-            unsafe { axpy_avx512(alpha, x, y) }
-        }
-
-        fn scale(&self, alpha: f64, y: &mut [f64]) {
-            unsafe { scale_avx512(alpha, y) }
-        }
-
-        fn add_assign(&self, dst: &mut [f64], src: &[f64]) {
-            debug_assert_eq!(dst.len(), src.len());
-            unsafe { add_assign_avx512(dst, src) }
-        }
-
-        fn gemm_row_group(&self, a: &[f64], bd: &[f64], k: usize, n: usize, i0: usize, crows: &mut [f64]) {
-            let nr = crows.len() / n.max(1);
-            if nr == GEMM_MR && n > 0 && k > 0 {
-                let (c0, rest) = crows.split_at_mut(n);
-                let (c1, rest) = rest.split_at_mut(n);
-                let (c2, c3) = rest.split_at_mut(n);
-                let ap = a.as_ptr();
-                unsafe {
-                    fan4_avx512(
-                        ap.add(i0 * k),
-                        ap.add((i0 + 1) * k),
-                        ap.add((i0 + 2) * k),
-                        ap.add((i0 + 3) * k),
-                        1,
-                        bd.as_ptr(),
-                        k,
-                        n,
-                        c0,
-                        c1,
-                        c2,
-                        c3,
-                    )
-                };
-            } else {
-                for (r, crow) in crows.chunks_mut(n).enumerate() {
-                    let arow = &a[(i0 + r) * k..(i0 + r + 1) * k];
-                    for (kk, &aik) in arow.iter().enumerate() {
-                        unsafe { fan_row_avx512(aik, bd.as_ptr().add(kk * n), crow) };
-                    }
-                }
-            }
-        }
-
-        #[allow(clippy::too_many_arguments)]
-    fn gemm_tn_row_group(
-            &self,
-            a: &[f64],
-            bd: &[f64],
-            rows: usize,
-            m: usize,
-            n: usize,
-            i0: usize,
-            crows: &mut [f64],
-        ) {
-            let nr = crows.len() / n.max(1);
-            if nr == GEMM_MR && n > 0 && rows > 0 {
-                let (c0, rest) = crows.split_at_mut(n);
-                let (c1, rest) = rest.split_at_mut(n);
-                let (c2, c3) = rest.split_at_mut(n);
-                let ap = a.as_ptr();
-                unsafe {
-                    fan4_avx512(
-                        ap.add(i0),
-                        ap.add(i0 + 1),
-                        ap.add(i0 + 2),
-                        ap.add(i0 + 3),
-                        m,
-                        bd.as_ptr(),
-                        rows,
-                        n,
-                        c0,
-                        c1,
-                        c2,
-                        c3,
-                    )
-                };
-            } else {
-                for kk in 0..rows {
-                    let arow = &a[kk * m..(kk + 1) * m];
-                    let brow = bd[kk * n..(kk + 1) * n].as_ptr();
-                    for (r, crow) in crows.chunks_mut(n).enumerate() {
-                        unsafe { fan_row_avx512(arow[i0 + r], brow, crow) };
-                    }
-                }
-            }
-        }
-
-        fn gemm_nt_row_group(&self, a: &[f64], bd: &[f64], k: usize, n: usize, i0: usize, crows: &mut [f64]) {
-            let nr = crows.len() / n;
-            for j in 0..n {
-                let brow = &bd[j * k..(j + 1) * k];
-                for r in 0..nr {
-                    let arow = &a[(i0 + r) * k..(i0 + r + 1) * k];
-                    crows[r * n + j] = unsafe { dot_avx512(arow, brow) };
-                }
-            }
-        }
-
-        fn p_update_rows(&self, rows: &mut [f64], n: usize, i0: usize, q: &[f64], a: f64, inv_lambda: f64) {
-            for (r, row) in rows.chunks_mut(n).enumerate() {
-                unsafe { p_update_row_avx512(row, q[i0 + r], q, a, inv_lambda) };
-            }
-        }
-
-        fn tanh(&self, v: &mut [f64]) {
-            unsafe { crate::tanh::x86::tanh_avx512(v) }
-        }
-    }
+    /// GEMM tile: 4 rows × 4 zmm accumulators + 4 `B` vectors + 1
+    /// broadcast = 21 of 32 zmm registers, 4 broadcast loads amortized
+    /// over 16 FMAs.
+    Avx512Backend: Avx512, std::arch::x86_64::__m512d, tile = 4, features = "avx512f",
+    // Widest lanes, fastest per-flop: the crossover against the fixed
+    // region overhead moves up another factor of two over AVX2
+    // (measured, DESIGN §13).
+    par_flops_threshold = 1 << 19,
+    // SAFETY: as in `shim!` — this backend is reachable only after
+    // `supported` saw AVX-512F.
+    tanh = |v| unsafe { crate::tanh::x86::tanh_avx512(v) },
 }
 
-// ---------------------------------------------------------------------------
-// aarch64 backend: NEON (f64×2 FMA).
-// ---------------------------------------------------------------------------
-
 #[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::{Backend, BackendKind};
-    use std::arch::aarch64::*;
-
-    /// NEON (Advanced SIMD) backend: 2 × f64 lanes with FMA.
+simd_backend! {
+    /// NEON (Advanced SIMD) backend: 2 × f64 lanes with FMA, same
+    /// schedule shape as the x86 backends.
     ///
-    /// Same schedule shape as the x86 backends: two vector accumulators
-    /// in `dot` (4 f64/iteration), fixed pairwise lane reduction,
-    /// ascending scalar tail.
-    pub struct NeonBackend;
-
-    // SAFETY (all unsafe blocks below): `NeonBackend` is only handed out
-    // after `is_aarch64_feature_detected!("neon")` succeeded.
-
-    #[target_feature(enable = "neon")]
-    unsafe fn dot_neon(x: &[f64], y: &[f64]) -> f64 {
-        debug_assert_eq!(x.len(), y.len());
-        let n = x.len();
-        let (xp, yp) = (x.as_ptr(), y.as_ptr());
-        let mut acc0 = vdupq_n_f64(0.0);
-        let mut acc1 = vdupq_n_f64(0.0);
-        let mut i = 0;
-        while i + 4 <= n {
-            acc0 = vfmaq_f64(acc0, vld1q_f64(xp.add(i)), vld1q_f64(yp.add(i)));
-            acc1 = vfmaq_f64(acc1, vld1q_f64(xp.add(i + 2)), vld1q_f64(yp.add(i + 2)));
-            i += 4;
-        }
-        if i + 2 <= n {
-            acc0 = vfmaq_f64(acc0, vld1q_f64(xp.add(i)), vld1q_f64(yp.add(i)));
-            i += 2;
-        }
-        let acc = vaddq_f64(acc0, acc1);
-        let mut sum = vgetq_lane_f64(acc, 0) + vgetq_lane_f64(acc, 1);
-        while i < n {
-            sum += x[i] * y[i];
-            i += 1;
-        }
-        sum
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn axpy_neon(alpha: f64, x: &[f64], y: &mut [f64]) {
-        let n = y.len();
-        let av = vdupq_n_f64(alpha);
-        let mut i = 0;
-        while i + 2 <= n {
-            let prod = vmulq_f64(av, vld1q_f64(x.as_ptr().add(i)));
-            vst1q_f64(y.as_mut_ptr().add(i), vaddq_f64(vld1q_f64(y.as_ptr().add(i)), prod));
-            i += 2;
-        }
-        while i < n {
-            y[i] += alpha * x[i];
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn scale_neon(alpha: f64, y: &mut [f64]) {
-        let n = y.len();
-        let av = vdupq_n_f64(alpha);
-        let mut i = 0;
-        while i + 2 <= n {
-            vst1q_f64(y.as_mut_ptr().add(i), vmulq_f64(vld1q_f64(y.as_ptr().add(i)), av));
-            i += 2;
-        }
-        while i < n {
-            y[i] *= alpha;
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn add_assign_neon(dst: &mut [f64], src: &[f64]) {
-        let n = dst.len();
-        let mut i = 0;
-        while i + 2 <= n {
-            let sum = vaddq_f64(vld1q_f64(dst.as_ptr().add(i)), vld1q_f64(src.as_ptr().add(i)));
-            vst1q_f64(dst.as_mut_ptr().add(i), sum);
-            i += 2;
-        }
-        while i < n {
-            dst[i] += src[i];
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn fan_row_neon(x: f64, brow: *const f64, crow: &mut [f64]) {
-        let n = crow.len();
-        let xv = vdupq_n_f64(x);
-        let mut j = 0;
-        while j + 2 <= n {
-            let c = vfmaq_f64(vld1q_f64(crow.as_ptr().add(j)), xv, vld1q_f64(brow.add(j)));
-            vst1q_f64(crow.as_mut_ptr().add(j), c);
-            j += 2;
-        }
-        while j < n {
-            crow[j] += x * *brow.add(j);
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn p_update_row_neon(row: &mut [f64], qi: f64, q: &[f64], a: f64, inv_lambda: f64) {
-        let n = row.len();
-        let qiv = vdupq_n_f64(qi);
-        let av = vdupq_n_f64(a);
-        let lv = vdupq_n_f64(inv_lambda);
-        let mut j = 0;
-        while j + 2 <= n {
-            let t = vmulq_f64(av, vmulq_f64(qiv, vld1q_f64(q.as_ptr().add(j))));
-            let p = vsubq_f64(vld1q_f64(row.as_ptr().add(j)), t);
-            vst1q_f64(row.as_mut_ptr().add(j), vmulq_f64(p, lv));
-            j += 2;
-        }
-        while j < n {
-            row[j] = (row[j] - a * (qi * q[j])) * inv_lambda;
-            j += 1;
-        }
-    }
-
-    impl Backend for NeonBackend {
-        fn kind(&self) -> BackendKind {
-            BackendKind::Neon
-        }
-
-        fn par_flops_threshold(&self) -> usize {
-            // 2-lane FMA ≈ 2× scalar throughput: one power of two above
-            // the scalar crossover (DESIGN §13).
-            1 << 18
-        }
-
-        fn dot(&self, x: &[f64], y: &[f64]) -> f64 {
-            unsafe { dot_neon(x, y) }
-        }
-
-        fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
-            debug_assert_eq!(x.len(), y.len());
-            unsafe { axpy_neon(alpha, x, y) }
-        }
-
-        fn scale(&self, alpha: f64, y: &mut [f64]) {
-            unsafe { scale_neon(alpha, y) }
-        }
-
-        fn add_assign(&self, dst: &mut [f64], src: &[f64]) {
-            debug_assert_eq!(dst.len(), src.len());
-            unsafe { add_assign_neon(dst, src) }
-        }
-
-        fn gemm_row_group(&self, a: &[f64], bd: &[f64], k: usize, n: usize, i0: usize, crows: &mut [f64]) {
-            for (r, crow) in crows.chunks_mut(n).enumerate() {
-                let arow = &a[(i0 + r) * k..(i0 + r + 1) * k];
-                for (kk, &aik) in arow.iter().enumerate() {
-                    unsafe { fan_row_neon(aik, bd.as_ptr().add(kk * n), crow) };
-                }
-            }
-        }
-
-        #[allow(clippy::too_many_arguments)]
-    fn gemm_tn_row_group(
-            &self,
-            a: &[f64],
-            bd: &[f64],
-            rows: usize,
-            m: usize,
-            n: usize,
-            i0: usize,
-            crows: &mut [f64],
-        ) {
-            for kk in 0..rows {
-                let arow = &a[kk * m..(kk + 1) * m];
-                let brow = bd[kk * n..(kk + 1) * n].as_ptr();
-                for (r, crow) in crows.chunks_mut(n).enumerate() {
-                    unsafe { fan_row_neon(arow[i0 + r], brow, crow) };
-                }
-            }
-        }
-
-        fn gemm_nt_row_group(&self, a: &[f64], bd: &[f64], k: usize, n: usize, i0: usize, crows: &mut [f64]) {
-            let nr = crows.len() / n;
-            for j in 0..n {
-                let brow = &bd[j * k..(j + 1) * k];
-                for r in 0..nr {
-                    let arow = &a[(i0 + r) * k..(i0 + r + 1) * k];
-                    crows[r * n + j] = unsafe { dot_neon(arow, brow) };
-                }
-            }
-        }
-
-        fn p_update_rows(&self, rows: &mut [f64], n: usize, i0: usize, q: &[f64], a: f64, inv_lambda: f64) {
-            for (r, row) in rows.chunks_mut(n).enumerate() {
-                unsafe { p_update_row_neon(row, q[i0 + r], q, a, inv_lambda) };
-            }
-        }
-
-        fn tanh(&self, v: &mut [f64]) {
-            crate::tanh::tanh_slice_fma(v)
-        }
-    }
+    /// GEMM tile: 4 rows × 4 accumulators + 4 `B` vectors + 1 broadcast
+    /// = 21 of 32 vector registers.
+    NeonBackend: Neon, std::arch::aarch64::float64x2_t, tile = 4, features = "neon",
+    // 2-lane FMA ≈ 2× scalar throughput: one power of two above the
+    // scalar crossover (DESIGN §13).
+    par_flops_threshold = 1 << 18,
+    tanh = crate::tanh::tanh_slice_fma,
 }
 
 // ---------------------------------------------------------------------------
@@ -1443,11 +614,11 @@ mod neon {
 
 static SCALAR: ScalarBackend = ScalarBackend;
 #[cfg(target_arch = "x86_64")]
-static AVX2: x86::Avx2Backend = x86::Avx2Backend;
+static AVX2: Avx2Backend = Avx2Backend;
 #[cfg(target_arch = "x86_64")]
-static AVX512: x86::Avx512Backend = x86::Avx512Backend;
+static AVX512: Avx512Backend = Avx512Backend;
 #[cfg(target_arch = "aarch64")]
-static NEON: neon::NeonBackend = neon::NeonBackend;
+static NEON: NeonBackend = NeonBackend;
 
 /// The static instance for a kind, if it is compiled into this binary.
 fn instance(kind: BackendKind) -> Option<&'static dyn Backend> {
@@ -1509,8 +680,8 @@ pub fn supported(kind: BackendKind) -> bool {
     }
 }
 
-/// Every backend this process can actually dispatch to, widest first
-/// ordering not guaranteed — scalar is always present.
+/// Every backend this process can dispatch to, in [`BackendKind`]
+/// declaration order: scalar, which is always present, comes first.
 pub fn available() -> Vec<BackendKind> {
     [BackendKind::Scalar, BackendKind::Avx2, BackendKind::Avx512, BackendKind::Neon]
         .into_iter()

@@ -8,7 +8,8 @@
 //!   DeePMD model and the Kalman-filter optimizers are built from,
 //! * [`backend`] — the pluggable compute backends those kernels dispatch
 //!   to: portable scalar (the differential oracle) plus runtime-probed
-//!   AVX2/AVX-512/NEON SIMD, selectable via `DP_BACKEND`,
+//!   AVX2/AVX-512/NEON SIMD, selectable via `DP_BACKEND`; the SIMD
+//!   kernels are written once over the register width (`simd.rs`),
 //! * [`kernel`] — a kernel-*launch* accounting layer. Every primitive
 //!   operation is a "kernel"; fused routines count as a single launch.
 //!   This is the instrumentation behind the paper's Figure 7(b), which
@@ -22,9 +23,15 @@
 //! covariance matrices reported in §5.3 of the paper (the 10240² block of
 //! `P` is quoted at 800 MB, i.e. 8 bytes per entry).
 
+// Every `unsafe` block argues its soundness and every `unsafe fn` states
+// its contract; `scripts/ci.sh`'s clippy step holds the line.
+#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
+
 pub mod backend;
 pub mod kernel;
 pub mod mat;
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64", test))]
+mod simd;
 pub mod tape;
 mod tanh;
 pub mod vecops;

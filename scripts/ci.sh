@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI gate: build, test (scalar and auto compute backends crossed with
-# single- and multi-threaded pool), lint, the allocation probe, a
+# single- and multi-threaded pool, the kernel crates under every other
+# SIMD tier the CPU has), lint, the allocation probe, a
 # benchmark smoke run, an end-to-end training smoke, a serving-engine
 # smoke, then a fault-injection soak.
 #
@@ -47,6 +48,17 @@ DP_BACKEND=scalar DP_POOL_THREADS=1 cargo test --offline --workspace -q
 
 step "cargo test (DP_BACKEND=auto, DP_POOL_THREADS=4)"
 DP_BACKEND=auto DP_POOL_THREADS=4 cargo test --offline --workspace -q
+
+# auto is the widest tier only: on a CPU whose pick is wider than AVX2
+# the two legs above never run the kernel crates' unit tests on the
+# narrower SIMD tiers (same generic kernels, another lane width and
+# tile). One leg per supported backend that is neither scalar nor
+# auto's pick — none on a scalar-only or AVX2-only machine.
+BACKENDS="$(cargo run --release --offline --quiet --example backends)"
+for be in $(grep -v -e '^scalar' -e '(auto)$' <<<"$BACKENDS" || true); do
+  step "cargo test dp-tensor deepmd-core (DP_BACKEND=${be}, DP_POOL_THREADS=4)"
+  DP_BACKEND="$be" DP_POOL_THREADS=4 cargo test --offline -p dp-tensor -p deepmd-core -q
+done
 
 # Requesting a backend the CPU lacks must be a loud typed error, never a
 # silent fallback. No machine has both NEON (aarch64) and AVX2 (x86),
