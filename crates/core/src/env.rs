@@ -12,7 +12,10 @@
 use crate::config::ModelConfig;
 use dp_data::dataset::{Dataset, Snapshot};
 use dp_mdsim::cell::Cell;
-use dp_mdsim::neighbor::NeighborList;
+use dp_mdsim::neighbor::{Lists, NeighborList};
+use dp_mdsim::Vec3;
+use std::cell::RefCell;
+use std::ops::Range;
 
 /// Switching function `s(r)` and its derivative.
 ///
@@ -37,13 +40,11 @@ pub fn switch(r: f64, rcs: f64, rc: f64) -> (f64, f64) {
     (s, ds)
 }
 
-/// One neighbour's contribution to an atom's environment.
-#[derive(Clone, Debug)]
+/// One neighbour's contribution to a centre's environment.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct EnvEntry {
     /// Neighbour atom index.
     pub j: usize,
-    /// Neighbour type id.
-    pub tj: usize,
     /// Normalized environment row `[s̃, s̃x̂, s̃ŷ, s̃ẑ]`.
     pub row: [f64; 4],
     /// Derivative of the (normalized) row with respect to the neighbour
@@ -52,13 +53,18 @@ pub struct EnvEntry {
     pub drow: [[f64; 3]; 4],
 }
 
-/// Environment of one atom: typed, type-sorted neighbour entries.
+/// The typed environments of a frame, flat (CSR over the centres):
+/// every centre's entries back to back in ascending atom order, each
+/// centre's grouped by neighbour type and ascending by neighbour index
+/// within a type. Atom `i`'s type-`t` entries are
+/// `entries[off[i·nt + t]..off[i·nt + t + 1]]`; an atom that is not a
+/// centre has empty ranges. `Default` is an empty set whose buffers
+/// [`Envs::rebuild`] fills and later rebuilds reuse.
 #[derive(Clone, Debug, Default)]
-pub struct AtomEnv {
-    /// Entries sorted by neighbour type (stable within a type).
-    pub entries: Vec<EnvEntry>,
-    /// Half-open entry ranges per neighbour type.
-    pub type_ranges: Vec<(usize, usize)>,
+pub struct Envs {
+    n_types: usize,
+    off: Vec<usize>,
+    entries: Vec<EnvEntry>,
 }
 
 /// Normalization statistics for environment rows (per centre type):
@@ -98,9 +104,10 @@ impl EnvStats {
         let mut asum2 = vec![0.0; nt];
         let mut acount = vec![0usize; nt];
         let mut max_neigh = 0usize;
+        let mut nl = NeighborList::default();
         for frame in data.frames.iter().take(max_frames.max(1)) {
             let cell = Cell::orthorhombic(frame.cell[0], frame.cell[1], frame.cell[2]);
-            let nl = NeighborList::build(&cell, &frame.pos, cfg.rcut);
+            nl.search(&cell, &frame.pos, cfg.rcut, Lists::Full);
             max_neigh = max_neigh.max(nl.max_neighbors());
             for i in 0..frame.types.len() {
                 let ti = frame.types[i];
@@ -146,82 +153,119 @@ impl EnvStats {
     }
 }
 
-/// Build the typed environments of every atom in a frame.
-pub fn build_envs(cfg: &ModelConfig, stats: &EnvStats, frame: &Snapshot) -> Vec<AtomEnv> {
-    let cell = Cell::orthorhombic(frame.cell[0], frame.cell[1], frame.cell[2]);
-    build_envs_of(cfg, stats, &cell, &frame.types, &frame.pos, None)
+thread_local! {
+    /// The neighbour-search buffers [`build_envs`] reuses on this thread.
+    static SEARCH: RefCell<NeighborList> = RefCell::default();
 }
 
-/// [`build_envs`] on borrowed geometry, for the atoms flagged in
-/// `centres` only (all, when `None`); the others — ghosts of an MD
-/// domain that only serve as neighbours — get an empty environment.
-/// A centre's environment does not depend on which other atoms are
-/// centres.
-pub fn build_envs_of(
-    cfg: &ModelConfig,
-    stats: &EnvStats,
-    cell: &Cell,
-    types: &[usize],
-    pos: &[dp_mdsim::Vec3],
-    centres: Option<&[bool]>,
-) -> Vec<AtomEnv> {
-    let nl = NeighborList::build(cell, pos, cfg.rcut);
-    let n = types.len();
-    let mut envs = Vec::with_capacity(n);
-    for i in 0..n {
-        if centres.is_some_and(|c| !c[i]) {
-            envs.push(AtomEnv::default());
-            continue;
-        }
-        let ti = types[i];
-        let inv_std_r = 1.0 / stats.std_radial[ti];
-        let mean_r = stats.mean_radial[ti];
-        let inv_std_a = 1.0 / stats.std_angular[ti];
-        let mut entries: Vec<EnvEntry> = nl
-            .neighbors_of(i)
-            .iter()
-            .map(|nb| {
-                let r = nb.dist;
-                let (s, ds) = switch(r, cfg.rcut_smooth, cfg.rcut);
-                let rhat = [nb.rij.0[0] / r, nb.rij.0[1] / r, nb.rij.0[2] / r];
-                let mut row = [0.0; 4];
-                row[0] = (s - mean_r) * inv_std_r;
-                for c in 0..3 {
-                    row[c + 1] = s * rhat[c] * inv_std_a;
-                }
-                // Derivatives wrt r_j. ∂s/∂(r_j)_a = ds·r̂_a;
-                // ∂(s·r̂_c)/∂(r_j)_a = ds·r̂_c·r̂_a + s·(δ_ca − r̂_c r̂_a)/r.
-                let mut drow = [[0.0; 3]; 4];
-                for a in 0..3 {
-                    drow[0][a] = ds * rhat[a] * inv_std_r;
-                    for c in 0..3 {
-                        let delta = if a == c { 1.0 } else { 0.0 };
-                        drow[c + 1][a] = (ds * rhat[c] * rhat[a]
-                            + s * (delta - rhat[c] * rhat[a]) / r)
-                            * inv_std_a;
-                    }
-                }
-                EnvEntry { j: nb.j, tj: types[nb.j], row, drow }
-            })
-            .collect();
-        entries.sort_by_key(|e| e.tj);
-        // Type ranges.
-        let mut type_ranges = vec![(0usize, 0usize); cfg.n_types];
-        let mut start = 0;
-        for (t, range) in type_ranges.iter_mut().enumerate() {
-            let end = start + entries[start..].iter().take_while(|e| e.tj == t).count();
-            *range = (start, end);
-            start = end;
-        }
-        envs.push(AtomEnv { entries, type_ranges });
-    }
+/// Build the typed environments of every atom in a frame. The only
+/// allocations are the two exactly-sized buffers of the result; the
+/// neighbour search runs in this thread's reused buffers.
+pub fn build_envs(cfg: &ModelConfig, stats: &EnvStats, frame: &Snapshot) -> Envs {
+    let cell = Cell::orthorhombic(frame.cell[0], frame.cell[1], frame.cell[2]);
+    let mut envs = Envs::default();
+    SEARCH.with_borrow_mut(|nl| envs.rebuild(cfg, stats, &cell, &frame.types, &frame.pos, None, nl));
     envs
+}
+
+impl Envs {
+    /// Rebuild for borrowed geometry, for the atoms flagged in `centres`
+    /// only (all, when `None`); the others — ghosts of an MD domain that
+    /// only serve as neighbours — get an empty environment. A centre's
+    /// environment does not depend on which other atoms are centres.
+    /// `nl` holds the neighbour search; both its buffers and these are
+    /// reused, so a rebuild at a size seen before allocates nothing.
+    #[allow(clippy::too_many_arguments)]
+    pub fn rebuild(
+        &mut self,
+        cfg: &ModelConfig,
+        stats: &EnvStats,
+        cell: &Cell,
+        types: &[usize],
+        pos: &[Vec3],
+        centres: Option<&[bool]>,
+        nl: &mut NeighborList,
+    ) {
+        nl.search(cell, pos, cfg.rcut, centres.map_or(Lists::Full, Lists::Centres));
+        let nt = cfg.n_types;
+        self.n_types = nt;
+        self.off.clear();
+        self.off.reserve(types.len() * nt + 1);
+        self.entries.clear();
+        self.entries.reserve(nl.n_entries());
+        for (i, &ti) in types.iter().enumerate() {
+            let inv_std_r = 1.0 / stats.std_radial[ti];
+            let mean_r = stats.mean_radial[ti];
+            let inv_std_a = 1.0 / stats.std_angular[ti];
+            // One pass per neighbour type: the entries come out grouped
+            // by type and ascending by index within a type, with no sort.
+            for t in 0..nt {
+                self.off.push(self.entries.len());
+                for nb in nl.neighbors_of(i).iter().filter(|nb| types[nb.j] == t) {
+                    let r = nb.dist;
+                    let (s, ds) = switch(r, cfg.rcut_smooth, cfg.rcut);
+                    let rhat = [nb.rij.0[0] / r, nb.rij.0[1] / r, nb.rij.0[2] / r];
+                    let mut row = [0.0; 4];
+                    row[0] = (s - mean_r) * inv_std_r;
+                    for c in 0..3 {
+                        row[c + 1] = s * rhat[c] * inv_std_a;
+                    }
+                    // Derivatives wrt r_j. ∂s/∂(r_j)_a = ds·r̂_a;
+                    // ∂(s·r̂_c)/∂(r_j)_a = ds·r̂_c·r̂_a + s·(δ_ca − r̂_c r̂_a)/r.
+                    let mut drow = [[0.0; 3]; 4];
+                    for a in 0..3 {
+                        drow[0][a] = ds * rhat[a] * inv_std_r;
+                        for c in 0..3 {
+                            let delta = if a == c { 1.0 } else { 0.0 };
+                            drow[c + 1][a] = (ds * rhat[c] * rhat[a]
+                                + s * (delta - rhat[c] * rhat[a]) / r)
+                                * inv_std_a;
+                        }
+                    }
+                    self.entries.push(EnvEntry { j: nb.j, row, drow });
+                }
+            }
+        }
+        self.off.push(self.entries.len());
+    }
+
+    /// Number of atoms covered (centres or not).
+    pub fn n_atoms(&self) -> usize {
+        self.off.len().saturating_sub(1) / self.n_types.max(1)
+    }
+
+    /// Number of neighbour types.
+    pub fn n_types(&self) -> usize {
+        self.n_types
+    }
+
+    /// Where atom `i`'s entries of neighbour type `t` sit in
+    /// [`Envs::entries`].
+    pub fn range(&self, i: usize, t: usize) -> Range<usize> {
+        let k = i * self.n_types + t;
+        self.off[k]..self.off[k + 1]
+    }
+
+    /// Atom `i`'s entries of neighbour type `t`.
+    pub fn of(&self, i: usize, t: usize) -> &[EnvEntry] {
+        &self.entries[self.range(i, t)]
+    }
+
+    /// Every entry, centre after centre.
+    pub fn entries(&self) -> &[EnvEntry] {
+        &self.entries
+    }
+
+    /// Resident bytes of the buffers.
+    pub fn mem_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<EnvEntry>()
+            + self.off.capacity() * std::mem::size_of::<usize>()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dp_mdsim::Vec3;
 
     #[test]
     fn switch_is_continuous_and_smooth() {
@@ -276,20 +320,51 @@ mod tests {
     }
 
     #[test]
-    fn entries_are_sorted_by_type_with_correct_ranges() {
-        let cfg = toy_cfg();
+    fn entries_are_grouped_by_type_and_cover_the_neighbour_list() {
+        let (cfg, frame) = (toy_cfg(), toy_frame());
+        let envs = build_envs(&cfg, &EnvStats::identity(2), &frame);
+        assert_eq!((envs.n_atoms(), envs.n_types()), (4, 2));
+        let cell = Cell::orthorhombic(12.0, 12.0, 12.0);
+        let nl = NeighborList::build(&cell, &frame.pos, cfg.rcut);
+        let mut end = 0;
+        for i in 0..4 {
+            let mut js = Vec::new();
+            for t in 0..2 {
+                let range = envs.range(i, t);
+                assert_eq!(range.start, end, "atom {i} type {t} not contiguous");
+                end = range.end;
+                let of_t: Vec<usize> = envs.of(i, t).iter().map(|e| e.j).collect();
+                assert!(of_t.iter().all(|&j| frame.types[j] == t));
+                assert!(of_t.windows(2).all(|w| w[0] < w[1]), "not ascending within a type");
+                js.extend(of_t);
+            }
+            js.sort_unstable();
+            let want: Vec<usize> = nl.neighbors_of(i).iter().map(|nb| nb.j).collect();
+            assert_eq!(js, want, "atom {i}");
+        }
+        assert_eq!(end, envs.entries().len());
+    }
+
+    #[test]
+    fn non_centres_get_empty_ranges_and_centres_are_unchanged() {
+        let (cfg, frame) = (toy_cfg(), toy_frame());
         let stats = EnvStats::identity(2);
-        let envs = build_envs(&cfg, &stats, &toy_frame());
-        for env in &envs {
-            for w in env.entries.windows(2) {
-                assert!(w[0].tj <= w[1].tj, "entries not type-sorted");
+        let all = build_envs(&cfg, &stats, &frame);
+        let cell = Cell::orthorhombic(12.0, 12.0, 12.0);
+        let centres = [true, false, false, true];
+        let (mut some, mut nl) = (Envs::default(), NeighborList::default());
+        some.rebuild(&cfg, &stats, &cell, &frame.types, &frame.pos, Some(&centres), &mut nl);
+        for (i, &centre) in centres.iter().enumerate() {
+            for t in 0..2 {
+                if centre {
+                    let bits = |e: &EnvEntry| (e.j, e.row.map(f64::to_bits), e.drow.map(|r| r.map(f64::to_bits)));
+                    let a: Vec<_> = all.of(i, t).iter().map(bits).collect();
+                    let b: Vec<_> = some.of(i, t).iter().map(bits).collect();
+                    assert_eq!(a, b, "atom {i} type {t}");
+                } else {
+                    assert!(some.of(i, t).is_empty());
+                }
             }
-            let mut covered = 0;
-            for (t, &(a, b)) in env.type_ranges.iter().enumerate() {
-                assert!(env.entries[a..b].iter().all(|e| e.tj == t));
-                covered += b - a;
-            }
-            assert_eq!(covered, env.entries.len());
         }
     }
 
@@ -306,8 +381,8 @@ mod tests {
         let envs = build_envs(&cfg, &stats, &frame);
         let h = 1e-6;
         // Perturb each neighbour atom and compare row changes.
-        for (i, env) in envs.iter().enumerate() {
-            for entry in &env.entries {
+        for i in 0..envs.n_atoms() {
+            for entry in (0..2).flat_map(|t| envs.of(i, t)) {
                 for a in 0..3 {
                     let mut fp = frame.clone();
                     fp.pos[entry.j].0[a] += h;
@@ -315,13 +390,9 @@ mod tests {
                     fm.pos[entry.j].0[a] -= h;
                     let ep = build_envs(&cfg, &stats, &fp);
                     let em = build_envs(&cfg, &stats, &fm);
-                    let find = |envs: &Vec<AtomEnv>| {
-                        envs[i]
-                            .entries
-                            .iter()
-                            .find(|e| e.j == entry.j)
-                            .unwrap()
-                            .row
+                    let find = |envs: &Envs| {
+                        let t = frame.types[entry.j];
+                        envs.of(i, t).iter().find(|e| e.j == entry.j).unwrap().row
                     };
                     let rp = find(&ep);
                     let rm = find(&em);
@@ -350,15 +421,8 @@ mod tests {
         // second moment is normalized to ~1.
         assert!(stats.mean_radial.iter().all(|&m| m == 0.0));
         let envs = build_envs(&cfg, &stats, &ds.frames[0]);
-        let mut acc2 = 0.0;
-        let mut n = 0;
-        for env in &envs {
-            for e in &env.entries {
-                acc2 += e.row[0] * e.row[0];
-                n += 1;
-            }
-        }
-        let rms = (acc2 / n as f64).sqrt();
+        let acc2: f64 = envs.entries().iter().map(|e| e.row[0] * e.row[0]).sum();
+        let rms = (acc2 / envs.entries().len() as f64).sqrt();
         assert!((rms - 1.0).abs() < 0.3, "radial rms after scaling = {rms}");
     }
 }

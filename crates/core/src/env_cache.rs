@@ -20,7 +20,7 @@
 //! to a rebuild — the cache can never perturb a trajectory.
 
 use crate::config::ModelConfig;
-use crate::env::{build_envs, AtomEnv, EnvStats};
+use crate::env::{build_envs, EnvStats, Envs};
 use dp_data::dataset::Snapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -29,9 +29,9 @@ use std::sync::{Arc, RwLock};
 /// geometry hash it was built from.
 #[derive(Clone, Debug)]
 pub struct FrameEnv {
-    /// Per-atom typed environments (entries, type ranges, row
-    /// derivatives) — everything the forward/backward sweeps read.
-    pub envs: Vec<AtomEnv>,
+    /// The typed environments (entries, type offsets, row derivatives)
+    /// — everything the forward/backward sweeps read.
+    pub envs: Envs,
     /// [`geometry_hash`] of the frame at build time.
     pub geom_hash: u64,
 }
@@ -45,17 +45,10 @@ impl FrameEnv {
         }
     }
 
-    /// Approximate resident bytes of this entry (entries dominate:
-    /// one `EnvEntry` is 2 usize + 16 f64 ≈ 144 bytes per neighbour).
+    /// Resident bytes of this entry (entries dominate: one `EnvEntry`
+    /// is 1 usize + 16 f64 = 136 bytes per neighbour).
     pub fn mem_bytes(&self) -> usize {
-        self.envs
-            .iter()
-            .map(|e| {
-                e.entries.capacity() * std::mem::size_of::<crate::env::EnvEntry>()
-                    + e.type_ranges.capacity() * std::mem::size_of::<(usize, usize)>()
-            })
-            .sum::<usize>()
-            + self.envs.capacity() * std::mem::size_of::<AtomEnv>()
+        self.envs.mem_bytes()
     }
 }
 
@@ -351,13 +344,13 @@ mod tests {
         assert_eq!(b.geom_hash, geometry_hash(&f1));
         // Entry values match a fresh build exactly.
         let fresh = FrameEnv::build(&c, &s, &f1);
-        assert_eq!(b.envs.len(), fresh.envs.len());
-        for (x, y) in b.envs.iter().zip(&fresh.envs) {
-            assert_eq!(x.type_ranges, y.type_ranges);
-            for (ex, ey) in x.entries.iter().zip(&y.entries) {
-                assert_eq!(ex.j, ey.j);
-                assert_eq!(ex.row.map(f64::to_bits), ey.row.map(f64::to_bits));
-            }
+        assert_eq!(b.envs.n_atoms(), fresh.envs.n_atoms());
+        for i in 0..f1.types.len() {
+            assert_eq!(b.envs.range(i, 0), fresh.envs.range(i, 0));
+        }
+        for (ex, ey) in b.envs.entries().iter().zip(fresh.envs.entries()) {
+            assert_eq!(ex.j, ey.j);
+            assert_eq!(ex.row.map(f64::to_bits), ey.row.map(f64::to_bits));
         }
         assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
     }

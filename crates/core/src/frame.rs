@@ -34,7 +34,7 @@
 
 use crate::compress::SplineTable;
 use crate::config::ModelConfig;
-use crate::env::AtomEnv;
+use crate::env::Envs;
 use crate::mlp::{DualTape, Mlp, Rows, Segs, SweepScratch, Tape};
 use dp_mdsim::Vec3;
 use dp_tensor::backend;
@@ -99,8 +99,9 @@ struct Layout {
 }
 
 impl Layout {
-    fn build(&mut self, nt: usize, types: &[usize], envs: &[AtomEnv], centres: Option<&[bool]>) {
-        assert_eq!(types.len(), envs.len(), "one environment per atom");
+    fn build(&mut self, nt: usize, types: &[usize], envs: &Envs, centres: Option<&[bool]>) {
+        assert_eq!(types.len(), envs.n_atoms(), "one environment per atom");
+        assert_eq!(envs.n_types(), nt, "environments grouped by the model's types");
         assert!(types.iter().all(|&t| t < nt), "atom type out of range");
         self.nt = nt;
         self.slot_atom.clear();
@@ -133,14 +134,14 @@ impl Layout {
                 self.block_rows.push(row);
                 self.block_segs.push(self.segs.len());
                 for c in self.type_slots[ti]..self.type_slots[ti + 1] {
-                    let (a, b) = envs[self.slot_atom[c]].type_ranges[tj];
+                    let len = envs.range(self.slot_atom[c], tj).len();
                     self.seg_row[c * nt + tj] = row;
-                    self.seg_len[c * nt + tj] = b - a;
+                    self.seg_len[c * nt + tj] = len;
                     self.seg_idx[c * nt + tj] = self.segs.len();
-                    if b > a {
-                        self.segs.push((row, b - a));
+                    if len > 0 {
+                        self.segs.push((row, len));
                     }
-                    row += b - a;
+                    row += len;
                 }
             }
         }
@@ -387,7 +388,7 @@ impl Nets<'_> {
     pub(crate) fn forward(
         &self,
         types: &[usize],
-        envs: &[AtomEnv],
+        envs: &Envs,
         centres: Option<&[bool]>,
         st: &mut PassState,
     ) -> f64 {
@@ -412,7 +413,7 @@ impl Nets<'_> {
     pub(crate) fn descriptors(
         &self,
         types: &[usize],
-        envs: &[AtomEnv],
+        envs: &Envs,
         centres: Option<&[bool]>,
         st: &mut PassState,
     ) {
@@ -429,9 +430,8 @@ impl Nets<'_> {
         s.resize(n_rows, 0.0);
         for (c, &i) in layout.slot_atom.iter().enumerate() {
             for tj in 0..nt {
-                let (a, b) = envs[i].type_ranges[tj];
                 let row0 = layout.seg_row[c * nt + tj];
-                for (k, e) in envs[i].entries[a..b].iter().enumerate() {
+                for (k, e) in envs.of(i, tj).iter().enumerate() {
                     r[(row0 + k) * 4..(row0 + k + 1) * 4].copy_from_slice(&e.row);
                     s[row0 + k] = e.row[0];
                 }
@@ -488,7 +488,7 @@ impl Nets<'_> {
     pub(crate) fn backward_energy(
         &self,
         ws: &Workspace,
-        envs: &[AtomEnv],
+        envs: &Envs,
         mut grads: Option<&mut [f64]>,
         forces: Option<&mut [Vec3]>,
     ) {
@@ -631,14 +631,13 @@ impl Nets<'_> {
             forces.fill(Vec3::ZERO);
             // Atoms in index order, not slot order: each atom's force is
             // a sum over centres, kept in ascending centre index.
-            for (i, env) in envs.iter().enumerate() {
-                let c = lay.atom_slot[i];
+            for (i, &c) in lay.atom_slot.iter().enumerate() {
                 if c == NO_SLOT {
                     continue;
                 }
-                for (tj, &(a, b)) in env.type_ranges.iter().enumerate() {
+                for tj in 0..nt {
                     let row0 = lay.seg_row[c * nt + tj];
-                    for (k, e) in env.entries[a..b].iter().enumerate() {
+                    for (k, e) in envs.of(i, tj).iter().enumerate() {
                         let row = row0 + k;
                         let g_r = &sc.g_r[row * 4..(row + 1) * 4];
                         let mut dvec = [0.0; 3];
@@ -675,7 +674,7 @@ impl Nets<'_> {
     pub(crate) fn grad_force_sums<G: AsMut<[f64]>>(
         &self,
         ws: &Workspace,
-        envs: &[AtomEnv],
+        envs: &Envs,
         coeffs: &[f64],
         grads: &mut [G],
     ) {
@@ -710,9 +709,8 @@ impl Nets<'_> {
                 for c in c0..c1 {
                     let i = lay.slot_atom[c];
                     for (tj, blk) in blocks.iter().enumerate() {
-                        let (a, b) = envs[i].type_ranges[tj];
                         let row0 = t * nl + blk.local(lay.seg_row[c * nt + tj]);
-                        for (k, e) in envs[i].entries[a..b].iter().enumerate() {
+                        for (k, e) in envs.of(i, tj).iter().enumerate() {
                             let rel = c_at(e.j) - c_at(i);
                             let out = &mut sc.r_dot[(row0 + k) * 4..(row0 + k + 1) * 4];
                             for (o, drow) in out.iter_mut().zip(&e.drow) {

@@ -36,7 +36,7 @@
 //! gradient-reduction blocks and the MD domains own theirs.
 
 use crate::config::ModelConfig;
-use crate::env::{AtomEnv, EnvStats};
+use crate::env::{EnvStats, Envs};
 use crate::env_cache::{EnvCache, FrameEnv};
 use crate::frame::Nets;
 pub use crate::frame::Workspace;
@@ -180,12 +180,6 @@ impl<'f> ForwardPass<'f> {
     /// The frame geometry this pass was computed against.
     pub fn frame_env(&self) -> &FrameEnv {
         &self.env
-    }
-
-    /// Iterate `(centre type, environment)` per atom (crate-internal:
-    /// used by the autograd baseline path).
-    pub(crate) fn atom_envs(&self) -> impl Iterator<Item = (usize, &AtomEnv)> {
-        self.frame.types.iter().copied().zip(self.env.envs.iter())
     }
 
     /// Per-atom energy residual (fitting-network output before the
@@ -447,7 +441,7 @@ impl DeepPotModel {
         &self,
         ws: &mut Workspace,
         types: &[usize],
-        envs: &[AtomEnv],
+        envs: &Envs,
         centres: &[bool],
         energy: &mut [f64],
         forces: &mut [Vec3],

@@ -120,8 +120,8 @@ fn mlp_jvp_tape(
     (cur, cur_dot)
 }
 
-/// One neighbour-type block's leaves: `(r̃ leaf, s leaf, entry range)`.
-type BlockLeaves = (VarId, VarId, (usize, usize));
+/// One neighbour-type block's leaves: `(r̃ leaf, s leaf, neighbour type)`.
+type BlockLeaves = (VarId, VarId, usize);
 
 /// Per-atom tape handles needed to read gradients back out.
 struct AtomLeaves {
@@ -142,19 +142,19 @@ fn build_energy_graph(
     let inv_n = 1.0 / model.stats.n_scale;
     let mut e_total: Option<VarId> = None;
     let mut atom_leaves = Vec::new();
-    for atom in pass.atom_envs() {
-        let (ti, env) = atom;
+    let envs = &pass.frame_env().envs;
+    for (i, &ti) in pass.frame.types.iter().enumerate() {
         let mut blocks = Vec::with_capacity(nt);
         let mut u_acc: Option<VarId> = None;
         for tj in 0..nt {
-            let (a, b) = env.type_ranges[tj];
-            if a == b {
+            let entries = envs.of(i, tj);
+            if entries.is_empty() {
                 blocks.push(None);
                 continue;
             }
-            let n_blk = b - a;
-            let r_blk = tape.leaf(Mat::from_fn(n_blk, 4, |r, c| env.entries[a + r].row[c]));
-            let s_blk = tape.leaf(Mat::from_fn(n_blk, 1, |r, _| env.entries[a + r].row[0]));
+            let n_blk = entries.len();
+            let r_blk = tape.leaf(Mat::from_fn(n_blk, 4, |r, c| entries[r].row[c]));
+            let s_blk = tape.leaf(Mat::from_fn(n_blk, 1, |r, _| entries[r].row[0]));
             let off = mlp_layer_offset(model, Some(ti * nt + tj), None);
             let g_blk = mlp_forward_tape(
                 model,
@@ -169,7 +169,7 @@ fn build_energy_graph(
                 None => u_blk,
                 Some(prev) => tape.add(prev, u_blk),
             });
-            blocks.push(Some((r_blk, s_blk, (a, b))));
+            blocks.push(Some((r_blk, s_blk, tj)));
         }
         // Isolated atoms (no neighbours in the cutoff) still contribute
         // a constant per-atom energy through the fitting net on a zero
@@ -228,14 +228,13 @@ pub fn forces_tape(model: &DeepPotModel, frame: &Snapshot) -> Vec<Vec3> {
     let grads = tape.backward(e);
     let n_atoms = frame.types.len();
     let mut dpos = vec![Vec3::ZERO; n_atoms];
-    for (i, (atom, leavesi)) in pass.atom_envs().zip(&atom_leaves).enumerate() {
-        let (_, env) = atom;
+    let envs = &pass.frame_env().envs;
+    for (i, leavesi) in atom_leaves.iter().enumerate() {
         for blk in leavesi.blocks.iter().flatten() {
-            let (r_leaf, s_leaf, (a, b)) = *blk;
+            let (r_leaf, s_leaf, tj) = *blk;
             let g_r = grads.get_or_zero(r_leaf, tape.value(r_leaf).shape());
             let g_s = grads.get_or_zero(s_leaf, tape.value(s_leaf).shape());
-            for k in 0..(b - a) {
-                let e_entry = &env.entries[a + k];
+            for (k, e_entry) in envs.of(i, tj).iter().enumerate() {
                 let mut dvec = [0.0; 3];
                 for (axis, dva) in dvec.iter_mut().enumerate() {
                     let mut acc = 0.0;
@@ -272,22 +271,23 @@ pub fn grad_force_sum_params_tape(
     let mut tape = Tape::new();
     let leaves = make_param_leaves(model, &mut tape);
     let mut edot_total: Option<VarId> = None;
-    for (i, (ti, env)) in pass.atom_envs().enumerate() {
+    let envs = &pass.frame_env().envs;
+    for (i, &ti) in frame.types.iter().enumerate() {
         let ci = c_at(i);
         let mut u_acc: Option<VarId> = None;
         let mut udot_acc: Option<VarId> = None;
         let mut g_blocks: Vec<Option<(VarId, VarId, VarId, VarId)>> = Vec::with_capacity(nt);
         for tj in 0..nt {
-            let (a, b) = env.type_ranges[tj];
-            if a == b {
+            let entries = envs.of(i, tj);
+            if entries.is_empty() {
                 g_blocks.push(None);
                 continue;
             }
-            let n_blk = b - a;
-            let r_blk = tape.leaf(Mat::from_fn(n_blk, 4, |r, c| env.entries[a + r].row[c]));
-            let s_blk = tape.leaf(Mat::from_fn(n_blk, 1, |r, _| env.entries[a + r].row[0]));
+            let n_blk = entries.len();
+            let r_blk = tape.leaf(Mat::from_fn(n_blk, 4, |r, c| entries[r].row[c]));
+            let s_blk = tape.leaf(Mat::from_fn(n_blk, 1, |r, _| entries[r].row[0]));
             let rdot = Mat::from_fn(n_blk, 4, |r, c| {
-                let e = &env.entries[a + r];
+                let e = &entries[r];
                 let cj = c_at(e.j);
                 (0..3).map(|ax| e.drow[c][ax] * (cj[ax] - ci[ax])).sum::<f64>()
             });

@@ -12,7 +12,7 @@
 //! Per step:
 //! 1. half kick + drift + wrap (per domain, per atom — intrinsic ops);
 //! 2. migrate boundary-crossers to their new owner (sequential,
-//!    gid-order restored per store);
+//!    gid order kept per store);
 //! 3. ghost exchange (per-source outboxes, then per-destination
 //!    collect + gid sort — the result is independent of source order);
 //! 4. local evaluation on the merged owned+ghost sub-frame;
@@ -120,7 +120,7 @@ impl DecomposedMd {
         for gid in 0..state.n_atoms() {
             let p = state.cell.wrap(&state.pos[gid]);
             let d = grid.domain_of(&p);
-            domains[d].store.push(gid, state.types[gid], p, state.vel[gid]);
+            domains[d].store.insert(gid, state.types[gid], p, state.vel[gid]);
         }
         let n = state.n_atoms();
         let mut md = DecomposedMd {
@@ -268,9 +268,10 @@ impl DecomposedMd {
     }
 
     /// Move atoms whose wrapped position left their owner's region to
-    /// the new owner, restoring the ascending-gid store invariant.
-    /// Sequential and deterministic; forces/energies are left stale
-    /// (the schedule always recomputes before reading them).
+    /// the new owner, keeping every store in ascending gid order (an
+    /// ordered remove and insert per migrant, no allocation at a size
+    /// seen before). Sequential and deterministic; forces/energies are
+    /// left stale (the schedule always recomputes before reading them).
     fn migrate(&mut self) {
         self.migrants.clear();
         for d in 0..self.domains.len() {
@@ -287,20 +288,14 @@ impl DecomposedMd {
                         pos: p,
                         vel: store.vel(i),
                     });
-                    store.swap_remove(i);
+                    store.remove(i);
                 } else {
                     i += 1;
                 }
             }
         }
-        if self.migrants.is_empty() {
-            return;
-        }
         for m in &self.migrants {
-            self.domains[m.dst].store.push(m.gid, m.typ, m.pos, m.vel);
-        }
-        for dom in &mut self.domains {
-            dom.store.sort_by_gid();
+            self.domains[m.dst].store.insert(m.gid, m.typ, m.pos, m.vel);
         }
     }
 

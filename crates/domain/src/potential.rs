@@ -16,10 +16,10 @@
 //!   owned per-atom residuals and force rows are bitwise equal to the
 //!   single-frame `predict` (see DESIGN §15 for the argument).
 
-use deepmd_core::env::build_envs_of;
+use deepmd_core::env::Envs;
 use deepmd_core::model::{DeepPotModel, Workspace};
 use dp_mdsim::cell::Cell;
-use dp_mdsim::neighbor::NeighborList;
+use dp_mdsim::neighbor::{Lists, NeighborList};
 use dp_mdsim::potential::sutton_chen::SuttonChenParams;
 use dp_mdsim::vec3::Vec3;
 use std::sync::Mutex;
@@ -169,7 +169,10 @@ impl DomainPotential for LocalSuttonChen {
         if n == 0 {
             return;
         }
-        let nl = NeighborList::build(frame.cell, frame.pos, self.cutoff);
+        // Lists for the `inner` atoms only: pass 1 walks them, pass 2
+        // walks the owned ones, and owned ⊂ inner.
+        let mut nl = NeighborList::default();
+        nl.search(frame.cell, frame.pos, self.cutoff, Lists::Centres(frame.inner));
         // Pass 1: densities for every centre-eligible atom. A ghost
         // neighbour of an owned atom is always `inner` (it is within
         // `cutoff` of the region), and its own neighbourhood is fully
@@ -230,8 +233,18 @@ impl DomainPotential for LocalSuttonChen {
 /// every owned atom, so as a centre it could not touch an owned row.
 pub struct DeepDomainPotential {
     model: DeepPotModel,
-    /// One recycled model workspace per domain.
-    workspaces: Vec<Mutex<Workspace>>,
+    /// One recycled workspace per domain.
+    workspaces: Vec<Mutex<DomainWorkspace>>,
+}
+
+/// The buffers one domain's evaluation reuses step after step: the
+/// neighbour search, the environments and the model workspace. Once
+/// they have seen the domain's size, a step allocates nothing.
+#[derive(Default)]
+struct DomainWorkspace {
+    nl: NeighborList,
+    envs: Envs,
+    model: Workspace,
 }
 
 impl DeepDomainPotential {
@@ -267,11 +280,12 @@ impl DomainPotential for DeepDomainPotential {
             return;
         }
         let (cfg, stats) = (&self.model.cfg, &self.model.stats);
-        let envs = build_envs_of(cfg, stats, frame.cell, frame.types, frame.pos, Some(frame.inner));
-        let mut ws = self.workspaces[domain % self.workspaces.len()]
+        let mut guard = self.workspaces[domain % self.workspaces.len()]
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        self.model.eval_centres(&mut ws, frame.types, &envs, frame.inner, energy, forces);
+        let DomainWorkspace { nl, envs, model } = &mut *guard;
+        envs.rebuild(cfg, stats, frame.cell, frame.types, frame.pos, Some(frame.inner), nl);
+        self.model.eval_centres(model, frame.types, envs, frame.inner, energy, forces);
     }
 
     fn energy_offset(&self, types: &[usize]) -> f64 {

@@ -50,21 +50,22 @@ impl DomainStore {
         self.gid.is_empty()
     }
 
-    /// Append an atom (caller restores gid order with [`Self::sort_by_gid`]
-    /// unless appending in ascending order).
-    pub fn push(&mut self, gid: usize, typ: usize, pos: Vec3, vel: Vec3) {
-        self.gid.push(gid);
-        self.typ.push(typ);
-        self.x.push(pos.0[0]);
-        self.y.push(pos.0[1]);
-        self.z.push(pos.0[2]);
-        self.vx.push(vel.0[0]);
-        self.vy.push(vel.0[1]);
-        self.vz.push(vel.0[2]);
-        self.fx.push(0.0);
-        self.fy.push(0.0);
-        self.fz.push(0.0);
-        self.energy.push(0.0);
+    /// Insert an atom at its ascending-gid slot (an append when `gid`
+    /// is the largest yet).
+    pub fn insert(&mut self, gid: usize, typ: usize, pos: Vec3, vel: Vec3) {
+        let i = self.gid.partition_point(|&g| g < gid);
+        self.gid.insert(i, gid);
+        self.typ.insert(i, typ);
+        self.x.insert(i, pos.0[0]);
+        self.y.insert(i, pos.0[1]);
+        self.z.insert(i, pos.0[2]);
+        self.vx.insert(i, vel.0[0]);
+        self.vy.insert(i, vel.0[1]);
+        self.vz.insert(i, vel.0[2]);
+        self.fx.insert(i, 0.0);
+        self.fy.insert(i, 0.0);
+        self.fz.insert(i, 0.0);
+        self.energy.insert(i, 0.0);
     }
 
     /// Position of slot `i`.
@@ -85,48 +86,20 @@ impl DomainStore {
         Vec3::new(self.fx[i], self.fy[i], self.fz[i])
     }
 
-    /// Remove slot `i` by swap-remove across all arrays (order is
-    /// restored by the caller via [`Self::sort_by_gid`]).
-    pub fn swap_remove(&mut self, i: usize) {
-        self.gid.swap_remove(i);
-        self.typ.swap_remove(i);
-        self.x.swap_remove(i);
-        self.y.swap_remove(i);
-        self.z.swap_remove(i);
-        self.vx.swap_remove(i);
-        self.vy.swap_remove(i);
-        self.vz.swap_remove(i);
-        self.fx.swap_remove(i);
-        self.fy.swap_remove(i);
-        self.fz.swap_remove(i);
-        self.energy.swap_remove(i);
-    }
-
-    /// Restore the ascending-gid invariant after out-of-order edits.
-    pub fn sort_by_gid(&mut self) {
-        if self.gid.windows(2).all(|w| w[0] < w[1]) {
-            return;
-        }
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        order.sort_unstable_by_key(|&i| self.gid[i]);
-        fn permute<T: Copy>(v: &mut [T], order: &[usize]) {
-            let old = v.to_vec();
-            for (dst, &src) in order.iter().enumerate() {
-                v[dst] = old[src];
-            }
-        }
-        permute(&mut self.gid, &order);
-        permute(&mut self.typ, &order);
-        permute(&mut self.x, &order);
-        permute(&mut self.y, &order);
-        permute(&mut self.z, &order);
-        permute(&mut self.vx, &order);
-        permute(&mut self.vy, &order);
-        permute(&mut self.vz, &order);
-        permute(&mut self.fx, &order);
-        permute(&mut self.fy, &order);
-        permute(&mut self.fz, &order);
-        permute(&mut self.energy, &order);
+    /// Remove slot `i`, keeping the others in gid order.
+    pub fn remove(&mut self, i: usize) {
+        self.gid.remove(i);
+        self.typ.remove(i);
+        self.x.remove(i);
+        self.y.remove(i);
+        self.z.remove(i);
+        self.vx.remove(i);
+        self.vy.remove(i);
+        self.vz.remove(i);
+        self.fx.remove(i);
+        self.fy.remove(i);
+        self.fz.remove(i);
+        self.energy.remove(i);
     }
 }
 
@@ -236,15 +209,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sort_restores_gid_order_across_all_arrays() {
+    fn insert_and_remove_keep_gid_order_across_all_arrays() {
         let mut s = DomainStore::default();
-        s.push(5, 1, Vec3::new(5.0, 0.0, 0.0), Vec3::new(0.5, 0.0, 0.0));
-        s.push(2, 0, Vec3::new(2.0, 0.0, 0.0), Vec3::new(0.2, 0.0, 0.0));
-        s.push(9, 1, Vec3::new(9.0, 0.0, 0.0), Vec3::new(0.9, 0.0, 0.0));
-        s.fx[0] = 50.0;
-        s.fx[1] = 20.0;
-        s.fx[2] = 90.0;
-        s.sort_by_gid();
+        s.insert(5, 1, Vec3::new(5.0, 0.0, 0.0), Vec3::new(0.5, 0.0, 0.0));
+        s.insert(2, 0, Vec3::new(2.0, 0.0, 0.0), Vec3::new(0.2, 0.0, 0.0));
+        s.insert(9, 1, Vec3::new(9.0, 0.0, 0.0), Vec3::new(0.9, 0.0, 0.0));
+        s.insert(7, 0, Vec3::new(7.0, 0.0, 0.0), Vec3::new(0.7, 0.0, 0.0));
+        s.fx.copy_from_slice(&[20.0, 50.0, 70.0, 90.0]);
+        s.remove(2);
         assert_eq!(s.gid, vec![2, 5, 9]);
         assert_eq!(s.typ, vec![0, 1, 1]);
         assert_eq!(s.x, vec![2.0, 5.0, 9.0]);
@@ -255,8 +227,8 @@ mod tests {
     #[test]
     fn merge_interleaves_ascending_with_slots() {
         let mut s = DomainStore::default();
-        s.push(1, 0, Vec3::new(1.0, 0.0, 0.0), Vec3::ZERO);
-        s.push(4, 0, Vec3::new(4.0, 0.0, 0.0), Vec3::ZERO);
+        s.insert(1, 0, Vec3::new(1.0, 0.0, 0.0), Vec3::ZERO);
+        s.insert(4, 0, Vec3::new(4.0, 0.0, 0.0), Vec3::ZERO);
         let mut g = GhostStore::default();
         g.gid.extend([0, 2, 7]);
         g.typ.extend([0, 0, 0]);

@@ -316,9 +316,10 @@ pub fn batched_vs_tape_empty_blocks(seed: u64, _profile: Profile) -> VerifyCheck
         // The premise: which (ti, tj) blocks have no rows at all.
         let pass = model.forward(frame);
         let mut empty = [true; 4];
-        for (&ti, env) in frame.types.iter().zip(&pass.frame_env().envs) {
-            for (tj, &(a, b)) in env.type_ranges.iter().enumerate() {
-                empty[ti * 2 + tj] &= a == b;
+        let envs = &pass.frame_env().envs;
+        for (i, &ti) in frame.types.iter().enumerate() {
+            for tj in 0..2 {
+                empty[ti * 2 + tj] &= envs.of(i, tj).is_empty();
             }
         }
         check.exact(empty == want_empty, || {

@@ -21,9 +21,10 @@
 //!   `model.predict`, bitwise across grids: the halo construction must
 //!   hand every owned atom exactly its global environment.
 //! * `neighbor/celllist_vs_naive` — the linked-cell neighbour search vs
-//!   the `O(N²)` minimum-image scan, bitwise on pairs and full lists
-//!   (the dispatch inside `NeighborList::build` is only sound because
-//!   the two constructions are interchangeable).
+//!   the `O(N²)` minimum-image scan, bitwise on pairs and full lists,
+//!   and a search limited to a centre mask vs the scan's lists of those
+//!   centres (the dispatch inside `NeighborList::search` is only sound
+//!   because the constructions are interchangeable).
 
 use crate::gen::XorShift64;
 use crate::{rel_err, Check, Profile, VerifyCheck};
@@ -31,7 +32,7 @@ use dp_domain::{DecomposedMd, DeepDomainPotential, LocalSuttonChen};
 use dp_data::dataset::Snapshot;
 use dp_mdsim::cell::Cell;
 use dp_mdsim::integrate::evaluate;
-use dp_mdsim::neighbor::NeighborList;
+use dp_mdsim::neighbor::{Lists, NeighborList, Neighbor};
 use dp_mdsim::potential::sutton_chen::{SuttonChen, SuttonChenParams};
 use dp_mdsim::state::State;
 use dp_mdsim::systems::PaperSystem;
@@ -251,7 +252,9 @@ pub fn deep_decomposed_vs_predict(seed: u64, profile: Profile) -> VerifyCheck {
 
 /// Linked-cell vs naive neighbour construction: bitwise on the pair
 /// list and every full (per-atom) list, on boxes wide enough to engage
-/// the linked-cell path, plus one deliberately narrow fallback box.
+/// the linked-cell path, plus one deliberately narrow fallback box; and
+/// a search for a random third of the atoms as centres, whose lists
+/// must be the scan's on the centres and empty elsewhere.
 pub fn celllist_vs_naive(seed: u64, profile: Profile) -> VerifyCheck {
     let mut check =
         Check::new("domain", "neighbor/celllist_vs_naive", &["dp-mdsim"], 0.0);
@@ -262,6 +265,18 @@ pub fn celllist_vs_naive(seed: u64, profile: Profile) -> VerifyCheck {
     for (case, &r) in reps.iter().enumerate() {
         let state = cu_state(r, seed.wrapping_add(10 + case as u64));
         compare_lists(&mut check, &state.cell, &state.pos, CU_CUTOFF, &format!("Cu {r:?}"));
+    }
+    let state = cu_state(reps[0], seed.wrapping_add(30));
+    let mut rng = XorShift64::new(seed ^ 0x5EED_CE47_2E5A_0001);
+    let centres: Vec<bool> = state.pos.iter().map(|_| rng.range(0.0, 3.0) < 1.0).collect();
+    let slow = NeighborList::build_naive(&state.cell, &state.pos, CU_CUTOFF);
+    let mut masked = NeighborList::default();
+    masked.search(&state.cell, &state.pos, CU_CUTOFF, Lists::Centres(&centres));
+    for (i, &centre) in centres.iter().enumerate() {
+        let want: &[Neighbor] = if centre { slow.neighbors_of(i) } else { &[] };
+        check.exact(same_full_list(masked.neighbors_of(i), want), || {
+            format!("Cu {:?} masked: full list of atom {i} (centre: {centre}) differs", reps[0])
+        });
     }
     // Narrow box: `build` must fall back to the naive scan and still
     // agree with an explicit naive build (trivially — but it pins the
@@ -287,15 +302,19 @@ fn compare_lists(check: &mut Check, cell: &Cell, pos: &[Vec3], cutoff: f64, labe
         });
     }
     for i in 0..pos.len() {
-        let (fa, sa) = (fast.neighbors_of(i), slow.neighbors_of(i));
-        let ok = fa.len() == sa.len()
-            && fa.iter().zip(sa).all(|(a, b)| {
-                a.j == b.j
-                    && a.dist.to_bits() == b.dist.to_bits()
-                    && (0..3).all(|k| a.rij.0[k].to_bits() == b.rij.0[k].to_bits())
-            });
-        check.exact(ok, || format!("{label}: full list of atom {i} differs"));
+        check.exact(same_full_list(fast.neighbors_of(i), slow.neighbors_of(i)), || {
+            format!("{label}: full list of atom {i} differs")
+        });
     }
+}
+
+fn same_full_list(a: &[Neighbor], b: &[Neighbor]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(a, b)| {
+            a.j == b.j
+                && a.dist.to_bits() == b.dist.to_bits()
+                && (0..3).all(|k| a.rij.0[k].to_bits() == b.rij.0[k].to_bits())
+        })
 }
 
 /// Run the whole family.

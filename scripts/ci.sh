@@ -106,9 +106,10 @@ step "md_scale smoke (DP_POOL_THREADS=4)"
 DP_POOL_THREADS=4 cargo run --release --offline -p dp-domain --bin md_scale_smoke
 
 # Allocation probe, release build: a steady-state FEKF iteration
-# (forward, both reductions, all five KF updates, 2 pool threads)
-# allocates nothing, and the Vec-returning model wrappers allocate only
-# what they return.
+# (forward, both reductions, all five KF updates, 2 pool threads) and a
+# steady-state decomposed MD step with the deep potential (2x1x1 grid,
+# 2 pool threads) allocate nothing, and FrameEnv::build and the
+# Vec-returning model wrappers allocate only what they return.
 step "alloc probe (release)"
 cargo test --release --offline -p dp-bench --test alloc_probe -q
 
@@ -137,6 +138,14 @@ BENCH_OUT="$(mktemp -d)" scripts/bench.sh --smoke
 step "bench_e2e smoke (train_cu_small, traced)"
 cargo run --release --offline --quiet --manifest-path bench_e2e/Cargo.toml --bin bench_e2e -- \
   --workload train_cu_small --seed 1 --seconds 3 --trace 1 >/dev/null
+
+# Decomposed-MD smoke with the deep potential, traced: a 3888-atom Cu
+# supercell on a 2x1x1 grid. Exit code 0 means the run stayed bitwise
+# equal to the 1x1x1 reference (domain.bitwise_vs_single), every energy
+# was finite and the trace accounts for the window.
+step "bench_e2e smoke (md_domain, traced)"
+cargo run --release --offline --quiet --manifest-path bench_e2e/Cargo.toml --bin bench_e2e -- \
+  --workload md_domain --seed 1 --seconds 2 --trace 1 >/dev/null
 
 # Serving engine smoke: 64 requests from 4 client threads with one
 # mid-run hot-swap, then a tiered publish (master + compressed +
