@@ -13,7 +13,6 @@
 
 use crate::{fmt_mb, fmt_secs, Ctx, Table};
 use deepmd_core::loss::Metrics;
-use dp_data::dataset::Snapshot;
 use dp_data::generate::GenScale;
 use dp_mdsim::systems::PaperSystem;
 use dp_optim::adam::{Adam, AdamConfig};
@@ -27,8 +26,8 @@ use dp_train::metrics::TrainHistory;
 use dp_train::recipes::{
     run_adam, run_fekf, run_fekf_distributed, run_rlekf, setup, ExperimentSetup, ModelScale,
 };
-use dp_train::targets::{energy_target_with, force_targets_with, Backend, KfTarget};
-use dp_train::trainer::{TrainConfig, TrainOutcome, Trainer};
+use dp_train::targets::{accumulate_energy_target, accumulate_force_targets, Backend};
+use dp_train::trainer::{RobustConfig, TrainConfig, TrainOutcome, Trainer};
 use Kind::{Exact, Timed};
 use PaperSystem::{Al, Cu, NaCl};
 
@@ -575,37 +574,41 @@ fn fig7a_claims(vs_rlekf: &[Ratio], vs_baseline: &[Ratio]) -> Vec<Claim> {
 }
 
 /// Launches of one FEKF iteration at `level`: the update driven by the
-/// energy predictions, and the four driven by the force predictions.
+/// energy predictions, and the four driven by the force predictions,
+/// through the trainer's own KF-target path.
 fn launches(s: &ExperimentSetup, batch: &[usize], level: &OptLevel) -> (u64, u64) {
-    let model = &s.model;
+    let (model, backend) = (&s.model, level.backend);
+    let n_params = model.n_params();
     let mut opt = Fekf::new(&model.layer_sizes(), batch.len(), level.fekf_config());
-    // Count one segment: batch-reduce each group's gradient and
-    // absolute error, then one KF update per group.
-    let mut segment = |n_groups: usize, targets: &dyn Fn(&Snapshot) -> Vec<KfTarget>| {
-        let ((), launched) = kernel::count_region(|| {
-            let mut grads = vec![vec![0.0; model.n_params()]; n_groups];
-            let mut abes = vec![0.0; n_groups];
-            for &i in batch {
-                for (k, t) in targets(&s.train.frames[i]).iter().enumerate() {
-                    grads[k].iter_mut().zip(&t.grad).for_each(|(x, y)| *x += y);
-                    abes[k] += t.abe / batch.len() as f64;
+    let (mut grads, mut coeffs) = (Vec::new(), Vec::new());
+    // One segment per phase: batch-reduce each slot's gradient and
+    // absolute error, then one KF update per slot.
+    let [energy, force] = level.scope(|| {
+        [false, true].map(|force| {
+            let n_slots = if force { 4 } else { 1 };
+            let ((), launched) = kernel::count_region(|| {
+                let (mut acc, mut abes) = (vec![0.0; n_slots * n_params], vec![0.0; n_slots]);
+                for &i in batch {
+                    let frame = &s.train.frames[i];
+                    let pass = model.forward(frame);
+                    if force {
+                        let forces = model.forces(&pass);
+                        accumulate_force_targets(
+                            model, &pass, &forces, frame, n_slots, backend, &mut grads, &mut coeffs, &mut acc,
+                            &mut abes,
+                        );
+                    } else {
+                        abes[0] += accumulate_energy_target(model, &pass, backend, &mut grads, &mut acc);
+                    }
                 }
-            }
-            for k in 0..n_groups {
-                let _ = opt.step(&grads[k], abes[k]);
-            }
-        });
-        launched
-    };
-    level.scope(|| {
-        let energy =
-            segment(1, &|frame| vec![energy_target_with(model, &model.forward(frame), level.backend)]);
-        let force = segment(4, &|frame| {
-            let pass = model.forward(frame);
-            force_targets_with(model, &pass, &model.forces(&pass), frame, 4, level.backend)
-        });
-        (energy, force)
-    })
+                for (g, abe) in acc.chunks_exact(n_params).zip(&abes) {
+                    let _ = opt.step(g, abe / batch.len() as f64);
+                }
+            });
+            launched
+        })
+    });
+    (energy, force)
 }
 
 /// Fig 7b: kernel launches of one iteration at each ladder level.
@@ -764,7 +767,7 @@ fn scaling(_: &Ctx) -> Outcome {
     Outcome { scale, tables: vec![t], claims: vec![volume, replicas] }
 }
 
-/// The two FEKF ablations train bs 8 for 4 epochs on the plain loop.
+/// The two FEKF ablations train bs 8 for 4 epochs with every guard off.
 fn ablation_cfg() -> TrainConfig {
     train_cfg(8, 4, 48)
 }
@@ -776,7 +779,10 @@ fn ablation_fekf(case: &Case, blocksize: usize) -> (TrainOutcome, usize) {
     let fekf_cfg = FekfConfig { blocksize, ..FekfConfig::default() };
     let mut opt = Fekf::new(&s.model.layer_sizes(), cfg.batch_size, fekf_cfg);
     let p_mem = opt.core().p.memory_bytes();
-    (Trainer::new(cfg).train_fekf(&mut s.model, &mut opt, &s.train, Some(&s.test)), p_mem)
+    let out = Trainer::new(cfg)
+        .train_fekf_robust(&mut s.model, &mut opt, &s.train, Some(&s.test), &RobustConfig::off())
+        .expect("a run with every guard off cannot fail");
+    (out, p_mem)
 }
 
 fn ablation_scale(case: &Case) -> String {

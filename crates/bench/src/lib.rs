@@ -7,8 +7,10 @@
 //! just measured, and [`document`] splices both into `EXPERIMENTS.md`,
 //! so a claim can only be stated by the code that evaluated it.
 //!
-//! The two kernel micro-benchmarks (`bench_kernels`, `bench_forward`)
-//! write `BENCH_*.json` through [`report`].
+//! The kernel micro-benchmark `bench_kernels` writes `BENCH_*.json`
+//! through [`report`]; per-layer model timings (env build, forward,
+//! forces, gradients, cache hit rate) are `bench_e2e`'s `core.*`
+//! metrics.
 
 use dp_data::generate::GenScale;
 use dp_mdsim::systems::PaperSystem;

@@ -48,7 +48,7 @@ pub struct BenchRecord {
 /// A named collection of records, one per `BENCH_*.json` file.
 #[derive(Clone, Debug, Default)]
 pub struct BenchReport {
-    /// Report name (`"gemm"`, `"p_update"`, `"forward"`, `"serve_slo"`).
+    /// Report name (`"gemm"`, `"p_update"`, `"serve_slo"`).
     pub bench: String,
     /// Compute backend the process resolved from `DP_BACKEND` at
     /// startup — the dispatch every record in this file ran under

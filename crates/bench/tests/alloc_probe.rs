@@ -1,8 +1,9 @@
 //! Allocation probe for the hot paths: in steady state neither the
 //! optimizer step (`q = P·g`, Kalman gain, Δw scatter, fused `P`
 //! update), nor a whole `Trainer::fekf_iteration` (forward, energy
-//! reduce, force reduce, all five KF updates, on 2 pool threads), nor a
-//! domain-decomposed MD step with the deep potential (migration, halo,
+//! reduce, force reduce, all five KF updates, on 2 pool threads), nor
+//! an iteration of the FEKF epoch loop with its divergence guards on,
+//! nor a domain-decomposed MD step with the deep potential (migration, halo,
 //! neighbour search, environments, forces, on 2 pool threads) performs
 //! a single heap allocation, and `FrameEnv::build` and the
 //! `Vec`-returning model wrappers allocate their return value and
@@ -10,8 +11,11 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! warms each path up (worker spawn, workspace and scratch sizing) and
-//! then asserts how far the allocation counter moves. Kept as a single
-//! test function: the counter is process-global.
+//! then asserts how far the allocation counter moves. The counter is
+//! process-global, so the probe is one `main` without the libtest
+//! harness (`harness = false`): the harness's own thread allocates
+//! while tests run — its slow-test notice after 60 s, for one — and
+//! would land inside a measured window of a debug build.
 
 use deepmd_core::env_cache::{EnvCache, FrameEnv};
 use deepmd_core::model::DeepPotModel;
@@ -23,7 +27,8 @@ use dp_mdsim::systems::PaperSystem;
 use dp_mdsim::Vec3;
 use dp_optim::fekf::{Fekf, FekfConfig};
 use dp_train::recipes::{self, ModelScale};
-use dp_train::trainer::{LoopState, TrainConfig, Trainer};
+use dp_train::trainer::{LoopState, RobustConfig, TrainConfig, Trainer};
+use dp_train::TrainError;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -60,8 +65,7 @@ fn allocs_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCS.load(Ordering::SeqCst) - before)
 }
 
-#[test]
-fn steady_state_fekf_step_is_allocation_free() {
+fn main() {
     // A 512-wide block crosses PAR_FLOPS_THRESHOLD (512² ≥ 2¹⁷), so both
     // the `P·g` GEMV and the fused `P` update take the *pool* path — the
     // probe covers parallel dispatch, not just the sequential loop.
@@ -95,9 +99,11 @@ fn steady_state_fekf_step_is_allocation_free() {
     drop(v);
 
     whole_iteration_is_allocation_free();
+    guarded_loop_iteration_is_allocation_free();
     wrappers_allocate_only_what_they_return();
     domain_md_step_is_allocation_free();
     dp_pool::set_threads(1);
+    println!("alloc_probe: every steady-state path is allocation-free");
 }
 
 /// The whole path: per-frame forward, ∇θE, forces and the four-tangent
@@ -123,6 +129,46 @@ fn whole_iteration_is_allocation_free() {
     });
     assert_eq!(n, 0, "a steady-state FEKF iteration must not allocate ({n} allocations in 3)");
     assert_eq!(cache.stats().misses, batch.len() as u64, "one geometry build per frame");
+}
+
+/// The epoch loop under `RobustConfig::default()`, the guards checked
+/// after every iteration: a run halted after iteration k + 3 allocates
+/// exactly what one halted after k does, both inside the second epoch.
+///
+/// Every frame is a copy of one Cu geometry. A reduction block's
+/// buffers grow (once, doubling) the first time it meets a frame with
+/// more neighbour pairs than its first; with shuffled distinct frames
+/// that still happens now and then in later epochs. Equal geometries
+/// let the first epoch size every buffer, so the difference isolates
+/// the loop and its guards.
+fn guarded_loop_iteration_is_allocation_free() {
+    let scale = GenScale { frames_per_temperature: 16, equilibration: 20, stride: 2 };
+    let mut exp = recipes::setup(PaperSystem::Cu, &scale, ModelScale::Small, 3);
+    let first = exp.train.frames[0].clone();
+    exp.train.frames.fill(first);
+    let bs = 8;
+    let trainer = Trainer::new(TrainConfig { batch_size: bs, eval_every: 0, ..TrainConfig::default() });
+    let per_epoch = exp.train.len().div_ceil(bs) as u64;
+    assert!(per_epoch >= 5, "k + 3 must stay inside the second epoch");
+    let allocs_until = |halt: u64| {
+        let mut model = exp.model.clone();
+        let mut opt = Fekf::new(&model.layer_sizes(), bs, FekfConfig::default());
+        let robust = RobustConfig { halt_after: Some(halt), ..RobustConfig::default() };
+        let (result, n) =
+            allocs_in(|| trainer.train_fekf_robust(&mut model, &mut opt, &exp.train, None, &robust));
+        assert!(matches!(result, Err(TrainError::Halted { iterations }) if iterations == halt));
+        n
+    };
+    let k = per_epoch + 1;
+    // Warm-up: the evaluation's per-thread workspaces.
+    allocs_until(k);
+    let (short, long) = (allocs_until(k), allocs_until(k + 3));
+    assert_eq!(
+        long,
+        short,
+        "a guarded steady-state loop iteration must not allocate ({} allocations in 3)",
+        long as i64 - short as i64
+    );
 }
 
 /// `forces`, `grad_energy_params`, `grad_force_sum_params` and `predict`

@@ -105,41 +105,24 @@ impl CacheStats {
 /// Persistent per-dataset environment cache.
 ///
 /// One slot per frame index; concurrent lookups are safe (`RwLock`
-/// per slot) and a hit is a cheap `Arc` clone. A disabled cache
-/// counts every lookup as a miss and always rebuilds — useful for
-/// A/B runs (`DP_ENV_CACHE=0`) and the bitwise-equivalence tests.
+/// per slot) and a hit is a cheap `Arc` clone. A cache with no slots
+/// (`EnvCache::new(0)`) counts every lookup as a miss and always
+/// rebuilds — the uncached arm of the bitwise-equivalence tests.
 #[derive(Debug)]
 pub struct EnvCache {
     slots: Vec<RwLock<Option<Arc<FrameEnv>>>>,
-    enabled: bool,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl EnvCache {
-    /// An enabled cache with `n_frames` slots.
+    /// A cache with `n_frames` slots.
     pub fn new(n_frames: usize) -> Self {
         EnvCache {
             slots: (0..n_frames).map(|_| RwLock::new(None)).collect(),
-            enabled: true,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
-    }
-
-    /// A cache that never stores anything (the uncached A/B arm).
-    pub fn disabled() -> Self {
-        EnvCache {
-            slots: Vec::new(),
-            enabled: false,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Whether lookups may be served from the cache.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Number of frame slots.
@@ -153,9 +136,8 @@ impl EnvCache {
     }
 
     /// Fetch the environment of frame `idx`, rebuilding when the slot
-    /// is empty, stale (geometry hash mismatch), out of range, or the
-    /// cache is disabled. Always returns an env whose `geom_hash`
-    /// matches the frame as passed.
+    /// is empty, stale (geometry hash mismatch) or out of range. Always
+    /// returns an env whose `geom_hash` matches the frame as passed.
     pub fn get_or_build(
         &self,
         cfg: &ModelConfig,
@@ -163,7 +145,7 @@ impl EnvCache {
         idx: usize,
         frame: &Snapshot,
     ) -> Arc<FrameEnv> {
-        if !self.enabled || idx >= self.slots.len() {
+        if idx >= self.slots.len() {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return Arc::new(FrameEnv::build(cfg, stats, frame));
         }
@@ -183,7 +165,7 @@ impl EnvCache {
         stats: &EnvStats,
         frame: &Snapshot,
     ) -> Arc<FrameEnv> {
-        if !self.enabled || self.slots.is_empty() {
+        if self.slots.is_empty() {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return Arc::new(FrameEnv::build(cfg, stats, frame));
         }
@@ -255,20 +237,6 @@ impl EnvCache {
                     .map_or(0, |env| env.mem_bytes())
             })
             .sum()
-    }
-}
-
-/// `DP_ENV_CACHE` environment switch: enabled unless set to one of
-/// `0`, `false`, `off`, `no` (case-insensitive). Drives the default of
-/// `TrainConfig::env_cache` so `scripts/ci.sh` can A/B the cache
-/// without code changes.
-pub fn env_cache_enabled_from_env() -> bool {
-    match std::env::var("DP_ENV_CACHE") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off" | "no"
-        ),
-        Err(_) => true,
     }
 }
 
@@ -356,14 +324,13 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_and_disabled_fall_back_to_building() {
+    fn out_of_range_and_slotless_fall_back_to_building() {
         let (c, s, f) = (cfg(), EnvStats::identity(1), frame());
         let cache = EnvCache::new(1);
         let _ = cache.get_or_build(&c, &s, 7, &f);
         let _ = cache.get_or_build(&c, &s, 7, &f);
         assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
-        let off = EnvCache::disabled();
-        assert!(!off.is_enabled());
+        let off = EnvCache::new(0);
         let _ = off.get_or_build(&c, &s, 0, &f);
         let _ = off.get_or_build(&c, &s, 0, &f);
         assert_eq!(off.stats(), CacheStats { hits: 0, misses: 2 });
@@ -384,8 +351,8 @@ mod tests {
         let d = cache.get_or_build_keyed(&c, &s, &g);
         assert_eq!(d.geom_hash, geometry_hash(&g));
         assert!(!Arc::ptr_eq(&a, &d));
-        // Keyed lookups on a disabled or empty cache always rebuild.
-        let off = EnvCache::disabled();
+        // Keyed lookups on a slotless cache always rebuild.
+        let off = EnvCache::new(0);
         let _ = off.get_or_build_keyed(&c, &s, &f);
         let _ = off.get_or_build_keyed(&c, &s, &f);
         assert_eq!(off.stats(), CacheStats { hits: 0, misses: 2 });

@@ -298,6 +298,13 @@ impl DeepPotModel {
         out
     }
 
+    /// Whether every parameter is finite, checked in place (no copy).
+    pub fn params_finite(&self) -> bool {
+        self.mlps()
+            .flat_map(|m| &m.layers)
+            .all(|l| l.w.as_slice().iter().chain(l.b.as_slice()).all(|v| v.is_finite()))
+    }
+
     /// Overwrite all parameters from a flat vector.
     ///
     /// # Panics

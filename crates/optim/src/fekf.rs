@@ -12,6 +12,10 @@
 //! three for that experiment). All samples share one replicated `P`,
 //! which is what eliminates both the Naive-EKF memory blow-up and the
 //! `P` communication in distributed training (§3.3).
+//!
+//! At `bs = 1` the reduction is the identity and `√bs = 1`: the update
+//! is the single-sample RLEKF recursion of \[23\], so RLEKF runs as
+//! `Fekf::new(layers, 1, ..)` rather than as a type of its own.
 
 use crate::ekf::KfCore;
 use crate::lambda::MemoryFactor;
@@ -187,22 +191,35 @@ mod tests {
         assert!((large.core.mem.lambda - 0.90).abs() < 1e-12);
     }
 
+    /// RLEKF is FEKF at bs = 1: the √bs factor is 1 and the default
+    /// memory factor is the paper's, so every step is bitwise the
+    /// per-sample Kalman recursion — and it converges on a streaming
+    /// regression.
     #[test]
-    fn fekf_at_batch_one_matches_rlekf_updates() {
-        // With bs = 1 the √bs factor is 1, so FEKF degenerates to the
-        // RLEKF per-sample rule.
-        let mut fekf = Fekf::new(&[8], 1, FekfConfig::default());
-        let mut rlekf = crate::rlekf::Rlekf::new(&[8], 10240, None, true);
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        for _ in 0..10 {
-            let g: Vec<f64> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let abe = rng.gen_range(0.0..0.5);
-            let d1 = fekf.step(&g, abe);
-            let d2 = rlekf.step_sample(&g, abe);
-            for (a, b) in d1.iter().zip(&d2) {
-                assert!((a - b).abs() < 1e-14);
+    fn fekf_at_batch_one_is_the_per_sample_recursion() {
+        let n = 8;
+        let mut fekf = Fekf::new(&[n], 1, FekfConfig::default());
+        let mut single = KfCore::new(&[n], 10240, MemoryFactor::paper_default(), true);
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let w_true: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let mut w = vec![0.0; n];
+        for _ in 0..150 {
+            let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let err: f64 = w_true.iter().zip(&w).zip(&x).map(|((t, w), x)| (t - w) * x).sum();
+            let sign = if err >= 0.0 { 1.0 } else { -1.0 };
+            let g: Vec<f64> = x.iter().map(|v| sign * v).collect();
+            let delta = fekf.step(&g, err.abs());
+            let reference = single.update(&g, err.abs(), 1.0);
+            for (a, b) in delta.iter().zip(&reference) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+            for (wi, d) in w.iter_mut().zip(&delta) {
+                *wi += d;
             }
         }
+        assert_eq!(fekf.core().n_updates(), 150);
+        let dist = w.iter().zip(&w_true).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt();
+        assert!(dist < 0.05, "bs-1 FEKF failed to converge: {dist}");
     }
 
     /// Batched linear regression: FEKF with early-reduced gradients

@@ -3,9 +3,6 @@
 //! Implements the paper's contribution and its baselines:
 //!
 //! * [`adam::Adam`] — the first-order baseline (Table 1, Figure 7a),
-//! * [`rlekf::Rlekf`] — the single-sample-minibatch Reorganized
-//!   Layer-wise Extended Kalman Filter of \[23\] (the paper's strongest
-//!   baseline),
 //! * [`naive_ekf::NaiveEkf`] — the fusiform-shaped
 //!   "computing-then-aggregation" multi-sample EKF (§3.1), kept to
 //!   quantify its per-sample `P`-matrix memory blow-up,
@@ -13,7 +10,10 @@
 //!   funnel-shaped "aggregation-then-computing" dataflow (early
 //!   reduction of gradients and absolute errors), `√bs` quasi-learning
 //!   rate, a shared replicated `P`, and the fused `P`-update kernel
-//!   with `P·g` caching (Opt3 of §3.4).
+//!   with `P·g` caching (Opt3 of §3.4). At batch size 1 the early
+//!   reduction is the identity and `√bs = 1`, so `Fekf` with
+//!   `batch_size = 1` *is* the single-sample Reorganized Layer-wise EKF
+//!   (RLEKF) of \[23\], the paper's strongest baseline.
 //!
 //! Supporting machinery: [`blocks`] (the RLEKF gather/split strategy
 //! that organizes the error covariance into a block diagonal),
@@ -28,10 +28,8 @@ pub mod fekf;
 pub mod lambda;
 pub mod naive_ekf;
 pub mod pmatrix;
-pub mod rlekf;
 
 pub use adam::{Adam, AdamConfig};
 pub use blocks::BlockLayout;
 pub use fekf::{Fekf, FekfConfig, QuasiLr};
 pub use naive_ekf::NaiveEkf;
-pub use rlekf::Rlekf;

@@ -100,12 +100,12 @@ impl ModelRegistry {
     }
 
     /// Create a registry with an explicit per-snapshot cache capacity
-    /// (0 disables geometry caching entirely).
+    /// (0 rebuilds every geometry: no caching).
     pub fn with_cache_slots(initial: DeepPotModel, cache_slots: usize) -> Self {
         let snapshot = Arc::new(PublishedModel {
             version: 1,
             model: initial,
-            cache: Self::make_cache(cache_slots),
+            cache: EnvCache::new(cache_slots),
             compressed: None,
             quantized: None,
         });
@@ -115,14 +115,6 @@ impl ModelRegistry {
             history: Mutex::new(vec![snapshot]),
             version: AtomicU64::new(1),
             cache_slots,
-        }
-    }
-
-    fn make_cache(slots: usize) -> EnvCache {
-        if slots == 0 {
-            EnvCache::disabled()
-        } else {
-            EnvCache::new(slots)
         }
     }
 
@@ -242,7 +234,7 @@ impl ModelRegistry {
         let snapshot = Arc::new(PublishedModel {
             version,
             model,
-            cache: Self::make_cache(self.cache_slots),
+            cache: EnvCache::new(self.cache_slots),
             compressed,
             quantized,
         });

@@ -16,7 +16,7 @@
 //! * [`select_frames`] — pick the most informative frames of a pool,
 //! * [`ActiveLoop`] — MD-explore → select → label → retrain cycles.
 
-use crate::trainer::{TrainConfig, Trainer};
+use crate::trainer::{RobustConfig, TrainConfig, Trainer};
 use deepmd_core::model::DeepPotModel;
 use deepmd_core::nnmd::DeepPotential;
 use dp_data::dataset::{Dataset, Snapshot};
@@ -63,11 +63,12 @@ impl Ensemble {
     }
 
     /// Train every member on `train` with FEKF (identical protocol,
-    /// different initializations).
+    /// different initializations, every guard off).
     pub fn train(&mut self, train: &Dataset, cfg: TrainConfig, fekf: FekfConfig) {
         for model in &mut self.models {
             let mut opt = Fekf::new(&model.layer_sizes(), cfg.batch_size, fekf);
-            let _ = Trainer::new(cfg).train_fekf(model, &mut opt, train, None);
+            let robust = RobustConfig::off();
+            let _ = Trainer::new(cfg).train_fekf_robust(model, &mut opt, train, None, &robust);
         }
     }
 

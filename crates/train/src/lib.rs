@@ -7,9 +7,11 @@
 //!   errors for the energy update and the four atomic-force group
 //!   updates,
 //! * [`trainer`] — epoch loops for Adam (batch-mean loss gradients),
-//!   RLEKF (instance-by-instance updates) and FEKF (early-reduced batch
-//!   updates), plus the data-parallel FEKF loop over
-//!   [`dp_parallel::DeviceGroup`] devices,
+//!   Naive-EKF (one `P` per sample) and FEKF (early-reduced batch
+//!   updates; RLEKF is its batch-size-1 case), on one device or
+//!   data-parallel over [`dp_parallel::DeviceGroup`] devices — one
+//!   fault-tolerant FEKF loop, whose guards [`RobustConfig::off`]
+//!   turns off,
 //! * [`gradients`] — the deterministic frame-parallel batch-gradient
 //!   engine: fixed-block fan-out over `dp-pool`, index-order
 //!   reduction, recycled per-block scratch (allocation-free steady

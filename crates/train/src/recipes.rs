@@ -11,7 +11,6 @@ use dp_data::split::train_test_split;
 use dp_mdsim::systems::PaperSystem;
 use dp_optim::adam::{Adam, AdamConfig};
 use dp_optim::fekf::{Fekf, FekfConfig};
-use dp_optim::rlekf::Rlekf;
 use dp_parallel::DeviceGroup;
 
 /// Network scale for an experiment.
@@ -74,11 +73,20 @@ pub fn run_adam(setup: &mut ExperimentSetup, cfg: TrainConfig, sqrt_bs_lr: bool)
     Trainer::new(cfg).train_adam(&mut setup.model, &mut opt, &setup.train, Some(&setup.test))
 }
 
-/// Train with single-sample RLEKF.
+/// Train with single-sample RLEKF: FEKF at batch size 1, where the
+/// early reduction is the identity and `√bs = 1`, with every guard off
+/// ([`RobustConfig::off`]).
 pub fn run_rlekf(setup: &mut ExperimentSetup, cfg: TrainConfig, blocksize: usize) -> TrainOutcome {
-    let mut opt = Rlekf::new(&setup.model.layer_sizes(), blocksize, None, true);
     let cfg = TrainConfig { batch_size: 1, ..cfg };
-    Trainer::new(cfg).train_rlekf(&mut setup.model, &mut opt, &setup.train, Some(&setup.test))
+    let fekf_cfg = FekfConfig { blocksize, ..FekfConfig::default() };
+    let mut opt = Fekf::new(&setup.model.layer_sizes(), 1, fekf_cfg);
+    best_effort(Trainer::new(cfg).train_fekf_robust(
+        &mut setup.model,
+        &mut opt,
+        &setup.train,
+        Some(&setup.test),
+        &RobustConfig::off(),
+    ))
 }
 
 /// Collapse a robust-loop result into a best-effort outcome: a run that

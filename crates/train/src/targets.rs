@@ -31,21 +31,9 @@ pub enum Backend {
     Tape,
 }
 
-/// Signed gradient + absolute error for one KF update.
-#[derive(Clone, Debug)]
-pub struct KfTarget {
-    /// `∇_θ Σ(±ŷ)` flattened over the model parameters.
-    pub grad: Vec<f64>,
-    /// Mean absolute error over the update's components.
-    pub abe: f64,
-}
-
-/// Energy-update target for one sample.
-pub fn energy_target(model: &DeepPotModel, pass: &ForwardPass) -> KfTarget {
-    energy_target_with(model, pass, Backend::Manual)
-}
-
-/// Energy-update target computed with an explicit backend.
+/// Energy-update target of one sample: adds the signed, per-atom-scaled
+/// energy gradient into `acc` (length `n_params`) and returns the
+/// sample's absolute per-atom energy error.
 ///
 /// The Kalman update consumes the **per-atom** energy (`E_tot / N`),
 /// as in the reference RLEKF/FEKF implementations: per-sample energy
@@ -53,30 +41,9 @@ pub fn energy_target(model: &DeepPotModel, pass: &ForwardPass) -> KfTarget {
 /// batch-mean signed gradient barely cancels and the `√bs` factor
 /// would overshoot on the raw total energy; the per-atom scale keeps
 /// the gain in the stable regime across system sizes.
-pub fn energy_target_with(model: &DeepPotModel, pass: &ForwardPass, backend: Backend) -> KfTarget {
-    let n = pass.frame.types.len().max(1) as f64;
-    let err = (pass.frame.energy - pass.energy) / n;
-    let sign = if err >= 0.0 { 1.0 } else { -1.0 };
-    let mut grad = match backend {
-        Backend::Manual => model.grad_energy_params(pass),
-        Backend::Tape => tape_path::grad_energy_params_tape(model, pass.frame),
-    };
-    let scale = sign / n;
-    for g in &mut grad {
-        *g *= scale;
-    }
-    KfTarget { grad, abe: err.abs() }
-}
-
-/// Accumulating form of [`energy_target_with`]: adds the signed,
-/// per-atom-scaled energy gradient into `acc` (length `n_params`) and
-/// returns the sample's absolute per-atom energy error.
 ///
 /// `scratch` holds recycled per-frame gradient buffers (created on
-/// first use) so the steady-state batch loop allocates nothing;
-/// summing `scale · g` directly into `acc` is bitwise identical to
-/// materialising the scaled per-sample vector first
-/// (`0 + scale·g == scale·g`, and accumulation order is the caller's).
+/// first use) so the steady-state batch loop allocates nothing.
 pub fn accumulate_energy_target(
     model: &DeepPotModel,
     pass: &ForwardPass,
@@ -119,16 +86,16 @@ fn frame_grads<'a>(
     &mut scratch[..n]
 }
 
-/// Accumulating form of [`force_targets_with`]: for each round-robin
-/// force group `k`, adds the group's signed gradient into
-/// `acc[k * n_params ..]` and its absolute error into `abes[k]`.
+/// Force-update targets of one sample: for each round-robin force
+/// group `k` (atom `i` belongs to group `i % n_groups`), adds the
+/// group's signed gradient into `acc[k * n_params ..]` and its mean
+/// absolute error into `abes[k]`.
 ///
 /// `acc` holds `n_groups` slots of `n_params` each; groups beyond the
 /// effective count (`n_groups` clamped to `n_atoms`) are left
 /// untouched, which is the additive identity for the batch reduction.
-/// Group membership is the `i % n_groups` round-robin of
-/// [`force_groups`], iterated directly (`i = k, k+ng, …`) so no index
-/// lists are built. The groups go through the model as the tangents of
+/// Members are iterated directly (`i = k, k+ng, …`) so no index lists
+/// are built. The groups go through the model as the tangents of
 /// **one** dual sweep, each reducing into its own recycled buffer of
 /// `scratch` and from there into its own slot — bitwise what one sweep
 /// per group gives.
@@ -185,63 +152,6 @@ pub fn accumulate_force_targets(
     }
 }
 
-/// Round-robin atom groups: atom `i` belongs to group `i % n_groups`.
-pub fn force_groups(n_atoms: usize, n_groups: usize) -> Vec<Vec<usize>> {
-    let n_groups = n_groups.max(1).min(n_atoms.max(1));
-    let mut groups = vec![Vec::new(); n_groups];
-    for i in 0..n_atoms {
-        groups[i % n_groups].push(i);
-    }
-    groups
-}
-
-/// Force-update targets for one sample: one per atom group. All share
-/// the forward `pass` (and its predicted `forces`).
-pub fn force_targets(
-    model: &DeepPotModel,
-    pass: &ForwardPass,
-    forces_pred: &[dp_mdsim::Vec3],
-    frame: &Snapshot,
-    n_groups: usize,
-) -> Vec<KfTarget> {
-    force_targets_with(model, pass, forces_pred, frame, n_groups, Backend::Manual)
-}
-
-/// Force-update targets computed with an explicit backend.
-pub fn force_targets_with(
-    model: &DeepPotModel,
-    pass: &ForwardPass,
-    forces_pred: &[dp_mdsim::Vec3],
-    frame: &Snapshot,
-    n_groups: usize,
-    backend: Backend,
-) -> Vec<KfTarget> {
-    let n_atoms = frame.types.len();
-    force_groups(n_atoms, n_groups)
-        .into_iter()
-        .map(|group| {
-            let mut coeffs = vec![0.0; 3 * n_atoms];
-            let mut abs_sum = 0.0;
-            let mut count = 0usize;
-            for &i in &group {
-                for a in 0..3 {
-                    let err = frame.forces[i].0[a] - forces_pred[i].0[a];
-                    coeffs[3 * i + a] = if err >= 0.0 { 1.0 } else { -1.0 };
-                    abs_sum += err.abs();
-                    count += 1;
-                }
-            }
-            let grad = match backend {
-                Backend::Manual => model.grad_force_sum_params(pass, &coeffs),
-                Backend::Tape => {
-                    tape_path::grad_force_sum_params_tape(model, frame, &coeffs)
-                }
-            };
-            KfTarget { grad, abe: abs_sum / count.max(1) as f64 }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,89 +188,105 @@ mod tests {
         DeepPotModel::new(cfg, &ds)
     }
 
+    /// Energy target of `f`: (signed gradient, absolute error).
+    fn energy(m: &DeepPotModel, f: &Snapshot) -> (Vec<f64>, f64) {
+        let mut acc = vec![0.0; m.n_params()];
+        let abe = accumulate_energy_target(m, &m.forward(f), Backend::Manual, &mut Vec::new(), &mut acc);
+        (acc, abe)
+    }
+
+    /// Force targets of `f` over `n_groups` groups: (slots, errors).
+    fn forces(m: &DeepPotModel, f: &Snapshot, n_groups: usize) -> (Vec<f64>, Vec<f64>) {
+        let pass = m.forward(f);
+        let pred = m.forces(&pass);
+        let (mut acc, mut abes) = (vec![0.0; n_groups * m.n_params()], vec![0.0; n_groups]);
+        let (mut scratch, mut coeffs) = (Vec::new(), Vec::new());
+        accumulate_force_targets(
+            m, &pass, &pred, f, n_groups, Backend::Manual, &mut scratch, &mut coeffs, &mut acc, &mut abes,
+        );
+        (acc, abes)
+    }
+
     #[test]
-    fn energy_target_sign_points_towards_label() {
+    fn energy_sign_points_towards_label() {
         let m = model();
         let f = frame(3);
-        let pass = m.forward(&f);
-        let t = energy_target(&m, &pass);
+        let (grad, abe) = energy(&m, &f);
         // Taking a small step along the Kalman-gain direction (here the
         // raw signed gradient as proxy) must reduce |E_label − Ê|.
-        let err0 = (f.energy - pass.energy).abs();
+        let err0 = (f.energy - m.forward(&f).energy).abs();
         let mut m2 = m.clone();
-        let step: Vec<f64> = t.grad.iter().map(|g| 1e-4 * g).collect();
+        let step: Vec<f64> = grad.iter().map(|g| 1e-4 * g).collect();
         m2.apply_update(&step);
         let err1 = (f.energy - m2.forward(&f).energy).abs();
         assert!(err1 < err0, "step along signed gradient must reduce error: {err0} → {err1}");
         // The ABE is the per-atom energy error.
-        assert!((t.abe - err0 / f.types.len() as f64).abs() < 1e-12);
+        assert!((abe - err0 / f.types.len() as f64).abs() < 1e-12);
     }
 
     #[test]
-    fn force_groups_partition_atoms() {
-        let groups = force_groups(10, 4);
-        assert_eq!(groups.len(), 4);
-        let mut all: Vec<usize> = groups.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..10).collect::<Vec<_>>());
-        // Balanced within 1.
-        let lens: Vec<usize> = groups.iter().map(Vec::len).collect();
-        assert!(lens.iter().max().unwrap() - lens.iter().min().unwrap() <= 1);
-    }
-
-    #[test]
-    fn more_groups_than_atoms_degrades_gracefully() {
-        let groups = force_groups(2, 4);
-        assert_eq!(groups.len(), 2);
-        assert!(groups.iter().all(|g| g.len() == 1));
-    }
-
-    #[test]
-    fn force_targets_have_positive_abe_and_full_length_grads() {
+    fn groups_are_round_robin_over_atoms() {
         let m = model();
         let f = frame(4);
-        let pass = m.forward(&f);
-        let forces = m.forces(&pass);
-        let targets = force_targets(&m, &pass, &forces, &f, 4);
-        assert_eq!(targets.len(), 4);
-        for t in &targets {
-            assert_eq!(t.grad.len(), m.n_params());
-            assert!(t.abe > 0.0);
-            assert!(t.grad.iter().any(|&g| g != 0.0), "gradient must be nonzero");
+        let pred = m.forces(&m.forward(&f));
+        let (labels, pred) = (&f.forces, &pred);
+        let n_groups = 3;
+        let (acc, abes) = forces(&m, &f, n_groups);
+        for (k, (g, &abe)) in acc.chunks_exact(m.n_params()).zip(&abes).enumerate() {
+            // Mean |error| over the components of atoms k, k+3, k+6, ….
+            let errs: Vec<f64> = (k..f.types.len())
+                .step_by(n_groups)
+                .flat_map(|i| (0..3).map(move |a| (labels[i].0[a] - pred[i].0[a]).abs()))
+                .collect();
+            let want = errs.iter().sum::<f64>() / errs.len() as f64;
+            assert_eq!(abe.to_bits(), want.to_bits(), "group {k} error");
+            assert!(g.iter().any(|&v| v != 0.0), "group {k} gradient must be nonzero");
         }
     }
 
     #[test]
-    fn accumulate_forms_match_materialized_targets_bitwise() {
+    fn groups_beyond_the_atom_count_stay_empty() {
+        let m = model();
+        let f = frame(4);
+        let n_atoms = f.types.len();
+        let (acc, abes) = forces(&m, &f, n_atoms + 2);
+        for (k, g) in acc.chunks_exact(m.n_params()).enumerate() {
+            let empty = k >= n_atoms;
+            assert_eq!(g.iter().all(|&v| v == 0.0), empty, "group {k}");
+            assert_eq!(abes[k] == 0.0, empty, "group {k}");
+        }
+    }
+
+    /// The one dual sweep over all groups equals one `∇θ(cᵀF)` per group,
+    /// and the energy slot equals the scaled `∇θE`, bit for bit.
+    #[test]
+    fn one_sweep_matches_per_group_gradients_bitwise() {
         let m = model();
         let f = frame(6);
         let pass = m.forward(&f);
-        let forces = m.forces(&pass);
-        let n_params = m.n_params();
-        let n_groups = 4;
+        let pred = m.forces(&pass);
+        let n_atoms = f.types.len();
 
-        let et = energy_target_with(&m, &pass, Backend::Manual);
-        let mut scratch = Vec::new();
-        let mut acc = vec![0.0; n_params];
-        let abe = accumulate_energy_target(&m, &pass, Backend::Manual, &mut scratch, &mut acc);
-        assert_eq!(abe.to_bits(), et.abe.to_bits());
-        for (a, b) in acc.iter().zip(&et.grad) {
-            assert_eq!(a.to_bits(), b.to_bits(), "energy gradient must match bitwise");
+        let (grad, _) = energy(&m, &f);
+        let err = (f.energy - pass.energy) / n_atoms as f64;
+        let sign = if err >= 0.0 { 1.0 } else { -1.0 };
+        let scale = sign / n_atoms as f64;
+        for (a, b) in grad.iter().zip(m.grad_energy_params(&pass)) {
+            assert_eq!(a.to_bits(), (0.0 + scale * b).to_bits(), "energy gradient");
         }
 
-        let fts = force_targets_with(&m, &pass, &forces, &f, n_groups, Backend::Manual);
-        let mut coeffs = Vec::new();
-        let mut facc = vec![0.0; n_groups * n_params];
-        let mut abes = vec![0.0; n_groups];
-        accumulate_force_targets(
-            &m, &pass, &forces, &f, n_groups, Backend::Manual,
-            &mut scratch, &mut coeffs, &mut facc, &mut abes,
-        );
-        assert_eq!(fts.len(), n_groups);
-        for (k, t) in fts.iter().enumerate() {
-            assert_eq!(abes[k].to_bits(), t.abe.to_bits());
-            for (a, b) in facc[k * n_params..(k + 1) * n_params].iter().zip(&t.grad) {
-                assert_eq!(a.to_bits(), b.to_bits(), "group {k} gradient must match bitwise");
+        let n_groups = 4;
+        let (acc, _) = forces(&m, &f, n_groups);
+        for (k, slot) in acc.chunks_exact(m.n_params()).enumerate() {
+            let mut coeffs = vec![0.0; 3 * n_atoms];
+            for i in (k..n_atoms).step_by(n_groups) {
+                for a in 0..3 {
+                    let err = f.forces[i].0[a] - pred[i].0[a];
+                    coeffs[3 * i + a] = if err >= 0.0 { 1.0 } else { -1.0 };
+                }
+            }
+            for (a, b) in slot.iter().zip(m.grad_force_sum_params(&pass, &coeffs)) {
+                assert_eq!(a.to_bits(), (0.0 + b).to_bits(), "group {k} gradient");
             }
         }
     }
@@ -369,9 +295,7 @@ mod tests {
     fn force_update_step_reduces_group_error() {
         let m = model();
         let f = frame(5);
-        let pass = m.forward(&f);
-        let forces = m.forces(&pass);
-        let targets = force_targets(&m, &pass, &forces, &f, 1);
+        let (grad, _) = forces(&m, &f, 1);
         let group_err = |m: &DeepPotModel| -> f64 {
             let pass = m.forward(&f);
             let pred = m.forces(&pass);
@@ -382,7 +306,7 @@ mod tests {
         };
         let e0 = group_err(&m);
         let mut m2 = m.clone();
-        let step: Vec<f64> = targets[0].grad.iter().map(|g| 1e-5 * g).collect();
+        let step: Vec<f64> = grad.iter().map(|g| 1e-5 * g).collect();
         m2.apply_update(&step);
         let e1 = group_err(&m2);
         assert!(e1 < e0, "signed force gradient must reduce error: {e0} → {e1}");

@@ -1,11 +1,18 @@
-//! Training loops for Adam, RLEKF and FEKF (single- and multi-device).
+//! Training loops for Adam, Naive-EKF and FEKF (single- and
+//! multi-device).
 //!
 //! Per-iteration structure of the EKF loops (§4 "Model parameters"):
 //! one weight update with the total energy, then `force_updates` (4 by
 //! default) updates with disjoint atomic-force groups. FEKF reduces the
 //! signed gradients and absolute errors over the whole minibatch before
-//! each update (the funnel dataflow of §3.1); RLEKF performs the same
-//! sequence per individual sample.
+//! each update (the funnel dataflow of §3.1). RLEKF performs the same
+//! sequence per individual sample, which is FEKF at batch size 1: it
+//! runs through the same loop as `Fekf::new(layers, 1, ..)`.
+//!
+//! FEKF has one epoch loop, the fault-tolerant one behind
+//! [`Trainer::train_fekf_robust`] and
+//! [`Trainer::train_fekf_distributed_robust`]; [`RobustConfig::off`]
+//! turns every guard off for callers that want the plain schedule.
 //!
 //! Implementation note: the four force-group updates of one iteration
 //! share a single fresh forward pass (taken after the energy update)
@@ -17,18 +24,14 @@ use crate::checkpoint::{self, Checkpoint, OptKind};
 use crate::error::TrainError;
 use crate::gradients::{BlockScratch, GradScratch};
 use crate::metrics::{timed, EpochRecord, PhaseTimes, TrainHistory};
-use crate::targets::{
-    accumulate_energy_target, accumulate_force_targets, energy_target_with, force_targets_with,
-    Backend,
-};
-use deepmd_core::env_cache::{env_cache_enabled_from_env, CacheStats, EnvCache};
+use crate::targets::{accumulate_energy_target, accumulate_force_targets, Backend};
+use deepmd_core::env_cache::{CacheStats, EnvCache};
 use deepmd_core::loss::{self, LossWeights, Metrics};
 use deepmd_core::model::DeepPotModel;
 use dp_data::batch::BatchSampler;
 use dp_data::dataset::Dataset;
 use dp_optim::adam::Adam;
 use dp_optim::fekf::Fekf;
-use dp_optim::rlekf::Rlekf;
 use dp_parallel::{CommError, DeviceGroup, FaultPlan};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -58,10 +61,6 @@ pub struct TrainConfig {
     /// epoch boundaries). Mid-epoch checks give wall-time measurements
     /// sub-epoch resolution for the time-to-accuracy experiments.
     pub eval_every: usize,
-    /// Reuse neighbour environments across epochs via the geometry-
-    /// hashed [`EnvCache`] (bitwise-neutral; defaults to the
-    /// `DP_ENV_CACHE` environment switch).
-    pub env_cache: bool,
 }
 
 impl Default for TrainConfig {
@@ -75,7 +74,6 @@ impl Default for TrainConfig {
             seed: 7,
             backend: Backend::Manual,
             eval_every: 0,
-            env_cache: env_cache_enabled_from_env(),
         }
     }
 }
@@ -101,8 +99,8 @@ pub struct TrainOutcome {
     pub phases: PhaseTimes,
     /// Ring-allreduce bytes sent by the busiest rank (distributed runs).
     pub comm_bytes_per_rank: usize,
-    /// Environment-cache hit/miss counters of the KF training loops
-    /// (zero for the loops that do not use the cache).
+    /// Environment-cache hit/miss counters of the FEKF loop (zero for
+    /// Adam and Naive-EKF, which do not use the cache).
     pub env_cache: CacheStats,
 }
 
@@ -193,60 +191,95 @@ fn timed_split(phases: &mut PhaseTimes, f: impl FnOnce() -> f64) {
     phases.gradient += wall - forward;
 }
 
-/// Energy-phase work of one frame: forward in the block's workspace,
-/// then its signed energy gradient and absolute error into the block's
-/// first slot.
-fn energy_item(
-    model: &DeepPotModel,
-    cache: &EnvCache,
-    train: &Dataset,
-    idx: usize,
-    backend: Backend,
-    blk: &mut BlockScratch,
-) {
-    let n_params = model.n_params();
-    let start = Instant::now();
-    let ws = blk.workspace.take().unwrap_or_default();
-    let pass = model.forward_with_cache_in(ws, cache, idx, &train.frames[idx]);
-    blk.forward += start.elapsed();
-    blk.abes[0] += accumulate_energy_target(model, &pass, backend, &mut blk.grads, &mut blk.acc[..n_params]);
-    blk.workspace = Some(pass.into_workspace());
+/// One reduction phase of a FEKF iteration: how many update slots it
+/// fills, and what each frame adds to them.
+#[derive(Clone, Copy)]
+enum Phase {
+    /// The total-energy update: one slot.
+    Energy,
+    /// The force-group updates: one slot per group.
+    Forces(usize),
 }
 
-/// Force-phase work of one frame: forward and forces in the block's
-/// workspace, then every force group's signed gradient and absolute
-/// error into the group's slot.
-fn force_item(
-    model: &DeepPotModel,
-    cache: &EnvCache,
-    train: &Dataset,
-    idx: usize,
-    n_groups: usize,
-    backend: Backend,
-    blk: &mut BlockScratch,
+impl Phase {
+    /// The phases of one iteration, in update order.
+    fn iteration(force_updates: usize) -> [Phase; 2] {
+        [Phase::Energy, Phase::Forces(force_updates.max(1))]
+    }
+
+    fn slots(self) -> usize {
+        match self {
+            Phase::Energy => 1,
+            Phase::Forces(n_groups) => n_groups,
+        }
+    }
+
+    /// Frame `idx`'s work in its reduction block's workspace: a forward
+    /// pass, then the phase's signed gradients and absolute errors added
+    /// into the block's slots. The force groups of a frame share its
+    /// pass and one dual sweep.
+    fn item(
+        self,
+        model: &DeepPotModel,
+        cache: &EnvCache,
+        train: &Dataset,
+        idx: usize,
+        backend: Backend,
+        blk: &mut BlockScratch,
+    ) {
+        let n_params = model.n_params();
+        let frame = &train.frames[idx];
+        let start = Instant::now();
+        let ws = blk.workspace.take().unwrap_or_default();
+        let pass = model.forward_with_cache_in(ws, cache, idx, frame);
+        match self {
+            Phase::Energy => {
+                blk.forward += start.elapsed();
+                let acc = &mut blk.acc[..n_params];
+                blk.abes[0] += accumulate_energy_target(model, &pass, backend, &mut blk.grads, acc);
+            }
+            Phase::Forces(n_groups) => {
+                blk.forces.clear();
+                blk.forces.resize(frame.types.len(), dp_mdsim::Vec3::ZERO);
+                model.forces_into(&pass, &mut blk.forces);
+                blk.forward += start.elapsed();
+                accumulate_force_targets(
+                    model,
+                    &pass,
+                    &blk.forces,
+                    frame,
+                    n_groups,
+                    backend,
+                    &mut blk.grads,
+                    &mut blk.coeffs,
+                    &mut blk.acc[..n_groups * n_params],
+                    &mut blk.abes[..n_groups],
+                );
+            }
+        }
+        blk.workspace = Some(pass.into_workspace());
+    }
+}
+
+/// Apply one phase's Kalman updates in slot order: slot `k` of `grads`
+/// (`n_params` wide) with batch-mean error `abes[k] · inv_bs`. A slot
+/// whose reduced gradient is all zero — a force group that no frame of
+/// the batch has atoms for — is skipped: it would move no weight, yet
+/// still divide `P` by λ and advance λ.
+fn kf_updates(
+    model: &mut DeepPotModel,
+    opt: &mut Fekf,
+    grads: &[f64],
+    abes: &[f64],
+    inv_bs: f64,
+    delta: &mut [f64],
 ) {
-    let n_params = model.n_params();
-    let frame = &train.frames[idx];
-    let start = Instant::now();
-    let ws = blk.workspace.take().unwrap_or_default();
-    let pass = model.forward_with_cache_in(ws, cache, idx, frame);
-    blk.forces.clear();
-    blk.forces.resize(frame.types.len(), dp_mdsim::Vec3::ZERO);
-    model.forces_into(&pass, &mut blk.forces);
-    blk.forward += start.elapsed();
-    accumulate_force_targets(
-        model,
-        &pass,
-        &blk.forces,
-        frame,
-        n_groups,
-        backend,
-        &mut blk.grads,
-        &mut blk.coeffs,
-        &mut blk.acc[..n_groups * n_params],
-        &mut blk.abes[..n_groups],
-    );
-    blk.workspace = Some(pass.into_workspace());
+    for (g, &abe) in grads.chunks_exact(delta.len()).zip(abes) {
+        if g.iter().any(|&v| v != 0.0) {
+            opt.step_into(g, abe * inv_bs, delta);
+            model.apply_update(delta);
+        }
+    }
 }
 
 impl Trainer {
@@ -327,17 +360,6 @@ impl Trainer {
         }
     }
 
-    /// Build the environment cache for a dataset of `n_frames`
-    /// (disabled per [`TrainConfig::env_cache`] — every lookup then
-    /// rebuilds, bitwise identical to the pre-cache behaviour).
-    fn new_cache(&self, n_frames: usize) -> EnvCache {
-        if self.cfg.env_cache {
-            EnvCache::new(n_frames)
-        } else {
-            EnvCache::disabled()
-        }
-    }
-
     /// Train with Adam on the standard DeePMD loss (batch-mean
     /// gradients). The Table 1 / Figure 7(a) baseline.
     pub fn train_adam(
@@ -392,116 +414,17 @@ impl Trainer {
         self.outcome(model, train, test, state, epochs_run, converged)
     }
 
-    /// Train with single-sample RLEKF (the \[23\] baseline).
-    pub fn train_rlekf(
-        &self,
-        model: &mut DeepPotModel,
-        opt: &mut Rlekf,
-        train: &Dataset,
-        test: Option<&Dataset>,
-    ) -> TrainOutcome {
-        let sampler = BatchSampler::new(train.len(), 1, false);
-        let mut rng = ChaCha8Rng::seed_from_u64(self.cfg.seed);
-        let mut state = LoopState::new();
-        let cache = self.new_cache(train.len());
-        let mut converged = false;
-        let mut epochs_run = 0;
-        for epoch in 1..=self.cfg.max_epochs {
-            for batch in sampler.epoch(&mut rng) {
-                let frame = &train.frames[batch[0]];
-                // Energy update. RLEKF forwards every sample twice per
-                // iteration, so the geometry cache pays off even inside
-                // one epoch.
-                let pass = timed(&mut state.phases.forward, || {
-                    model.forward_with_cache(&cache, batch[0], frame)
-                });
-                let et = timed(&mut state.phases.gradient, || {
-                    energy_target_with(model, &pass, self.cfg.backend)
-                });
-                timed(&mut state.phases.optimizer, || {
-                    let delta = opt.step_sample(&et.grad, et.abe);
-                    model.apply_update(&delta);
-                });
-                // Force updates from a fresh pass.
-                let pass = timed(&mut state.phases.forward, || {
-                    model.forward_with_cache(&cache, batch[0], frame)
-                });
-                let forces = timed(&mut state.phases.forward, || model.forces(&pass));
-                let fts = timed(&mut state.phases.gradient, || {
-                    force_targets_with(
-                        model,
-                        &pass,
-                        &forces,
-                        frame,
-                        self.cfg.force_updates,
-                        self.cfg.backend,
-                    )
-                });
-                timed(&mut state.phases.optimizer, || {
-                    for t in &fts {
-                        let delta = opt.step_sample(&t.grad, t.abe);
-                        model.apply_update(&delta);
-                    }
-                });
-                state.iterations += 1;
-                state.cache_stats = cache.stats();
-                if self.mid_epoch_converged(model, train, &mut state) {
-                    converged = true;
-                    break;
-                }
-            }
-            epochs_run = epoch;
-            if converged || self.epoch_end(model, train, &mut state, epoch) {
-                converged = true;
-                break;
-            }
-        }
-        self.outcome(model, train, test, state, epochs_run, converged)
-    }
-
-    /// Train with FEKF: early-reduced batch gradients/errors, one KF
-    /// update per quantity (the paper's contribution).
-    pub fn train_fekf(
-        &self,
-        model: &mut DeepPotModel,
-        opt: &mut Fekf,
-        train: &Dataset,
-        test: Option<&Dataset>,
-    ) -> TrainOutcome {
-        let sampler = BatchSampler::new(train.len(), self.cfg.batch_size, false);
-        let mut rng = ChaCha8Rng::seed_from_u64(self.cfg.seed);
-        let mut state = LoopState::new();
-        let cache = self.new_cache(train.len());
-        let mut converged = false;
-        let mut epochs_run = 0;
-        for epoch in 1..=self.cfg.max_epochs {
-            for batch in sampler.epoch(&mut rng) {
-                self.fekf_iteration(model, opt, train, &batch, &cache, &mut state);
-                if self.mid_epoch_converged(model, train, &mut state) {
-                    converged = true;
-                    break;
-                }
-            }
-            epochs_run = epoch;
-            if converged || self.epoch_end(model, train, &mut state, epoch) {
-                converged = true;
-                break;
-            }
-        }
-        self.outcome(model, train, test, state, epochs_run, converged)
-    }
-
-    /// One FEKF iteration over `batch` (shared by the single-device and
-    /// the robust paths). Returns the batch-mean absolute energy error,
-    /// which the divergence guards watch.
+    /// One FEKF iteration over `batch`. Returns the batch-mean absolute
+    /// energy error, which the divergence guards watch.
     ///
     /// Each frame runs forward pass and gradient back to back in its
     /// reduction block's workspace, against cached neighbour
     /// environments (`cache`); the batch gradient/error sums run
     /// through the fixed-block engine of [`crate::gradients`], so the
-    /// result is bitwise independent of `DP_POOL_THREADS` and of
-    /// whether the cache is enabled. Once every buffer has seen the
-    /// batch's frames, an iteration allocates nothing.
+    /// result is bitwise independent of `DP_POOL_THREADS` and of how
+    /// many slots `cache` has (`EnvCache::new(0)` rebuilds every
+    /// geometry). Once every buffer has seen the batch's frames, an
+    /// iteration allocates nothing.
     pub fn fekf_iteration(
         &self,
         model: &mut DeepPotModel,
@@ -512,57 +435,35 @@ impl Trainer {
         state: &mut LoopState,
     ) -> f64 {
         let n_params = model.n_params();
-        let n_groups = self.cfg.force_updates.max(1);
         let inv_bs = 1.0 / batch.len() as f64;
         let backend = self.cfg.backend;
         let mut delta = state.take_delta(n_params);
-        // Energy phase: forward all samples, reduce signed gradients
-        // and absolute errors (the early reduction of §3.1, Algorithm 1
-        // line 7): gradients are *summed* over the batch
+        // The energy phase, then the force phase on fresh passes taken
+        // after the energy update. Each reduces the signed gradients and
+        // absolute errors over the batch (the early reduction of §3.1,
+        // Algorithm 1 line 7): gradients are *summed*
         // ("Ŷ.sum().backward()"), errors are averaged. The Kalman gain
         // normalizes by gᵀPg, so the summed gradient's √bs-growth is
         // exactly what the √bs weight factor compensates (Eq. 2).
-        {
-            let model = &*model;
-            let LoopState { phases, scratch, gsum, gabes, .. } = state;
-            timed_split(phases, || {
-                scratch.block_reduce(
-                    batch.len(),
-                    1,
-                    n_params,
-                    &|bi, blk| energy_item(model, cache, train, batch[bi], backend, blk),
-                    gsum,
-                    gabes,
-                )
-            });
-        }
-        let mean_abe = state.gabes[0] * inv_bs;
-        timed(&mut state.phases.optimizer, || {
-            opt.step_into(&state.gsum, mean_abe, &mut delta);
-            model.apply_update(&delta);
-        });
-        // Force phase: fresh passes after the energy update; the force
-        // groups of a frame share its pass and one dual sweep.
-        {
-            let model = &*model;
-            let LoopState { phases, scratch, gsum, gabes, .. } = state;
-            timed_split(phases, || {
-                scratch.block_reduce(
-                    batch.len(),
-                    n_groups,
-                    n_params,
-                    &|bi, blk| force_item(model, cache, train, batch[bi], n_groups, backend, blk),
-                    gsum,
-                    gabes,
-                )
-            });
-        }
-        timed(&mut state.phases.optimizer, || {
-            for k in 0..n_groups {
-                let g = &state.gsum[k * n_params..(k + 1) * n_params];
-                opt.step_into(g, state.gabes[k] * inv_bs, &mut delta);
-                model.apply_update(&delta);
+        let [mean_abe, _] = Phase::iteration(self.cfg.force_updates).map(|phase| {
+            {
+                let model = &*model;
+                let LoopState { phases, scratch, gsum, gabes, .. } = &mut *state;
+                timed_split(phases, || {
+                    scratch.block_reduce(
+                        batch.len(),
+                        phase.slots(),
+                        n_params,
+                        &|bi, blk| phase.item(model, cache, train, batch[bi], backend, blk),
+                        gsum,
+                        gabes,
+                    )
+                });
             }
+            timed(&mut state.phases.optimizer, || {
+                kf_updates(model, opt, &state.gsum, &state.gabes, inv_bs, &mut delta)
+            });
+            state.gabes[0] * inv_bs
         });
         state.return_delta(delta);
         state.iterations += 1;
@@ -594,35 +495,45 @@ impl Trainer {
         let mut converged = false;
         let mut epochs_run = 0;
         let n_groups = self.cfg.force_updates.max(1);
+        let (n_params, backend) = (model.n_params(), self.cfg.backend);
         for epoch in 1..=self.cfg.max_epochs {
             for batch in sampler.epoch(&mut rng) {
                 // Energy update: one gradient per lane.
-                let targets: Vec<_> = timed(&mut state.phases.gradient, || {
+                let (grads, abes): (Vec<Vec<f64>>, Vec<f64>) = timed(&mut state.phases.gradient, || {
                     dp_pool::map_collect(&batch, |&i| {
                         let pass = model.forward(&train.frames[i]);
-                        energy_target_with(model, &pass, self.cfg.backend)
+                        let mut g = vec![0.0; n_params];
+                        let abe = accumulate_energy_target(model, &pass, backend, &mut Vec::new(), &mut g);
+                        (g, abe)
                     })
+                    .into_iter()
+                    .unzip()
                 });
                 timed(&mut state.phases.optimizer, || {
-                    let grads: Vec<Vec<f64>> = targets.iter().map(|t| t.grad.clone()).collect();
-                    let abes: Vec<f64> = targets.iter().map(|t| t.abe).collect();
                     let delta = opt.step_batch(&grads, &abes);
                     model.apply_update(&delta);
                 });
-                // Force updates.
-                let per_sample: Vec<_> = timed(&mut state.phases.gradient, || {
+                // Force updates: every lane's groups from one pass.
+                let per_sample: Vec<(Vec<f64>, Vec<f64>)> = timed(&mut state.phases.gradient, || {
                     dp_pool::map_collect(&batch, |&i| {
                         let frame = &train.frames[i];
                         let pass = model.forward(frame);
                         let forces = model.forces(&pass);
-                        force_targets_with(model, &pass, &forces, frame, n_groups, self.cfg.backend)
+                        let (mut g, mut abes) = (vec![0.0; n_groups * n_params], vec![0.0; n_groups]);
+                        let (mut grads, mut coeffs) = (Vec::new(), Vec::new());
+                        accumulate_force_targets(
+                            model, &pass, &forces, frame, n_groups, backend, &mut grads, &mut coeffs, &mut g,
+                            &mut abes,
+                        );
+                        (g, abes)
                     })
                 });
                 timed(&mut state.phases.optimizer, || {
                     for k in 0..n_groups {
+                        let slot = k * n_params..(k + 1) * n_params;
                         let grads: Vec<Vec<f64>> =
-                            per_sample.iter().map(|ts| ts[k].grad.clone()).collect();
-                        let abes: Vec<f64> = per_sample.iter().map(|ts| ts[k].abe).collect();
+                            per_sample.iter().map(|(g, _)| g[slot.clone()].to_vec()).collect();
+                        let abes: Vec<f64> = per_sample.iter().map(|(_, a)| a[k]).collect();
                         let delta = opt.step_batch(&grads, &abes);
                         model.apply_update(&delta);
                     }
@@ -640,7 +551,7 @@ impl Trainer {
 
     /// One data-parallel FEKF iteration: sharded gradient/error sums,
     /// combined with the (possibly fault-injected) resilient ring
-    /// allreduce, then the identical KF update every replica would
+    /// allreduce, then the identical KF updates every replica would
     /// apply (§3.3). Communication faults the resilient layer cannot
     /// absorb surface as typed errors — the distributed hot path never
     /// panics.
@@ -657,122 +568,72 @@ impl Trainer {
         state: &mut LoopState,
     ) -> Result<f64, CommError> {
         let n_params = model.n_params();
-        let n_groups = self.cfg.force_updates.max(1);
         let inv_bs = 1.0 / batch.len() as f64;
-        let mut delta = state.take_delta(n_params);
+        let backend = self.cfg.backend;
         if state.dist_scratch.len() < devices.n_devices() {
             state
                 .dist_scratch
                 .resize_with(devices.n_devices(), || Mutex::new(GradScratch::new()));
         }
-        let dist = &state.dist_scratch;
-        // Energy update. Each rank fans its shard's fused
-        // forward+gradient work over the block engine (frames within a
-        // rank parallelize across `dp-pool`; the per-rank shard sum
-        // stays a fixed-order reduction, so the allreduce input — and
-        // hence the update — is thread-count independent).
-        let model_ref = &*model;
-        let red = timed(&mut state.phases.gradient, || {
-            devices.map_reduce_faulty(batch, n_params, plan, |rank, shard| {
-                let mut sc = dist[rank].lock().unwrap_or_else(|e| e.into_inner());
-                let mut g = Vec::new();
-                let mut abes = Vec::new();
-                sc.block_reduce(
-                    shard.len(),
-                    1,
-                    n_params,
-                    &|si, blk| energy_item(model_ref, cache, train, shard[si], Backend::Manual, blk),
-                    &mut g,
-                    &mut abes,
-                );
-                (g, abes[0])
-            })
-        })?;
-        state.comm_bytes += red.comm.bytes_sent_per_rank;
-        // Gradients stay sum-reduced (Algorithm 1); the ABE is
-        // averaged over the batch.
-        let gbar = red.vector;
-        let mean_abe = red.scalar * inv_bs;
-        timed(&mut state.phases.optimizer, || {
-            opt.step_into(&gbar, mean_abe, &mut delta);
-            model.apply_update(&delta);
-        });
-        // Force updates: one sharded pass returning the
-        // concatenated group gradients + group ABEs.
-        let concat_len = n_groups * n_params + n_groups;
-        let model_ref = &*model;
-        let red = timed(&mut state.phases.gradient, || {
-            devices.map_reduce_faulty(batch, concat_len, plan, |rank, shard| {
-                let mut sc = dist[rank].lock().unwrap_or_else(|e| e.into_inner());
-                let mut buf = Vec::new();
-                let mut abes = Vec::new();
-                sc.block_reduce(
-                    shard.len(),
-                    n_groups,
-                    n_params,
-                    &|si, blk| {
-                        force_item(model_ref, cache, train, shard[si], n_groups, Backend::Manual, blk)
-                    },
-                    &mut buf,
-                    &mut abes,
-                );
-                buf.extend_from_slice(&abes);
-                (buf, 0.0)
-            })
-        })?;
-        state.comm_bytes += red.comm.bytes_sent_per_rank;
-        timed(&mut state.phases.optimizer, || {
-            for k in 0..n_groups {
-                let off = k * n_params;
-                let g = &red.vector[off..off + n_params];
-                let abe = red.vector[n_groups * n_params + k] * inv_bs;
-                // Guard all-padding groups (tiny frames).
-                if g.iter().all(|&v| v == 0.0) {
-                    continue;
+        let mut delta = state.take_delta(n_params);
+        let mut mean_abe = 0.0;
+        for phase in Phase::iteration(self.cfg.force_updates) {
+            let n_slots = phase.slots();
+            // The energy error rides as the reduction's scalar; the force
+            // groups' errors ride behind their gradients in the vector.
+            let len = match phase {
+                Phase::Energy => n_params,
+                Phase::Forces(_) => n_slots * (n_params + 1),
+            };
+            // Each rank fans its shard's fused forward+gradient work over
+            // the block engine (frames within a rank parallelize across
+            // `dp-pool`; the per-rank shard sum stays a fixed-order
+            // reduction, so the allreduce input — and hence the update —
+            // is thread-count independent).
+            let (model_ref, dist) = (&*model, &state.dist_scratch);
+            let red = timed(&mut state.phases.gradient, || {
+                devices.map_reduce_faulty(batch, len, plan, |rank, shard| {
+                    let mut sc = dist[rank].lock().unwrap_or_else(|e| e.into_inner());
+                    let (mut g, mut abes) = (Vec::new(), Vec::new());
+                    sc.block_reduce(
+                        shard.len(),
+                        n_slots,
+                        n_params,
+                        &|si, blk| phase.item(model_ref, cache, train, shard[si], backend, blk),
+                        &mut g,
+                        &mut abes,
+                    );
+                    match phase {
+                        Phase::Energy => (g, abes[0]),
+                        Phase::Forces(_) => {
+                            g.extend_from_slice(&abes);
+                            (g, 0.0)
+                        }
+                    }
+                })
+            })?;
+            state.comm_bytes += red.comm.bytes_sent_per_rank;
+            let (grads, abes) = match phase {
+                Phase::Energy => {
+                    mean_abe = red.scalar * inv_bs;
+                    (&red.vector[..], std::slice::from_ref(&red.scalar))
                 }
-                opt.step_into(g, abe, &mut delta);
-                model.apply_update(&delta);
-            }
-        });
+                Phase::Forces(_) => red.vector.split_at(n_slots * n_params),
+            };
+            timed(&mut state.phases.optimizer, || {
+                kf_updates(model, opt, grads, abes, inv_bs, &mut delta)
+            });
+        }
         state.return_delta(delta);
         state.iterations += 1;
         state.cache_stats = cache.stats();
         Ok(mean_abe)
     }
 
-    /// Data-parallel FEKF over a [`DeviceGroup`]: each device computes
-    /// its shard's gradient/error sums; shards are combined with a real
-    /// ring allreduce; every device would then apply the identical KF
-    /// update (here applied once — the replicas are bit-identical, which
-    /// is exactly the §3.3 communication-avoidance property).
-    ///
-    /// Runs on the fault-tolerant loop with a clean link and the legacy
-    /// keep-final-weights semantics; use
-    /// [`Trainer::train_fekf_distributed_robust`] for fault injection,
-    /// checkpointing and best-state restore.
-    pub fn train_fekf_distributed(
-        &self,
-        model: &mut DeepPotModel,
-        opt: &mut Fekf,
-        train: &Dataset,
-        test: Option<&Dataset>,
-        devices: &DeviceGroup,
-    ) -> Result<TrainOutcome, TrainError> {
-        let robust = RobustConfig { restore_best: false, ..RobustConfig::default() };
-        self.train_fekf_distributed_robust(
-            model,
-            opt,
-            train,
-            test,
-            devices,
-            &FaultPlan::none(),
-            &robust,
-        )
-    }
-
     /// Fault-tolerant single-device FEKF training: periodic
     /// checkpointing, divergence detection with rollback-and-retry, and
-    /// bit-exact resume after a crash (see [`RobustConfig`]).
+    /// bit-exact resume after a crash (see [`RobustConfig`]). RLEKF is
+    /// this loop with a batch-size-1 `Fekf`.
     pub fn train_fekf_robust(
         &self,
         model: &mut DeepPotModel,
@@ -781,7 +642,7 @@ impl Trainer {
         test: Option<&Dataset>,
         robust: &RobustConfig,
     ) -> Result<TrainOutcome, TrainError> {
-        let cache = self.new_cache(train.len());
+        let cache = EnvCache::new(train.len());
         self.robust_loop(model, opt, train, test, robust, |this, model, opt, batch, state| {
             Ok(this.fekf_iteration(model, opt, train, batch, &cache, state))
         })
@@ -803,15 +664,15 @@ impl Trainer {
         plan: &FaultPlan,
         robust: &RobustConfig,
     ) -> Result<TrainOutcome, TrainError> {
-        let cache = self.new_cache(train.len());
+        let cache = EnvCache::new(train.len());
         self.robust_loop(model, opt, train, test, robust, |this, model, opt, batch, state| {
             this.fekf_distributed_iteration(model, opt, train, batch, devices, plan, &cache, state)
         })
     }
 
-    /// The shared fault-tolerant epoch loop. `iterate` performs one
-    /// weight-update iteration and returns the batch-mean absolute
-    /// energy error (or a communication fault).
+    /// The FEKF epoch loop. `iterate` performs one weight-update
+    /// iteration and returns the batch-mean absolute energy error (or a
+    /// communication fault).
     fn robust_loop(
         &self,
         model: &mut DeepPotModel,
@@ -857,18 +718,16 @@ impl Trainer {
             }
         }
 
-        // The rollback target: last known-healthy state. Refreshed at
-        // every checkpoint and every epoch boundary.
-        let mut snap = take_snapshot(
-            epoch,
-            batches_done,
-            state.iterations,
-            rng.get_word_pos(),
-            rollbacks,
-            model,
-            opt,
-            &best,
-        );
+        // The last known-healthy state: the rollback target of the
+        // guards and what a checkpoint persists. Refreshed at every
+        // checkpoint and every epoch boundary. With the guards off and
+        // no checkpoint directory nothing reads it, so the loop takes
+        // none and never copies `P`.
+        let snapshots = robust.check_every > 0 || robust.checkpoint_dir.is_some();
+        let mut snap = snapshots.then(|| {
+            let word_pos = rng.get_word_pos();
+            take_snapshot(epoch, batches_done, state.iterations, word_pos, rollbacks, model, opt, &best)
+        });
 
         'epochs: while epoch <= self.cfg.max_epochs {
             // Replay this epoch's shuffle from the epoch-start stream
@@ -899,16 +758,15 @@ impl Trainer {
                 if robust.check_every > 0
                     && state.iterations.is_multiple_of(robust.check_every as u64)
                 {
-                    if let Some((reason, bad_block)) =
-                        divergence_reason(model, opt, abe, &mut abe_floor, robust)
-                    {
+                    if let Some(bad_block) = divergence(model, opt, abe, &mut abe_floor, robust) {
+                        let healthy = snap.as_ref().expect("the guards keep a snapshot");
                         rollbacks += 1;
+                        restore_snapshot(healthy, model, opt)?;
                         if rollbacks > robust.max_rollbacks {
                             // Budget exhausted: hand back the last
                             // healthy (or best) state with a typed
                             // error.
-                            restore_snapshot(&snap, model, opt)?;
-                            state.iterations = snap.iterations;
+                            state.iterations = healthy.iterations;
                             restore_best_params(model, train, self.cfg, &best, robust);
                             let outcome = self.outcome(
                                 model,
@@ -924,31 +782,30 @@ impl Trainer {
                                 outcome: Box::new(outcome),
                             });
                         }
-                        // Roll back to the last healthy snapshot, then
-                        // apply the recovery nudge — reset the
-                        // offending P block to p0·I and decay λ — so
-                        // the replay takes a tamer trajectory instead
-                        // of re-diverging identically.
-                        let _ = reason; // diagnostic only
-                        restore_snapshot(&snap, model, opt)?;
+                        // Rolled back to the last healthy snapshot; now
+                        // the recovery nudge — reset the offending P
+                        // block to p0·I and decay λ — so the replay
+                        // takes a tamer trajectory instead of
+                        // re-diverging identically.
                         match bad_block {
                             Some(b) => opt.core_mut().reset_block(b, 1.0),
                             None => opt.core_mut().mem.decay(0.98),
                         }
-                        epoch = snap.epoch;
-                        batches_done = snap.batches_done;
-                        state.iterations = snap.iterations;
-                        rng.set_word_pos(snap.word_pos);
+                        epoch = healthy.epoch;
+                        batches_done = healthy.batches_done;
+                        state.iterations = healthy.iterations;
+                        rng.set_word_pos(healthy.word_pos);
                         continue 'epochs;
                     }
                 }
 
                 // Periodic checkpoint: refresh the rollback target and
                 // (when configured) persist it crash-safely.
-                if robust.checkpoint_every > 0
+                if snapshots
+                    && robust.checkpoint_every > 0
                     && state.iterations.is_multiple_of(robust.checkpoint_every as u64)
                 {
-                    snap = take_snapshot(
+                    let ck = take_snapshot(
                         epoch,
                         batches_done,
                         state.iterations,
@@ -958,7 +815,8 @@ impl Trainer {
                         opt,
                         &best,
                     );
-                    write_checkpoint(&snap, robust)?;
+                    write_checkpoint(&ck, robust)?;
+                    snap = Some(ck);
                 }
 
                 // Chaos hook: simulated kill. Everything after the last
@@ -979,7 +837,7 @@ impl Trainer {
             if converged || self.epoch_end(model, train, &mut state, epoch) {
                 converged = true;
             }
-            if let Some(rec) = state.history.epochs.last() {
+            if let Some(rec) = state.history.epochs.last().filter(|_| robust.restore_best) {
                 let eval = rec.train.combined();
                 if eval.is_finite() && best.as_ref().is_none_or(|(b, _)| eval < *b) {
                     best = Some((eval, model.get_params()));
@@ -989,17 +847,20 @@ impl Trainer {
             // sits at the start of the next epoch's stream).
             epoch += 1;
             batches_done = 0;
-            snap = take_snapshot(
-                epoch,
-                batches_done,
-                state.iterations,
-                rng.get_word_pos(),
-                rollbacks,
-                model,
-                opt,
-                &best,
-            );
-            write_checkpoint(&snap, robust)?;
+            if snapshots {
+                let ck = take_snapshot(
+                    epoch,
+                    batches_done,
+                    state.iterations,
+                    rng.get_word_pos(),
+                    rollbacks,
+                    model,
+                    opt,
+                    &best,
+                );
+                write_checkpoint(&ck, robust)?;
+                snap = Some(ck);
+            }
             if converged {
                 break;
             }
@@ -1009,7 +870,7 @@ impl Trainer {
     }
 }
 
-/// Fault-tolerance policy for the robust training loops.
+/// Fault-tolerance policy of the FEKF loop.
 #[derive(Clone, Debug)]
 pub struct RobustConfig {
     /// Snapshot (and persist, when `checkpoint_dir` is set) every N
@@ -1055,6 +916,16 @@ impl Default for RobustConfig {
             halt_after: None,
             poison_p_at: None,
         }
+    }
+}
+
+impl RobustConfig {
+    /// Every guard off: no divergence checks, no checkpoints, the final
+    /// weights kept. The loop is then the plain FEKF epoch schedule — it
+    /// takes no snapshot, so it never copies `P` — and on a clean link
+    /// it cannot fail.
+    pub fn off() -> Self {
+        RobustConfig { check_every: 0, restore_best: false, ..RobustConfig::default() }
     }
 }
 
@@ -1115,35 +986,25 @@ fn write_checkpoint(snap: &Checkpoint, robust: &RobustConfig) -> Result<(), Trai
 }
 
 /// The per-iteration divergence guards: non-finite or exploding batch
-/// error, non-finite parameters, or an unhealthy `P` block. Returns the
-/// reason and the offending block (when one is identifiable).
-fn divergence_reason(
+/// error, non-finite parameters, or an unhealthy `P` block. On
+/// divergence returns `Some` of the offending block, when one is
+/// identifiable. Allocation-free: it runs every iteration.
+fn divergence(
     model: &DeepPotModel,
     opt: &Fekf,
     abe: f64,
     abe_floor: &mut Option<f64>,
     robust: &RobustConfig,
-) -> Option<(String, Option<usize>)> {
+) -> Option<Option<usize>> {
     let bad_block = opt.core().first_unhealthy_block(robust.p_diag_cap);
-    if !abe.is_finite() {
-        return Some((format!("non-finite batch error {abe}"), bad_block));
+    if !abe.is_finite() || bad_block.is_some() {
+        return Some(bad_block);
     }
-    if let Some(b) = bad_block {
-        return Some((format!("unhealthy P block {b}"), Some(b)));
-    }
-    if let Some(floor) = *abe_floor {
-        if abe > robust.explode_factor * floor.max(f64::MIN_POSITIVE) {
-            return Some((
-                format!("batch error exploded: {abe} vs floor {floor}"),
-                None,
-            ));
-        }
+    if abe_floor.is_some_and(|floor| abe > robust.explode_factor * floor.max(f64::MIN_POSITIVE)) {
+        return Some(None);
     }
     *abe_floor = Some(abe_floor.map_or(abe, |f| f.min(abe)));
-    if model.get_params().iter().any(|v| !v.is_finite()) {
-        return Some(("non-finite model parameter".into(), bad_block));
-    }
-    None
+    (!model.params_finite()).then_some(None)
 }
 
 /// One-shot chaos fault: overwrite the first element of `P` block
@@ -1223,8 +1084,17 @@ mod tests {
             seed: 3,
             backend: Backend::Manual,
             eval_every: 0,
-            env_cache: true,
         })
+    }
+
+    /// FEKF at the trainer's batch size, every guard off.
+    fn fekf(t: &Trainer, model: &mut DeepPotModel, ds: &Dataset) -> TrainOutcome {
+        let mut opt = Fekf::new(&model.layer_sizes(), t.cfg.batch_size, FekfConfig::default());
+        t.train_fekf_robust(model, &mut opt, ds, None, &RobustConfig::off()).unwrap()
+    }
+
+    fn param_bits(m: &DeepPotModel) -> Vec<u64> {
+        m.get_params().iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
@@ -1232,8 +1102,7 @@ mod tests {
         let ds = tiny_dataset(24, 1);
         let mut model = tiny_model(&ds);
         let initial = loss::evaluate(&model, &ds, 16);
-        let mut opt = Fekf::new(&model.layer_sizes(), 4, FekfConfig::default());
-        let out = trainer(4, 4).train_fekf(&mut model, &mut opt, &ds, None);
+        let out = fekf(&trainer(4, 4), &mut model, &ds);
         assert!(out.iterations > 0);
         assert!(
             out.final_train.combined() < 0.5 * initial.combined(),
@@ -1243,13 +1112,13 @@ mod tests {
         );
     }
 
+    /// RLEKF: the same loop at batch size 1.
     #[test]
     fn rlekf_training_reduces_rmse() {
         let ds = tiny_dataset(16, 2);
         let mut model = tiny_model(&ds);
         let initial = loss::evaluate(&model, &ds, 16);
-        let mut opt = Rlekf::new(&model.layer_sizes(), 10240, None, true);
-        let out = trainer(1, 2).train_rlekf(&mut model, &mut opt, &ds, None);
+        let out = fekf(&trainer(1, 2), &mut model, &ds);
         assert!(
             out.final_train.combined() < 0.5 * initial.combined(),
             "RLEKF: {} → {}",
@@ -1284,9 +1153,8 @@ mod tests {
         let ds = tiny_dataset(24, 4);
         let mut m1 = tiny_model(&ds);
         let mut m2 = m1.clone();
-        let mut fekf = Fekf::new(&m1.layer_sizes(), 4, FekfConfig::default());
         let mut adam = Adam::new(m2.n_params(), AdamConfig::default());
-        let out_f = trainer(4, 1).train_fekf(&mut m1, &mut fekf, &ds, None);
+        let out_f = fekf(&trainer(4, 1), &mut m1, &ds);
         let out_a = trainer(4, 1).train_adam(&mut m2, &mut adam, &ds, None);
         assert!(
             out_f.final_train.combined() < 0.5 * out_a.final_train.combined(),
@@ -1301,12 +1169,21 @@ mod tests {
         let ds = tiny_dataset(16, 5);
         let mut m1 = tiny_model(&ds);
         let mut m2 = m1.clone();
-        let mut o1 = Fekf::new(&m1.layer_sizes(), 4, FekfConfig::default());
         let mut o2 = Fekf::new(&m2.layer_sizes(), 4, FekfConfig::default());
         let t = trainer(4, 2);
-        let single = t.train_fekf(&mut m1, &mut o1, &ds, None);
+        let single = fekf(&t, &mut m1, &ds);
         let devices = DeviceGroup::new(2);
-        let multi = t.train_fekf_distributed(&mut m2, &mut o2, &ds, None, &devices).unwrap();
+        let multi = t
+            .train_fekf_distributed_robust(
+                &mut m2,
+                &mut o2,
+                &ds,
+                None,
+                &devices,
+                &FaultPlan::none(),
+                &RobustConfig::off(),
+            )
+            .unwrap();
         assert!(multi.comm_bytes_per_rank > 0, "2 devices must communicate");
         // Same data order (same seed) → near-identical trajectories up
         // to float-reduction ordering.
@@ -1341,7 +1218,6 @@ mod tests {
     fn target_stops_training_early() {
         let ds = tiny_dataset(16, 6);
         let mut model = tiny_model(&ds);
-        let mut opt = Fekf::new(&model.layer_sizes(), 4, FekfConfig::default());
         let t = Trainer::new(TrainConfig {
             batch_size: 4,
             max_epochs: 50,
@@ -1351,9 +1227,8 @@ mod tests {
             seed: 1,
             backend: Backend::Manual,
             eval_every: 0,
-            env_cache: true,
         });
-        let out = t.train_fekf(&mut model, &mut opt, &ds, None);
+        let out = fekf(&t, &mut model, &ds);
         assert!(out.converged);
         assert_eq!(out.epochs_run, 1);
     }
@@ -1362,8 +1237,7 @@ mod tests {
     fn phase_times_are_populated() {
         let ds = tiny_dataset(8, 7);
         let mut model = tiny_model(&ds);
-        let mut opt = Fekf::new(&model.layer_sizes(), 4, FekfConfig::default());
-        let out = trainer(4, 1).train_fekf(&mut model, &mut opt, &ds, None);
+        let out = fekf(&trainer(4, 1), &mut model, &ds);
         assert!(out.phases.forward.as_nanos() > 0);
         assert!(out.phases.gradient.as_nanos() > 0);
         assert!(out.phases.optimizer.as_nanos() > 0);
@@ -1374,21 +1248,40 @@ mod tests {
     }
 
     #[test]
-    fn robust_loop_matches_plain_fekf_bitwise_when_nothing_fails() {
+    fn guards_are_a_no_op_on_a_healthy_run() {
         // The fault-tolerance machinery must be a no-op on a healthy
         // run: same batches, same updates, bit-identical weights.
         let ds = tiny_dataset(16, 11);
         let mut m1 = tiny_model(&ds);
         let mut m2 = m1.clone();
-        let mut o1 = Fekf::new(&m1.layer_sizes(), 4, FekfConfig::default());
         let mut o2 = Fekf::new(&m2.layer_sizes(), 4, FekfConfig::default());
         let t = trainer(4, 2);
-        let _ = t.train_fekf(&mut m1, &mut o1, &ds, None);
+        let _ = fekf(&t, &mut m1, &ds);
         let _ = t.train_fekf_robust(&mut m2, &mut o2, &ds, None, &no_chaos()).unwrap();
-        let p1 = m1.get_params();
-        let p2 = m2.get_params();
-        for (a, b) in p1.iter().zip(&p2) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        assert_eq!(param_bits(&m1), param_bits(&m2));
+    }
+
+    /// The data-parallel iteration on one device is the single-device
+    /// iteration, bit for bit: under either derivative backend, and with
+    /// more force groups than the frames' 32 atoms (the empty groups are
+    /// skipped by both, so neither divides `P` by λ for them).
+    #[test]
+    fn one_device_distributed_run_is_the_single_device_run_bitwise() {
+        let ds = tiny_dataset(8, 17);
+        for (backend, force_updates) in [(Backend::Manual, 4), (Backend::Tape, 4), (Backend::Manual, 40)] {
+            let t = Trainer::new(TrainConfig { backend, force_updates, ..trainer(4, 1).cfg });
+            let mut m1 = tiny_model(&ds);
+            let mut m2 = m1.clone();
+            let mut o1 = Fekf::new(&m1.layer_sizes(), 4, FekfConfig::default());
+            let mut o2 = Fekf::new(&m2.layer_sizes(), 4, FekfConfig::default());
+            let off = RobustConfig::off();
+            t.train_fekf_robust(&mut m1, &mut o1, &ds, None, &off).unwrap();
+            let devices = DeviceGroup::new(1);
+            t.train_fekf_distributed_robust(&mut m2, &mut o2, &ds, None, &devices, &FaultPlan::none(), &off)
+                .unwrap();
+            let case = format!("{backend:?}, {force_updates} force groups");
+            assert_eq!(param_bits(&m1), param_bits(&m2), "weights: {case}");
+            assert_eq!(o1.state_to_bytes(), o2.state_to_bytes(), "filter state: {case}");
         }
     }
 

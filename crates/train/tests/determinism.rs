@@ -12,14 +12,16 @@
 //! sweep thread counts in-process via `dp_pool::set_threads`.
 
 use deepmd_core::config::ModelConfig;
+use deepmd_core::env_cache::{CacheStats, EnvCache};
 use deepmd_core::model::DeepPotModel;
+use dp_data::batch::BatchSampler;
 use dp_data::dataset::Dataset;
 use dp_mdsim::lattice::{fcc, Species};
 use dp_mdsim::md::{MdConfig, MdRunner};
 use dp_mdsim::potential::lj::LennardJones;
 use dp_optim::fekf::{Fekf, FekfConfig};
 use dp_train::targets::Backend;
-use dp_train::trainer::{RobustConfig, TrainConfig, Trainer};
+use dp_train::trainer::{LoopState, RobustConfig, TrainConfig, Trainer};
 use dp_train::TrainError;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -56,10 +58,6 @@ fn tiny_model(train: &Dataset) -> DeepPotModel {
 }
 
 fn trainer(bs: usize, epochs: usize) -> Trainer {
-    trainer_cached(bs, epochs, true)
-}
-
-fn trainer_cached(bs: usize, epochs: usize, env_cache: bool) -> Trainer {
     Trainer::new(TrainConfig {
         batch_size: bs,
         max_epochs: epochs,
@@ -69,7 +67,6 @@ fn trainer_cached(bs: usize, epochs: usize, env_cache: bool) -> Trainer {
         seed: 3,
         backend: Backend::Manual,
         eval_every: 0,
-        env_cache,
     })
 }
 
@@ -87,7 +84,9 @@ fn fekf_training_is_bitwise_identical_across_thread_counts() {
         dp_pool::set_threads(threads);
         let mut m = tiny_model(&ds);
         let mut opt = Fekf::new(&m.layer_sizes(), 4, FekfConfig::default());
-        let out = trainer(4, 2).train_fekf(&mut m, &mut opt, &ds, None);
+        let out = trainer(4, 2)
+            .train_fekf_robust(&mut m, &mut opt, &ds, None, &RobustConfig::off())
+            .unwrap();
         assert!(out.iterations > 0);
         (param_bits(&m), opt.state_to_bytes())
     };
@@ -100,39 +99,55 @@ fn fekf_training_is_bitwise_identical_across_thread_counts() {
     dp_pool::set_threads(1);
 }
 
+/// Two epochs of `Trainer::fekf_iteration` over the loop's own batch
+/// order, against `cache`: weights, filter state and cache counters.
+fn replay(ds: &Dataset, cache: &EnvCache) -> (Vec<u64>, Vec<u8>, CacheStats) {
+    let t = trainer(4, 2);
+    let mut m = tiny_model(ds);
+    let mut opt = Fekf::new(&m.layer_sizes(), 4, FekfConfig::default());
+    let sampler = BatchSampler::new(ds.len(), t.cfg.batch_size, false);
+    let mut rng = ChaCha8Rng::seed_from_u64(t.cfg.seed);
+    let mut state = LoopState::new();
+    for _ in 0..t.cfg.max_epochs {
+        for batch in sampler.epoch(&mut rng) {
+            t.fekf_iteration(&mut m, &mut opt, ds, &batch, cache, &mut state);
+        }
+    }
+    (param_bits(&m), opt.state_to_bytes(), cache.stats())
+}
+
 /// The environment cache and the frame-parallel engine are invisible
-/// to the trajectory: every (cache on/off) × (1, 2, 8 threads) cell
-/// lands on bit-identical weights and optimizer state, and the cached
-/// run rebuilds each geometry exactly once (steady-state hit rate 1).
+/// to the trajectory: the training loop, and its iterations replayed
+/// with a slotless cache (`EnvCache::new(0)`, every geometry rebuilt)
+/// or a full one at 1, 2 and 8 threads, land on bit-identical weights
+/// and optimizer state, and the full cache builds each geometry exactly
+/// once (steady-state hit rate 1).
 #[test]
 fn fekf_training_is_bitwise_identical_with_and_without_env_cache() {
     let _g = POOL_LOCK.lock().unwrap();
     let ds = tiny_dataset(16, 24);
-    let run = |threads: usize, env_cache: bool| {
-        dp_pool::set_threads(threads);
-        let mut m = tiny_model(&ds);
-        let mut opt = Fekf::new(&m.layer_sizes(), 4, FekfConfig::default());
-        let out = trainer_cached(4, 2, env_cache).train_fekf(&mut m, &mut opt, &ds, None);
-        if env_cache {
-            assert_eq!(
-                out.env_cache.misses,
-                ds.len() as u64,
-                "each geometry must be built exactly once"
-            );
-            assert!(out.env_cache.hits > out.env_cache.misses);
-        } else {
-            assert_eq!(out.env_cache.hits, 0, "disabled cache must never hit");
-        }
-        (param_bits(&m), opt.state_to_bytes())
-    };
-    let reference = run(1, false);
+    dp_pool::set_threads(1);
+    let mut m = tiny_model(&ds);
+    let mut opt = Fekf::new(&m.layer_sizes(), 4, FekfConfig::default());
+    trainer(4, 2)
+        .train_fekf_robust(&mut m, &mut opt, &ds, None, &RobustConfig::off())
+        .unwrap();
+    let reference = (param_bits(&m), opt.state_to_bytes());
     for &t in SWEEP {
-        for cached in [false, true] {
+        dp_pool::set_threads(t);
+        for slots in [0, ds.len()] {
+            let (params, state, stats) = replay(&ds, &EnvCache::new(slots));
             assert_eq!(
                 reference,
-                run(t, cached),
-                "trajectory diverged at {t} threads, cache={cached}"
+                (params, state),
+                "trajectory diverged at {t} threads, {slots} cache slots"
             );
+            if slots == 0 {
+                assert_eq!(stats.hits, 0, "a slotless cache must never hit");
+            } else {
+                assert_eq!(stats.misses, ds.len() as u64, "each geometry must be built exactly once");
+                assert!(stats.hits > stats.misses);
+            }
         }
     }
     dp_pool::set_threads(1);

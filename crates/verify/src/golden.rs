@@ -4,7 +4,8 @@
 //! *whole* training loop. Each optimizer (Adam, RLEKF, FEKF,
 //! Naive-EKF) trains a small fixed model on a fixed generated NaCl
 //! dataset for a fixed number of epochs, and the result is reduced to
-//! a fingerprint:
+//! a fingerprint (RLEKF is FEKF at batch size 1, through the same loop
+//! with every guard off):
 //!
 //! * a CRC-32 over the final parameter vector's little-endian bytes
 //!   (any single-ULP weight change flips it), and
@@ -36,9 +37,8 @@ use dp_mdsim::systems::PaperSystem;
 use dp_optim::adam::{Adam, AdamConfig};
 use dp_optim::fekf::{Fekf, FekfConfig};
 use dp_optim::naive_ekf::NaiveEkf;
-use dp_optim::rlekf::Rlekf;
 use dp_tensor::wire::crc32;
-use dp_train::trainer::{TrainConfig, TrainOutcome, Trainer};
+use dp_train::trainer::{RobustConfig, TrainConfig, TrainOutcome, Trainer};
 use std::path::{Path, PathBuf};
 
 /// The golden runs always use this seed, never the CLI `--seed`: the
@@ -147,10 +147,6 @@ fn fingerprint_scalar(optimizer: &str, profile: Profile) -> Fingerprint {
         eval_frames: n_frames,
         force_updates: 2,
         seed: GOLDEN_SEED,
-        // Explicit: the fingerprint must not depend on DP_ENV_CACHE
-        // (the cache is bitwise-neutral, but the committed bytes should
-        // not rest on that claim — the differential family tests it).
-        env_cache: false,
         ..TrainConfig::default()
     };
     let trainer = Trainer::new(cfg);
@@ -160,13 +156,11 @@ fn fingerprint_scalar(optimizer: &str, profile: Profile) -> Fingerprint {
             let mut opt = Adam::new(model.n_params(), AdamConfig::default());
             trainer.train_adam(&mut model, &mut opt, &ds, None)
         }
-        "rlekf" => {
-            let mut opt = Rlekf::new(&layers, 10240, None, true);
-            trainer.train_rlekf(&mut model, &mut opt, &ds, None)
-        }
-        "fekf" => {
-            let mut opt = Fekf::new(&layers, GOLDEN_BS, FekfConfig::default());
-            trainer.train_fekf(&mut model, &mut opt, &ds, None)
+        "rlekf" | "fekf" => {
+            let mut opt = Fekf::new(&layers, trainer.cfg.batch_size, FekfConfig::default());
+            trainer
+                .train_fekf_robust(&mut model, &mut opt, &ds, None, &RobustConfig::off())
+                .expect("a run with every guard off cannot fail")
         }
         "naive_ekf" => {
             let mut opt = NaiveEkf::new(&layers, 10240, GOLDEN_BS, None, true);

@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
-# Kernel micro-benchmark sweep: writes BENCH_gemm.json,
-# BENCH_p_update.json and BENCH_forward.json (forward/backward kernel
-# timings, FEKF frames/s with the env cache off vs on, cache hit
-# rates), plus BENCH_serve_slo.json: shed / deadline-miss /
-# breaker-trip / degradation counters and tail latency under the
-# seeded chaos overload soak. End-to-end numbers — training
-# time-to-accuracy, the online loop, fleet serving, served and
-# decomposed MD — are bench_e2e's (see bench_e2e/README.md).
+# Kernel micro-benchmark sweep: writes BENCH_gemm.json and
+# BENCH_p_update.json, plus BENCH_serve_slo.json: shed / deadline-miss
+# / breaker-trip / degradation counters and tail latency under the
+# seeded chaos overload soak. Per-layer model timings (env build,
+# forward, forces, gradients, env-cache hit rate) and the end-to-end
+# numbers — training time-to-accuracy, the online loop, fleet serving,
+# served and decomposed MD — are bench_e2e's (see bench_e2e/README.md).
 #
 #   scripts/bench.sh                 # full sweep -> results/bench/
 #   scripts/bench.sh --smoke         # one shape per report (CI gate)
@@ -40,19 +39,13 @@ cd "$(dirname "$0")/.."
 
 OUT="${BENCH_OUT:-results/bench}"
 
-cargo build --release --offline -p dp-bench --bin bench_kernels --bin bench_forward
+cargo build --release --offline -p dp-bench --bin bench_kernels
 cargo build --release --offline --example overload_soak
 
-KERNEL_ARGS=()
-FORWARD_ARGS=()
 SOAK_PROFILE=full
 for arg in "$@"; do
-    KERNEL_ARGS+=("$arg")
-    # bench_forward has no --paper scale; pass the rest.
-    [[ "$arg" == "--paper" ]] || FORWARD_ARGS+=("$arg")
     [[ "$arg" == "--smoke" ]] && SOAK_PROFILE=quick
 done
 
-cargo run --release --offline -p dp-bench --bin bench_kernels -- "--out=${OUT}" "${KERNEL_ARGS[@]+"${KERNEL_ARGS[@]}"}"
-cargo run --release --offline -p dp-bench --bin bench_forward -- "--out=${OUT}" "${FORWARD_ARGS[@]+"${FORWARD_ARGS[@]}"}"
+cargo run --release --offline -p dp-bench --bin bench_kernels -- "--out=${OUT}" "$@"
 exec cargo run --release --offline --example overload_soak -- --profile "${SOAK_PROFILE}" --seed 1234 "--out=${OUT}"

@@ -74,14 +74,6 @@ if DP_BACKEND="$MISSING_BACKEND" cargo run --release --offline -p dp-verify --bi
   exit 1
 fi
 
-# The environment cache must be trajectory-invisible: the training
-# suite has to pass with it force-disabled too, at 1 and 4 threads.
-step "cargo test dp-train (DP_ENV_CACHE=0, DP_POOL_THREADS=1)"
-DP_ENV_CACHE=0 DP_POOL_THREADS=1 cargo test --offline -p dp-train -q
-
-step "cargo test dp-train (DP_ENV_CACHE=0, DP_POOL_THREADS=4)"
-DP_ENV_CACHE=0 DP_POOL_THREADS=4 cargo test --offline -p dp-train -q
-
 step "cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
@@ -106,7 +98,8 @@ step "md_scale smoke (DP_POOL_THREADS=4)"
 DP_POOL_THREADS=4 cargo run --release --offline -p dp-domain --bin md_scale_smoke
 
 # Allocation probe, release build: a steady-state FEKF iteration
-# (forward, both reductions, all five KF updates, 2 pool threads) and a
+# (forward, both reductions, all five KF updates, 2 pool threads), an
+# iteration of the FEKF epoch loop with its divergence guards on, and a
 # steady-state decomposed MD step with the deep potential (2x1x1 grid,
 # 2 pool threads) allocate nothing, and FrameEnv::build and the
 # Vec-returning model wrappers allocate only what they return.
@@ -125,9 +118,10 @@ cargo run --release --offline -p dp-bench --bin reproduce -- table3 memory scali
 step "reproduce smoke (fig4 fig7c)"
 cargo run --release --offline -p dp-bench --bin reproduce -- fig4 fig7c >/dev/null || [[ $? -eq 1 ]]
 
-# Kernel micro-benches (gemm, P update, forward), one shape each.
-# Fleet serving, decomposed-MD throughput and whole-iteration FEKF
-# timings are bench_e2e workloads (fleet_open, md_domain, train_*).
+# Kernel micro-benches (gemm, P update), one shape each. Per-layer
+# model timings, fleet serving, decomposed-MD throughput and
+# whole-iteration FEKF timings are bench_e2e workloads (train_*,
+# fleet_open, md_domain).
 step "bench smoke"
 BENCH_OUT="$(mktemp -d)" scripts/bench.sh --smoke
 

@@ -2,9 +2,9 @@
 //!
 //! Re-exports the public API of the workspace crates implementing the
 //! PPoPP '24 paper *"Training one DeePMD Model in Minutes: a Step towards
-//! Online Learning"*: the DeePMD model, the FEKF/RLEKF/Adam optimizer
-//! family, the data-parallel runtime, the classical-MD labelling oracle
-//! and the training harness.
+//! Online Learning"*: the DeePMD model, the FEKF/Naive-EKF/Adam optimizer
+//! family (RLEKF is FEKF at batch size 1), the data-parallel runtime,
+//! the classical-MD labelling oracle and the training harness.
 //!
 //! ```no_run
 //! use fekf_deepmd::prelude::*;
@@ -36,13 +36,12 @@ pub mod prelude {
     pub use dp_mdsim::systems::{PaperSystem, SystemPreset};
     pub use dp_optim::adam::{Adam, AdamConfig};
     pub use dp_optim::fekf::{Fekf, FekfConfig};
-    pub use dp_optim::rlekf::Rlekf;
     pub use dp_serve::{
         BatchPolicy, ChaosPlan, Engine, Fidelity, InferRequest, InferResponse, ModelRegistry,
         ServeError, SloPolicy,
     };
     pub use dp_train::online::FidelitySet;
     pub use dp_train::recipes;
-    pub use dp_train::trainer::{TrainConfig, TrainOutcome, Trainer};
+    pub use dp_train::trainer::{RobustConfig, TrainConfig, TrainOutcome, Trainer};
     pub use dp_verify::{Profile, VerifyCheck, VerifyReport};
 }
