@@ -31,7 +31,6 @@ use deepmd_core::model_io;
 use deepmd_core::quant::QuantizedModel;
 use std::collections::BTreeMap;
 use std::io;
-use std::path::Path;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -254,12 +253,6 @@ impl ModelRegistry {
     /// sanity) before anything reaches the serving path.
     pub fn publish_bytes(&self, bytes: &[u8]) -> io::Result<u64> {
         self.publish(model_io::from_bytes(bytes)?)
-    }
-
-    /// Publish a model file (the artifact the training loop checkpoints
-    /// with `model_io::save`).
-    pub fn publish_file(&self, path: impl AsRef<Path>) -> io::Result<u64> {
-        self.publish(model_io::load(path)?)
     }
 
     /// Drop retained history beyond the newest `keep` snapshots.

@@ -1,21 +1,12 @@
 //! Zero-copy binary wire protocol for the serving fleet.
 //!
-//! Layered on `dp_tensor::wire`: every frame is the little-endian
-//! payload below followed by a CRC-32 trailer, so a receiver validates
-//! integrity before decoding and decoding validates structure before
-//! any value is trusted. Decode never panics and never over-reads —
-//! every malformed input is a typed [`WireError`]
+//! Every frame is a DPWF record of `dp_tensor::wire` (`u16` version 1,
+//! CRC-32 trailer; the header, CRC and end checks live there) whose
+//! body is a frame-type byte and the type-specific payload. Decoding
+//! validates structure before any value is trusted, never panics and
+//! never over-reads — every malformed input is a typed [`WireError`]
 //! (`tests/wire_corrupt.rs` sweeps truncations, bit flips, oversized
 //! lengths, and unknown versions over every frame type).
-//!
-//! ## Frame layout
-//!
-//! ```text
-//! +-------+---------+------+---------------------+-------+
-//! | magic | version | type |       payload       | CRC32 |
-//! | DPWF  |  u16=1  |  u8  |   (type-specific)   |  u32  |
-//! +-------+---------+------+---------------------+-------+
-//! ```
 //!
 //! Request frames: `Infer` (a frame to evaluate), `Publish` (a
 //! `model_io` blob to hot-swap in), `StatsQuery` (one shard's
@@ -43,7 +34,7 @@ use crate::shard::Fleet;
 use crate::stats::StatsSnapshot;
 use dp_data::dataset::Snapshot;
 use dp_mdsim::Vec3;
-use dp_tensor::wire::{f64_at, u32_at, Reader, WireError, Writer};
+use dp_tensor::wire::{f64_at, u32_at, Reader, Record, WireError, Writer};
 use std::io::{self, Read as IoRead, Write as IoWrite};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -56,6 +47,7 @@ use std::time::Duration;
 pub const WIRE_MAGIC: [u8; 4] = *b"DPWF";
 /// Protocol version; a frame with any other version is rejected typed.
 pub const WIRE_VERSION: u16 = 1;
+const FRAME: Record = Record::new(WIRE_MAGIC, WIRE_VERSION as u32, 1).with_u16_version();
 /// Upper bound on atoms per wire frame — larger counts are treated as
 /// corruption, bounding what a hostile length header can make the
 /// decoder reserve.
@@ -357,9 +349,7 @@ pub enum Frame<'a> {
 }
 
 fn header(tag: u8) -> Writer {
-    let mut w = Writer::new();
-    w.raw(&WIRE_MAGIC);
-    w.u16(WIRE_VERSION);
+    let mut w = FRAME.writer();
     w.u8(tag);
     w
 }
@@ -398,7 +388,7 @@ pub fn encode_infer(req: &InferRequest) -> Vec<u8> {
             w.f64(p.0[c]);
         }
     }
-    w.into_bytes_with_crc()
+    FRAME.seal(w)
 }
 
 /// Encode an inference success.
@@ -419,7 +409,7 @@ pub fn encode_infer_ok(resp: &InferResponse) -> Vec<u8> {
             }
         }
     }
-    w.into_bytes_with_crc()
+    FRAME.seal(w)
 }
 
 /// Encode a typed failure.
@@ -447,7 +437,7 @@ pub fn encode_error(err: &ServeError) -> Vec<u8> {
     w.u64(a);
     w.u64(b);
     w.bytes(msg.as_bytes());
-    w.into_bytes_with_crc()
+    FRAME.seal(w)
 }
 
 /// Encode an inference outcome (success or typed failure).
@@ -463,7 +453,7 @@ pub fn encode_publish(model: u64, blob: &[u8]) -> Vec<u8> {
     let mut w = header(FRAME_PUBLISH);
     w.u64(model);
     w.bytes(blob);
-    w.into_bytes_with_crc()
+    FRAME.seal(w)
 }
 
 /// Encode a publish acknowledgement.
@@ -471,14 +461,14 @@ pub fn encode_publish_ok(model: u64, version: u64) -> Vec<u8> {
     let mut w = header(FRAME_PUBLISH_OK);
     w.u64(model);
     w.u64(version);
-    w.into_bytes_with_crc()
+    FRAME.seal(w)
 }
 
 /// Encode a stats request for one shard.
 pub fn encode_stats_query(shard: u32) -> Vec<u8> {
     let mut w = header(FRAME_STATS_QUERY);
     w.u32(shard);
-    w.into_bytes_with_crc()
+    FRAME.seal(w)
 }
 
 /// Encode a stats response.
@@ -500,12 +490,12 @@ pub fn encode_stats(s: &StatsFrame) -> Vec<u8> {
     for v in [s.p50_ns, s.p99_ns, s.p999_ns] {
         w.f64(v);
     }
-    w.into_bytes_with_crc()
+    FRAME.seal(w)
 }
 
 /// Encode a health probe.
 pub fn encode_health() -> Vec<u8> {
-    header(FRAME_HEALTH).into_bytes_with_crc()
+    FRAME.seal(header(FRAME_HEALTH))
 }
 
 /// Encode a health response.
@@ -515,7 +505,7 @@ pub fn encode_health_ok(h: &HealthFrame) -> Vec<u8> {
     w.u32(h.alive);
     w.u64(h.models);
     w.u64(h.tenants);
-    w.into_bytes_with_crc()
+    FRAME.seal(w)
 }
 
 fn decode_infer<'a>(r: &mut Reader<'a>) -> Result<InferFrame<'a>, WireError> {
@@ -550,6 +540,10 @@ fn decode_infer<'a>(r: &mut Reader<'a>) -> Result<InferFrame<'a>, WireError> {
     }
     let types = r.u32_bytes(n_atoms as usize)?;
     let pos = r.f64_bytes(3 * n_atoms as usize)?;
+    let mut coords = pos.chunks_exact(8).map(|b| f64_at(b, 0)).chain(cell);
+    if !coords.all(f64::is_finite) {
+        return Err(WireError::Invalid("non-finite coordinate in infer frame".into()));
+    }
     Ok(InferFrame {
         model,
         tenant,
@@ -582,26 +576,18 @@ fn decode_infer_ok<'a>(r: &mut Reader<'a>) -> Result<InferOkFrame<'a>, WireError
     Ok(InferOkFrame { version, degraded, fidelity, energy, n_forces, forces })
 }
 
-/// Decode one frame: CRC trailer, magic, version, type, payload —
-/// every layer validated, the whole buffer consumed. Truncation,
-/// corruption, oversized lengths, unknown versions and unknown frame
-/// types all come back as typed [`WireError`]s.
+/// Decode one frame: header, CRC trailer, type, payload — every layer
+/// validated, the whole buffer consumed. Truncation, corruption,
+/// oversized lengths, unknown versions and unknown frame types all come
+/// back as typed [`WireError`]s.
 pub fn decode(bytes: &[u8]) -> Result<Frame<'_>, WireError> {
-    let mut r = Reader::new_verifying_crc(bytes)?;
-    let magic = r.raw(4)?;
-    if magic != WIRE_MAGIC {
-        return Err(WireError::Invalid(format!("bad frame magic {magic:02x?}")));
-    }
-    let version = r.u16()?;
-    if version != WIRE_VERSION {
-        return Err(WireError::Invalid(format!(
-            "unsupported wire version {version} (this build speaks {WIRE_VERSION})"
-        )));
-    }
-    let tag = r.u8()?;
-    let frame = match tag {
-        FRAME_INFER => Frame::Infer(decode_infer(&mut r)?),
-        FRAME_INFER_OK => Frame::InferOk(decode_infer_ok(&mut r)?),
+    FRAME.decode(bytes, decode_body)
+}
+
+fn decode_body<'a>(r: &mut Reader<'a>) -> Result<Frame<'a>, WireError> {
+    Ok(match r.u8()? {
+        FRAME_INFER => Frame::Infer(decode_infer(r)?),
+        FRAME_INFER_OK => Frame::InferOk(decode_infer_ok(r)?),
         FRAME_ERROR => {
             let code = r.u8()?;
             let a = r.u64()?;
@@ -653,9 +639,7 @@ pub fn decode(bytes: &[u8]) -> Result<Frame<'_>, WireError> {
             tenants: r.u64()?,
         }),
         t => return Err(WireError::Invalid(format!("unknown frame type {t}"))),
-    };
-    r.expect_end()?;
-    Ok(frame)
+    })
 }
 
 /// Client-side helper: decode a reply to an `Infer` as the engine-side

@@ -4,27 +4,24 @@
 //! cursor (epoch, batches consumed, RNG stream position at the start
 //! of the epoch).
 //!
-//! Layout (little-endian, CRC-32 trailer over everything before it):
+//! A checkpoint is a DPCK v1 record of `dp_tensor::wire` (header, CRC
+//! trailer, end check and atomic, durable save live there). Body
+//! (little-endian):
 //!
 //! ```text
-//! magic "DPCK" | version u32 | epoch u64 | batches_done u64 |
-//! iterations u64 | rng word_pos 2×u64 | rollbacks u32 |
-//! params f64 vec | opt tag u8 | opt blob bytes |
-//! best flag u8 [ best_eval f64 | best_params f64 vec ] | crc32
+//! epoch u64 | batches_done u64 | iterations u64 | rng word_pos 2×u64 |
+//! rollbacks u32 | params f64 vec | opt tag u8 | opt blob bytes |
+//! best flag u8 [ best_eval f64 | best_params f64 vec ]
 //! ```
 //!
-//! Writes are atomic (temporary sibling + rename), so a crash during a
-//! checkpoint leaves the previous one intact; loads verify the CRC
-//! before decoding and validate dimensions against the live run, so a
-//! torn or mismatched file is a typed error — never a poisoned resume.
+//! Loads validate dimensions against the live run, so a torn or
+//! mismatched file is a typed error — never a poisoned resume.
 
-use dp_tensor::wire::{save_atomic, Reader, Writer};
-use std::fs;
+use dp_tensor::wire::{Reader, Record, WireError};
 use std::io;
 use std::path::{Path, PathBuf};
 
-const MAGIC: &[u8; 4] = b"DPCK";
-const VERSION: u32 = 1;
+const CHECKPOINT: Record = Record::new(*b"DPCK", 1, 1);
 
 /// Optimizer family stored in a checkpoint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,11 +39,11 @@ impl OptKind {
             OptKind::Adam => 1,
         }
     }
-    fn from_tag(t: u8) -> Result<Self, String> {
+    fn from_tag(t: u8) -> Result<Self, WireError> {
         match t {
             0 => Ok(OptKind::Fekf),
             1 => Ok(OptKind::Adam),
-            _ => Err(format!("unknown optimizer tag {t}")),
+            _ => Err(WireError::Invalid(format!("unknown optimizer tag {t}"))),
         }
     }
 }
@@ -77,16 +74,52 @@ pub struct Checkpoint {
     pub best: Option<(f64, Vec<f64>)>,
 }
 
-fn bad(m: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, m.into())
+fn non_finite(what: &str) -> WireError {
+    WireError::Invalid(format!("non-finite {what} in checkpoint"))
+}
+
+fn read_checkpoint(r: &mut Reader) -> Result<Checkpoint, WireError> {
+    let epoch = r.u64()? as usize;
+    let batches_done = r.u64()? as usize;
+    let iterations = r.u64()?;
+    let lo = r.u64()? as u128;
+    let hi = r.u64()? as u128;
+    let rollbacks = r.u32()?;
+    let params = r.f64_vec()?;
+    if params.iter().any(|v| !v.is_finite()) {
+        return Err(non_finite("parameter"));
+    }
+    let opt_kind = OptKind::from_tag(r.u8()?)?;
+    let opt_bytes = r.bytes()?.to_vec();
+    let best = match r.u8()? {
+        0 => None,
+        1 => {
+            let eval = r.f64()?;
+            let bp = r.f64_vec()?;
+            if !eval.is_finite() || bp.iter().any(|v| !v.is_finite()) {
+                return Err(non_finite("best state"));
+            }
+            Some((eval, bp))
+        }
+        t => return Err(WireError::Invalid(format!("bad best-state flag {t}"))),
+    };
+    Ok(Checkpoint {
+        epoch,
+        batches_done,
+        iterations,
+        word_pos: lo | (hi << 64),
+        rollbacks,
+        params,
+        opt_kind,
+        opt_bytes,
+        best,
+    })
 }
 
 impl Checkpoint {
-    /// Serialize with the CRC trailer.
+    /// Serialize to a DPCK record.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.raw(MAGIC);
-        w.u32(VERSION);
+        let mut w = CHECKPOINT.writer();
         w.u64(self.epoch as u64);
         w.u64(self.batches_done as u64);
         w.u64(self.iterations);
@@ -104,69 +137,23 @@ impl Checkpoint {
                 w.f64_vec(params);
             }
         }
-        w.into_bytes_with_crc()
+        CHECKPOINT.seal(w)
     }
 
-    /// Decode, verifying the CRC first.
+    /// Decode a DPCK record.
     pub fn from_bytes(buf: &[u8]) -> io::Result<Checkpoint> {
-        let mut r = Reader::new_verifying_crc(buf).map_err(|e| bad(e.to_string()))?;
-        let parse = |r: &mut Reader| -> Result<Checkpoint, String> {
-            if r.raw(4).map_err(|e| e.to_string())? != MAGIC {
-                return Err("bad checkpoint magic".into());
-            }
-            let version = r.u32().map_err(|e| e.to_string())?;
-            if version != VERSION {
-                return Err(format!("unsupported checkpoint version {version}"));
-            }
-            let epoch = r.u64().map_err(|e| e.to_string())? as usize;
-            let batches_done = r.u64().map_err(|e| e.to_string())? as usize;
-            let iterations = r.u64().map_err(|e| e.to_string())?;
-            let lo = r.u64().map_err(|e| e.to_string())? as u128;
-            let hi = r.u64().map_err(|e| e.to_string())? as u128;
-            let rollbacks = r.u32().map_err(|e| e.to_string())?;
-            let params = r.f64_vec().map_err(|e| e.to_string())?;
-            if params.iter().any(|v| !v.is_finite()) {
-                return Err("non-finite parameter in checkpoint".into());
-            }
-            let opt_kind = OptKind::from_tag(r.u8().map_err(|e| e.to_string())?)?;
-            let opt_bytes = r.bytes().map_err(|e| e.to_string())?.to_vec();
-            let best = match r.u8().map_err(|e| e.to_string())? {
-                0 => None,
-                1 => {
-                    let eval = r.f64().map_err(|e| e.to_string())?;
-                    let bp = r.f64_vec().map_err(|e| e.to_string())?;
-                    if !eval.is_finite() || bp.iter().any(|v| !v.is_finite()) {
-                        return Err("non-finite best state in checkpoint".into());
-                    }
-                    Some((eval, bp))
-                }
-                t => return Err(format!("bad best-state flag {t}")),
-            };
-            r.expect_end().map_err(|e| e.to_string())?;
-            Ok(Checkpoint {
-                epoch,
-                batches_done,
-                iterations,
-                word_pos: lo | (hi << 64),
-                rollbacks,
-                params,
-                opt_kind,
-                opt_bytes,
-                best,
-            })
-        };
-        parse(&mut r).map_err(bad)
+        Ok(CHECKPOINT.decode(buf, read_checkpoint)?)
     }
 
-    /// Write crash-safely: temporary sibling + rename, so readers see
+    /// Write atomically and durably ([`Record::save`]): readers see
     /// either the previous checkpoint or this one, never a torn file.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        save_atomic(path, &self.to_bytes())
+        CHECKPOINT.save(path, &self.to_bytes())
     }
 
     /// Read and verify a checkpoint file.
     pub fn load(path: impl AsRef<Path>) -> io::Result<Checkpoint> {
-        Checkpoint::from_bytes(&fs::read(path)?)
+        CHECKPOINT.load(path, read_checkpoint)
     }
 }
 
@@ -179,18 +166,11 @@ pub fn checkpoint_path(dir: &Path) -> PathBuf {
 /// `Ok(None)` (fresh start); an unreadable one is an error — silently
 /// restarting from scratch would mask corruption.
 pub fn load_latest(dir: &Path) -> io::Result<Option<Checkpoint>> {
-    let path = checkpoint_path(dir);
-    match fs::read(&path) {
-        Ok(buf) => Checkpoint::from_bytes(&buf).map(Some),
+    match Checkpoint::load(checkpoint_path(dir)) {
+        Ok(ck) => Ok(Some(ck)),
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
         Err(e) => Err(e),
     }
-}
-
-/// Quick integrity probe used by tests and tooling: does the buffer
-/// carry a valid CRC trailer?
-pub fn verify_bytes(buf: &[u8]) -> bool {
-    Reader::new_verifying_crc(buf).is_ok()
 }
 
 #[cfg(test)]
@@ -227,18 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn bit_rot_and_truncation_are_rejected() {
-        let bytes = sample().to_bytes();
-        assert!(verify_bytes(&bytes));
-        let mut flipped = bytes.clone();
-        flipped[10] ^= 0x40;
-        assert!(!verify_bytes(&flipped));
-        assert!(Checkpoint::from_bytes(&flipped).is_err());
-        assert!(Checkpoint::from_bytes(&bytes[..bytes.len() - 9]).is_err());
-        assert!(Checkpoint::from_bytes(b"junk").is_err());
-    }
-
-    #[test]
     fn non_finite_params_are_rejected() {
         let mut c = sample();
         c.params[1] = f64::NAN;
@@ -247,15 +215,14 @@ mod tests {
     }
 
     #[test]
-    fn file_roundtrip_is_atomic() {
-        let dir = std::env::temp_dir().join("dpck_test_dir");
-        let _ = fs::create_dir_all(&dir);
+    fn load_latest_reads_the_saved_checkpoint() {
+        let dir = std::env::temp_dir().join(format!("dpck_test_dir_{}", std::process::id()));
+        let _ = std::fs::create_dir_all(&dir);
         assert!(load_latest(&dir).unwrap().is_none());
         let c = sample();
         c.save(checkpoint_path(&dir)).unwrap();
-        assert!(!dir.join("train.dpck.tmp").exists());
         let back = load_latest(&dir).unwrap().unwrap();
         assert_eq!(back.params, c.params);
-        let _ = fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
