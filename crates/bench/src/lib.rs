@@ -7,10 +7,8 @@
 //! just measured, and [`document`] splices both into `EXPERIMENTS.md`,
 //! so a claim can only be stated by the code that evaluated it.
 //!
-//! The kernel micro-benchmark `bench_kernels` writes `BENCH_*.json`
-//! through [`report`]; per-layer model timings (env build, forward,
-//! forces, gradients, cache hit rate) are `bench_e2e`'s `core.*`
-//! metrics.
+//! Timings — kernel rates, per-layer model timings, end-to-end
+//! numbers — are `bench_e2e`'s metrics.
 
 use dp_data::generate::GenScale;
 use dp_mdsim::systems::PaperSystem;
@@ -19,7 +17,6 @@ use std::fmt::Write as _;
 
 pub mod document;
 pub mod experiments;
-pub mod report;
 
 /// What an experiment may vary: everything else is a protocol constant
 /// of the experiment itself.

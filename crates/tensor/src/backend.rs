@@ -567,8 +567,8 @@ simd_backend! {
     /// broadcast = 11 of 16 ymm registers.
     Avx2Backend: Avx2, std::arch::x86_64::__m256d, tile = 2, features = "avx2,fma",
     // ~3–4× the scalar per-flop throughput against the same ~5–15 µs
-    // region overhead moves the crossover up one power of two (measured
-    // via BENCH_gemm/BENCH_p_update sweeps, DESIGN §13).
+    // region overhead moves the crossover up one power of two (DESIGN
+    // §13.4).
     par_flops_threshold = 1 << 18,
     // SAFETY: as in `shim!` — this backend is reachable only after
     // `supported` saw AVX2 and FMA.

@@ -9,7 +9,7 @@
 //! * `--seed` (default 42) seeds every generator; a failing case
 //!   replays bit-for-bit with the same seed.
 //! * `--profile` picks the case counts: `quick` is the CI gate
-//!   (`scripts/ci.sh`), `full` the nightly sweep (`scripts/bench.sh`).
+//!   (`scripts/ci.sh`), `full` the nightly sweep (README).
 //! * `--family` restricts to a subset (repeatable): `gradcheck`,
 //!   `invariants`, `differential`, `golden`, `backend`, `compress`,
 //!   `domain`, `fleet`.

@@ -53,7 +53,7 @@
 //! [`gen`] library and reported through the [`report`] module's
 //! `VerifyReport` JSON schema; the `verify` bin drives all families
 //! with seed/case-count knobs and is wired into `scripts/ci.sh`
-//! (quick profile) and documented in `scripts/bench.sh` (full).
+//! (quick profile); README documents the full profile.
 //!
 //! Tolerance policy (see `DESIGN.md` §11): **bitwise** (`tol = 0`)
 //! wherever a fast path documents bit-identical results (env cache,

@@ -24,20 +24,14 @@
 //! 5. after all chaos the engine still serves finite responses (the
 //!    breaker routed around any poisoned snapshot).
 //!
-//! Writes `BENCH_serve_slo.json` (the `dp_bench::report` schema:
-//! requests/s, latency percentiles, and shed / deadline-miss /
-//! breaker-trip / degraded / max-depth rows).
-//!
 //! Run with:
 //! ```text
 //! cargo run --release --example overload_soak -- --profile quick --seed 1234
 //! ```
 
-use dp_bench::report::BenchReport;
 use dp_serve::demo::{demo_frame, demo_model};
 use dp_serve::{infer_with_retry, RetryBudget, RetryPolicy, Ticket};
 use fekf_deepmd::prelude::*;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -53,11 +47,10 @@ const MAX_P999: Duration = Duration::from_secs(5);
 struct Opts {
     quick: bool,
     seed: u64,
-    out: PathBuf,
 }
 
 fn parse_opts() -> Opts {
-    let mut o = Opts { quick: false, seed: 1234, out: PathBuf::from("results/bench") };
+    let mut o = Opts { quick: false, seed: 1234 };
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {
         if arg == "--profile" {
@@ -74,10 +67,8 @@ fn parse_opts() -> Opts {
                 eprintln!("error: --seed wants an integer");
                 std::process::exit(2);
             });
-        } else if let Some(v) = arg.strip_prefix("--out=") {
-            o.out = PathBuf::from(v);
         } else if arg == "--help" || arg == "-h" {
-            eprintln!("flags: --profile quick|full  --seed N  --out=DIR");
+            eprintln!("flags: --profile quick|full  --seed N");
             std::process::exit(0);
         } else {
             eprintln!("error: unknown flag '{arg}' (try --help)");
@@ -327,11 +318,9 @@ fn main() {
         })
     };
 
-    let t0 = Instant::now();
     let accepted_open: u64 = submitters.into_iter().map(|s| s.join().expect("client")).sum();
     let final_overloads = retry_client.join().expect("retry client");
     let (corrupted, poisoned, clean) = publisher.join().expect("publisher");
-    let elapsed = t0.elapsed().as_secs_f64();
 
     // Assertion 5: after all chaos the engine still serves finite
     // numbers. If the last publish was poisoned, the first few probes
@@ -408,41 +397,7 @@ fn main() {
         stats.swaps
     );
 
-    let mut rep = BenchReport::new("serve_slo");
-    let threads = dp_pool::current_threads();
-    let served = stats.requests as usize;
-    rep.push(
-        "serve_slo_requests_per_s",
-        &[slo.batch.max_batch],
-        threads,
-        served as f64 / elapsed.max(1e-9),
-        served,
-    );
-    rep.push("serve_slo_shed_fraction", &[slo.batch.max_batch], threads, shed_fraction, served);
-    let mut push = |metric: &str, value: f64| {
-        rep.push(&format!("serve_slo_{metric}"), &[slo.batch.max_batch], threads, value, served);
-    };
-    push("p50_ns", stats.latency_p50_ns.unwrap_or(0.0));
-    push("p90_ns", stats.latency_p90_ns.unwrap_or(0.0));
-    push("p99_ns", stats.latency_p99_ns.unwrap_or(0.0));
-    push("p999_ns", stats.latency_p999_ns.unwrap_or(0.0));
-    push("mean_batch", stats.mean_batch);
-    push("cache_hit_rate", stats.cache_hit_rate);
-    push("shed", stats.shed as f64);
-    push("deadline_miss", stats.deadline_miss as f64);
-    push("breaker_trips", stats.breaker_trips as f64);
-    push("degraded", stats.degraded as f64);
-    push("max_depth", stats.max_depth as f64);
-    let raw = engine.raw_stats();
-    push("interactive_depth_p50", raw.interactive_depth.p50().unwrap_or(0.0));
-    push("bulk_depth_p50", raw.bulk_depth.p50().unwrap_or(0.0));
     engine.shutdown();
 
-    let path = opts.out.join("BENCH_serve_slo.json");
-    rep.write(&path).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    });
-    println!("wrote {} ({} records)", path.display(), rep.records.len());
     println!("overload soak PASSED (seed {seed})");
 }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: build, test (scalar and auto compute backends crossed with
 # single- and multi-threaded pool, the kernel crates under every other
-# SIMD tier the CPU has), lint, the allocation probe, a
-# benchmark smoke run, an end-to-end training smoke, a serving-engine
-# smoke, then a fault-injection soak.
+# SIMD tier the CPU has), lint, the allocation probe, the end-to-end
+# benchmark smokes, the serving smokes, then the fault-injection and
+# overload soaks.
 #
 # Everything runs --offline against the vendored dependency tree; no
 # network access is required (or attempted).
@@ -85,7 +85,7 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 # goldens, wire-frame corruption sweeps, and the bitwise
 # fleet-vs-single-engine differential) at a fixed seed,
 # under auto dispatch so the backend family sweeps every SIMD tier
-# this CPU has. The full sweep is documented in scripts/bench.sh.
+# this CPU has. The full profile is documented in README.md.
 step "verify (quick profile, seed 42, DP_BACKEND=auto)"
 DP_BACKEND=auto cargo run --release --offline -p dp-verify --bin verify -- --seed 42 --profile quick
 
@@ -117,13 +117,6 @@ cargo run --release --offline -p dp-bench --bin reproduce -- table3 memory scali
 
 step "reproduce smoke (fig4 fig7c)"
 cargo run --release --offline -p dp-bench --bin reproduce -- fig4 fig7c >/dev/null || [[ $? -eq 1 ]]
-
-# Kernel micro-benches (gemm, P update), one shape each. Per-layer
-# model timings, fleet serving, decomposed-MD throughput and
-# whole-iteration FEKF timings are bench_e2e workloads (train_*,
-# fleet_open, md_domain).
-step "bench smoke"
-BENCH_OUT="$(mktemp -d)" scripts/bench.sh --smoke
 
 # End-to-end smoke: FEKF on Cu to the pinned target RMSE, traced.
 # Exit code 0 means every output check passed (converged, held-out
@@ -167,6 +160,6 @@ cargo run --release --offline --example fault_soak -- "$SOAK_SEED" "$SOAK_SECOND
 # hang, bounded queue, every request resolved with a typed outcome,
 # shed fraction and p999 within policy — and exits nonzero otherwise.
 step "overload soak (quick profile, seed ${SOAK_SEED})"
-cargo run --release --offline --example overload_soak -- --profile quick --seed "$SOAK_SEED" --out="$(mktemp -d)"
+cargo run --release --offline --example overload_soak -- --profile quick --seed "$SOAK_SEED"
 
 step "CI gate passed"
