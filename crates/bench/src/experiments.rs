@@ -582,7 +582,8 @@ fn launches(s: &ExperimentSetup, batch: &[usize], level: &OptLevel) -> (u64, u64
     let mut opt = Fekf::new(&model.layer_sizes(), batch.len(), level.fekf_config());
     let (mut grads, mut coeffs) = (Vec::new(), Vec::new());
     // One segment per phase: batch-reduce each slot's gradient and
-    // absolute error, then one KF update per slot.
+    // absolute error, then the phase's KF updates as the trainer runs
+    // them — one chained call over its slots.
     let [energy, force] = level.scope(|| {
         [false, true].map(|force| {
             let n_slots = if force { 4 } else { 1 };
@@ -601,9 +602,8 @@ fn launches(s: &ExperimentSetup, batch: &[usize], level: &OptLevel) -> (u64, u64
                         abes[0] += accumulate_energy_target(model, &pass, backend, &mut grads, &mut acc);
                     }
                 }
-                for (g, abe) in acc.chunks_exact(n_params).zip(&abes) {
-                    let _ = opt.step(g, abe / batch.len() as f64);
-                }
+                let mut delta = vec![0.0; n_params];
+                opt.step_slots(&acc, &abes, 1.0 / batch.len() as f64, &mut delta, |_| {});
             });
             launched
         })

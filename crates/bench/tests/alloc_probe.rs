@@ -1,8 +1,11 @@
 //! Allocation probe for the hot paths: in steady state neither the
 //! optimizer step (`q = P·g`, Kalman gain, Δw scatter, fused `P`
-//! update), nor a whole `Trainer::fekf_iteration` (forward, energy
-//! reduce, force reduce, all five KF updates, on 2 pool threads), nor
-//! an iteration of the FEKF epoch loop with its divergence guards on,
+//! update), nor a chained 1 + 4-slot update sequence (each force
+//! update's `P` sweep forming the next one's `q`), nor a whole
+//! `Trainer::fekf_iteration` (forward, energy reduce, force reduce, all
+//! five KF updates, on 2 pool threads), nor a second in-place refresh
+//! of the FEKF loop's rollback snapshot, nor an iteration of the FEKF
+//! epoch loop with its divergence guards on,
 //! nor a domain-decomposed MD step with the deep potential (migration, halo,
 //! neighbour search, environments, forces, on 2 pool threads) performs
 //! a single heap allocation, and `FrameEnv::build` and the
@@ -26,6 +29,7 @@ use dp_mdsim::state::State;
 use dp_mdsim::systems::PaperSystem;
 use dp_mdsim::Vec3;
 use dp_optim::fekf::{Fekf, FekfConfig};
+use dp_train::checkpoint::{self, Cursor};
 use dp_train::recipes::{self, ModelScale};
 use dp_train::trainer::{LoopState, RobustConfig, TrainConfig, Trainer};
 use dp_train::TrainError;
@@ -98,12 +102,51 @@ fn main() {
     assert!(ALLOCS.load(Ordering::SeqCst) > before);
     drop(v);
 
+    chained_sequence_is_allocation_free(&mut opt, &g);
     whole_iteration_is_allocation_free();
+    snapshot_refresh_is_allocation_free();
     guarded_loop_iteration_is_allocation_free();
     wrappers_allocate_only_what_they_return();
     domain_md_step_is_allocation_free();
     dp_pool::set_threads(1);
     println!("alloc_probe: every steady-state path is allocation-free");
+}
+
+/// The KF updates of one iteration as the trainer runs them: the
+/// energy slot, then four force slots in one chained call whose `P`
+/// sweeps each also form the next slot's `q`, on the 512-wide block
+/// (pool path) of `opt`.
+fn chained_sequence_is_allocation_free(opt: &mut Fekf, g: &[f64]) {
+    let n = g.len();
+    let forces: Vec<f64> = (0..4 * n).map(|i| ((i as f64) * 0.11).cos() * 1e-2).collect();
+    let abes = [0.1, 0.2, 0.3, 0.4];
+    let mut delta = vec![0.0; n];
+    let mut sequence = |opt: &mut Fekf| {
+        opt.step_slots(g, &abes[..1], 0.5, &mut delta, |_| {});
+        opt.step_slots(&forces, &abes, 0.5, &mut delta, |_| {});
+    };
+    sequence(opt);
+    let ((), allocs) = allocs_in(|| sequence(opt));
+    assert_eq!(allocs, 0, "a chained 1 + 4-slot KF sequence must not allocate ({allocs} allocations)");
+}
+
+/// The FEKF loop's rollback snapshot: taken once (that allocates its
+/// copies), then refreshed in place. The second refresh, and a restore
+/// from it, copy the weights and every `P` block into buffers that
+/// already exist.
+fn snapshot_refresh_is_allocation_free() {
+    let scale = GenScale { frames_per_temperature: 2, equilibration: 20, stride: 2 };
+    let exp = recipes::setup(PaperSystem::Cu, &scale, ModelScale::Small, 3);
+    let mut model = exp.model.clone();
+    let mut opt = Fekf::new(&model.layer_sizes(), 8, FekfConfig::default());
+    let cursor = Cursor { epoch: 1, batches_done: 0, iterations: 0, word_pos: 0, rollbacks: 0 };
+    let mut snap = checkpoint::Snapshot::take(cursor, &model, &opt);
+    snap.refresh(cursor, &model, &opt);
+    let ((), n) = allocs_in(|| {
+        snap.refresh(Cursor { epoch: 2, iterations: 9, ..cursor }, &model, &opt);
+        snap.restore(&mut model, &mut opt);
+    });
+    assert_eq!(n, 0, "refreshing and restoring the rollback snapshot must not allocate ({n} allocations)");
 }
 
 /// The whole path: per-frame forward, ∇θE, forces and the four-tangent

@@ -289,13 +289,20 @@ impl DeepPotModel {
     /// Flatten all parameters (layer order: W row-major, then b).
     pub fn get_params(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.n_params());
+        self.params_into(&mut out);
+        out
+    }
+
+    /// [`DeepPotModel::get_params`] into `out`, replacing its contents:
+    /// allocation-free once `out` has held this model's parameters.
+    pub fn params_into(&self, out: &mut Vec<f64>) {
+        out.clear();
         for mlp in self.mlps() {
             for l in &mlp.layers {
                 out.extend_from_slice(l.w.as_slice());
                 out.extend_from_slice(l.b.as_slice());
             }
         }
-        out
     }
 
     /// Whether every parameter is finite, checked in place (no copy).

@@ -1,6 +1,6 @@
 //! Shared Extended-Kalman-Filter core (Algorithm 1 of the paper).
 //!
-//! One [`KfCore::update`] performs, per diagonal block `b`:
+//! One Kalman update performs, per diagonal block `b`:
 //!
 //! ```text
 //! q   = P_b · g_b                (cached P·g — Opt3 reuse)
@@ -10,7 +10,11 @@
 //! Δw_b = scale · ABE · K         (line 13; scale = √bs for FEKF)
 //! ```
 //!
-//! with the memory factor advanced once per update (line 12). The same
+//! with the memory factor advanced once per update (line 12).
+//! [`KfCore::update_slots`] runs one phase's updates (the energy
+//! update, or the four force-group updates) as one chain: update `k`'s
+//! `P` sweep also forms update `k + 1`'s `q`, bitwise as a separate
+//! `P·g` would. The same
 //! core drives RLEKF (per-sample updates, scale 1), Naive-EKF (one core
 //! per sample lane) and FEKF (one update on batch-reduced `g`/`ABE`).
 
@@ -33,9 +37,10 @@ pub struct KfCore {
     /// composition.
     pub fused: bool,
     updates: u64,
-    /// Per-update `q = P_b·g` scratch, sized to the largest block.
-    /// Purely transient: excluded from the checkpoint wire format and
-    /// never read across updates.
+    /// `q = P·g` scratch, `2·n_params` long: the current update's `q`
+    /// and, when updates are chained, the next one's. Purely transient:
+    /// excluded from the checkpoint wire format and never read across
+    /// calls.
     scratch_q: Vec<f64>,
 }
 
@@ -44,7 +49,7 @@ impl KfCore {
     pub fn new(layer_sizes: &[usize], blocksize: usize, mem: MemoryFactor, fused: bool) -> Self {
         let layout = BlockLayout::from_layer_sizes(layer_sizes, blocksize);
         let p = BlockP::identity(&layout);
-        let scratch_q = vec![0.0; layout.sizes().iter().copied().max().unwrap_or(0)];
+        let scratch_q = vec![0.0; 2 * layout.n_params];
         KfCore { layout, p, mem, fused, updates: 0, scratch_q }
     }
 
@@ -71,40 +76,91 @@ impl KfCore {
         delta
     }
 
-    /// One Kalman update writing Δw into a preallocated `delta`.
-    ///
-    /// The steady-state hot path: the `q = P_b·g` product lands in the
-    /// core's resident scratch buffer and the fused `P` update runs in
-    /// place, so (with `fused = true`) the whole call performs **zero
-    /// heap allocations** — asserted by the allocation probe in
-    /// `crates/bench`.
+    /// One Kalman update writing Δw into a preallocated `delta`: the
+    /// one-slot case of [`KfCore::update_slots`]. An all-zero `g` is
+    /// skipped like an all-zero slot there, and leaves `delta` zero.
     ///
     /// # Panics
     /// Panics if `g.len() != n_params()` or `delta.len() != g.len()`.
     pub fn update_into(&mut self, g: &[f64], abe: f64, scale: f64, delta: &mut [f64]) {
-        assert_eq!(g.len(), self.n_params(), "gradient length mismatch");
-        assert_eq!(delta.len(), g.len(), "delta length mismatch");
-        let lambda = self.mem.step();
-        for b in 0..self.layout.n_blocks() {
-            let gb = self.layout.gather(b, g);
-            let blk = &self.layout.blocks[b];
-            let n = blk.end - blk.start;
-            // Cached q = P·g, reused by A, K and the P update.
-            self.p.matvec_into(b, gb, &mut self.scratch_q[..n]);
-            let q = &self.scratch_q[..n];
-            let a = 1.0 / (lambda + vecops::dot(gb, q));
-            // Δw_b = scale·abe·K = scale·abe·a·q.
-            let coeff = scale * abe * a;
-            for (d, &qi) in delta[blk.start..blk.end].iter_mut().zip(q) {
-                *d = coeff * qi;
+        delta.fill(0.0);
+        self.update_slots(g, &[abe], 1.0, scale, delta, |_| {});
+    }
+
+    /// The Kalman updates of one phase, in slot order: slot `k` is the
+    /// gradient `grads[k·n..(k+1)·n]` (`n = n_params()`) with absolute
+    /// error `abes[k]·abe_scale`, and `apply` receives each update's Δw
+    /// before the next update begins. A slot whose gradient is all zero
+    /// — a force group no frame of the batch has atoms for — is
+    /// skipped: it would move no weight, yet still divide `P` by λ and
+    /// advance λ.
+    ///
+    /// Every slot's gradient exists before the first update, so with the
+    /// fused kernel each update's `P` sweep also forms the next update's
+    /// `q = P·g` ([`BlockP::update_fused_chained`]): `s` updates read `P`
+    /// `s + 1` times instead of `2s`, and every Δw, `P` entry and λ is
+    /// bitwise what `s` separate updates give. The framework-style path
+    /// (`fused = false`) keeps one `P·g` per update. With the fused
+    /// kernel the call performs **zero heap allocations** — `q` lives
+    /// in the core's resident scratch — as the allocation probe in
+    /// `crates/bench` asserts.
+    ///
+    /// # Panics
+    /// Panics if `grads.len() != abes.len()·n_params()` or
+    /// `delta.len() != n_params()`.
+    pub fn update_slots(
+        &mut self,
+        grads: &[f64],
+        abes: &[f64],
+        abe_scale: f64,
+        scale: f64,
+        delta: &mut [f64],
+        mut apply: impl FnMut(&[f64]),
+    ) {
+        let n = self.n_params();
+        assert_eq!(grads.len(), abes.len() * n, "gradient length mismatch");
+        assert_eq!(delta.len(), n, "delta length mismatch");
+        let slot = |k: usize| &grads[k * n..(k + 1) * n];
+        let live = |k: &usize| slot(*k).iter().any(|&v| v != 0.0);
+        let (mut q, mut q_next) = self.scratch_q.split_at_mut(n);
+        // Whether `q` already holds `P·g` of the update about to run.
+        let mut q_ready = false;
+        let mut next = (0..abes.len()).find(live);
+        while let Some(k) = next {
+            next = (k + 1..abes.len()).find(live);
+            let g = slot(k);
+            let chained = next.filter(|_| self.fused).map(slot);
+            let lambda = self.mem.step();
+            for (b, blk) in self.layout.blocks.iter().enumerate() {
+                let range = blk.start..blk.end;
+                let gb = &g[range.clone()];
+                let qb = &mut q[range.clone()];
+                // Cached q = P·g, reused by A, K and the P update.
+                if !q_ready {
+                    self.p.matvec_into(b, gb, qb);
+                }
+                let a = 1.0 / (lambda + vecops::dot(gb, qb));
+                // Δw_b = scale·abe·K = scale·abe·a·q.
+                let coeff = scale * (abes[k] * abe_scale) * a;
+                for (d, &qi) in delta[range.clone()].iter_mut().zip(qb.iter()) {
+                    *d = coeff * qi;
+                }
+                match chained {
+                    Some(g_next) => {
+                        let (gn, qn) = (&g_next[range.clone()], &mut q_next[range]);
+                        self.p.update_fused_chained(b, qb, a, lambda, gn, qn);
+                    }
+                    None if self.fused => self.p.update_fused(b, qb, a, lambda),
+                    None => {
+                        self.p.update_unfused(b, qb, a, lambda);
+                    }
+                }
             }
-            if self.fused {
-                self.p.update_fused(b, &self.scratch_q[..n], a, lambda);
-            } else {
-                self.p.update_unfused(b, &self.scratch_q[..n], a, lambda);
-            }
+            std::mem::swap(&mut q, &mut q_next);
+            q_ready = chained.is_some();
+            self.updates += 1;
+            apply(delta);
         }
-        self.updates += 1;
     }
 
     /// First `P` block with a non-finite, non-positive, or
@@ -127,6 +183,19 @@ impl KfCore {
     /// validated on restore.
     pub fn state_to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
+        w.reserve(self.state_len());
+        self.write_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// Length of what [`KfCore::write_state`] appends.
+    pub(crate) fn state_len(&self) -> usize {
+        let blocks: usize = (0..self.p.n_blocks()).map(|b| 8 + 8 * self.p.block(b).len()).sum();
+        8 + 1 + 8 + 8 + 8 + 8 + blocks
+    }
+
+    /// Append the [`KfCore::state_to_bytes`] encoding to `w`.
+    pub(crate) fn write_state(&self, w: &mut Writer) {
         w.u64(self.updates);
         w.u8(self.fused as u8);
         w.f64(self.mem.lambda);
@@ -136,7 +205,24 @@ impl KfCore {
         for b in 0..self.p.n_blocks() {
             w.f64_vec(self.p.block(b).as_slice());
         }
-        w.into_bytes()
+    }
+
+    /// Overwrite this core's filter state — every `P` block, λ, the
+    /// update counter and the kernel choice — with `src`'s, copying into
+    /// the buffers this core already holds: the state a
+    /// [`KfCore::state_to_bytes`] / [`KfCore::restore_state`] round trip
+    /// would leave, without serialising or allocating.
+    ///
+    /// # Panics
+    /// Panics if the two cores have different block layouts.
+    pub fn copy_state_from(&mut self, src: &KfCore) {
+        assert_eq!(self.layout, src.layout, "copy_state_from: block layouts differ");
+        for b in 0..self.p.n_blocks() {
+            self.p.set_block_data(b, src.p.block(b).as_slice());
+        }
+        self.updates = src.updates;
+        self.fused = src.fused;
+        self.mem = src.mem;
     }
 
     /// Restore state written by [`KfCore::state_to_bytes`] into a core
@@ -283,6 +369,96 @@ mod tests {
     fn wrong_gradient_length_panics() {
         let mut c = core(true);
         let _ = c.update(&[1.0; 3], 0.1, 1.0);
+    }
+
+    /// A random symmetric positive-definite `n×n` matrix, `M·Mᵀ/n + I`.
+    fn spd(n: usize, rng: &mut ChaCha8Rng) -> Vec<f64> {
+        let m: Vec<f64> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let mut p = vec![0.0; n * n];
+        for i in 0..n {
+            for j in 0..n {
+                let mij: f64 = (0..n).map(|k| m[i * n + k] * m[j * n + k]).sum();
+                p[i * n + j] = mij / n as f64 + if i == j { 1.0 } else { 0.0 };
+            }
+        }
+        p
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One chained call over an energy-style slot and four force slots
+    /// (the middle one all zero) is bitwise the slots run one update at
+    /// a time: every Δw, `P` entry and λ. Rows of 2N·m, 2N·m + N and
+    /// 2N·m + N + 3 (N = the active backend's lanes) reach the chained
+    /// kernel's two-accumulator body, its single-vector step and its
+    /// scalar tail; the layout has three blocks with a ragged last one.
+    #[test]
+    fn chained_slots_are_bitwise_the_sequential_updates() {
+        let lanes = dp_tensor::backend::active().kind().lanes();
+        let mut rng = ChaCha8Rng::seed_from_u64(21);
+        for n in [2 * lanes * 4, 2 * lanes * 4 + lanes, 2 * lanes * 4 + lanes + 3] {
+            let layers = [n, n, n / 2];
+            let mut chained = KfCore::new(&layers, n, MemoryFactor::paper_default(), true);
+            assert_eq!(chained.layout.n_blocks(), 3);
+            for b in 0..3 {
+                let size = chained.layout.blocks[b].len();
+                chained.p.set_block_data(b, &spd(size, &mut rng));
+            }
+            let mut sequential = chained.clone();
+            let np = chained.n_params();
+            let slots = 5;
+            let mut grads: Vec<f64> = (0..slots * np).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            grads[2 * np..3 * np].fill(0.0);
+            let abes: Vec<f64> = (0..slots).map(|_| rng.gen_range(0.0..1.0)).collect();
+            let inv_bs = 0.25;
+
+            let mut got = Vec::new();
+            let mut delta = vec![0.0; np];
+            chained.update_slots(&grads, &abes, inv_bs, 2.0, &mut delta, |d| got.push(bits(d)));
+            let mut want = Vec::new();
+            for (g, abe) in grads.chunks_exact(np).zip(&abes) {
+                if g.iter().any(|&v| v != 0.0) {
+                    want.push(bits(&sequential.update(g, abe * inv_bs, 2.0)));
+                }
+            }
+            assert_eq!(got.len(), slots - 1, "n={n}: the zero slot is skipped");
+            assert_eq!(got, want, "n={n}: deltas");
+            for b in 0..3 {
+                let (c, s) = (chained.p.block(b).as_slice(), sequential.p.block(b).as_slice());
+                assert_eq!(bits(c), bits(s), "n={n}: P block {b}");
+            }
+            assert_eq!(chained.mem.lambda.to_bits(), sequential.mem.lambda.to_bits(), "n={n}: λ");
+            assert_eq!(chained.n_updates(), sequential.n_updates());
+        }
+    }
+
+    #[test]
+    fn zero_gradient_update_is_skipped() {
+        let mut c = core(true);
+        let before = c.clone();
+        let delta = c.update(&[0.0; 10], 0.3, 1.0);
+        assert!(delta.iter().all(|&d| d == 0.0));
+        assert_eq!(c.n_updates(), 0);
+        assert_eq!(c.mem.lambda.to_bits(), before.mem.lambda.to_bits());
+        assert_eq!(c.state_to_bytes(), before.state_to_bytes());
+    }
+
+    #[test]
+    fn copied_state_is_the_bytes_round_trip() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut c = core(true);
+        for _ in 0..7 {
+            let g: Vec<f64> = (0..10).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let _ = c.update(&g, 0.2, 1.0);
+        }
+        let mut copy = core(true);
+        copy.copy_state_from(&c);
+        let mut restored = core(true);
+        restored.restore_state(&c.state_to_bytes()).unwrap();
+        assert_eq!(copy.state_to_bytes(), restored.state_to_bytes());
+        assert_eq!(copy.state_to_bytes(), c.state_to_bytes());
     }
 
     #[test]

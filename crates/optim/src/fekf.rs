@@ -111,17 +111,34 @@ impl Fekf {
     }
 
     /// Serialize the optimizer state (KF core plus FEKF envelope) for
-    /// checkpointing.
+    /// checkpointing: the core's bytes, length-prefixed, behind the
+    /// envelope. The core is written straight into this one buffer,
+    /// sized once — `P` is encoded a single time.
     pub fn state_to_bytes(&self) -> Vec<u8> {
+        let core_len = self.core.state_len();
         let mut w = Writer::new();
+        w.reserve(8 + 1 + 8 + core_len);
         w.u64(self.batch_size as u64);
         w.u8(match self.quasi_lr {
             QuasiLr::One => 0,
             QuasiLr::SqrtBs => 1,
             QuasiLr::LinearBs => 2,
         });
-        w.bytes(&self.core.state_to_bytes());
+        w.u64(core_len as u64);
+        self.core.write_state(&mut w);
         w.into_bytes()
+    }
+
+    /// Overwrite this optimizer's state with `src`'s in place
+    /// ([`KfCore::copy_state_from`]): how the FEKF loop refreshes and
+    /// restores its rollback snapshot without serialising `P`.
+    ///
+    /// # Panics
+    /// Panics if the two were built for different block layouts.
+    pub fn copy_state_from(&mut self, src: &Fekf) {
+        self.core.copy_state_from(&src.core);
+        self.batch_size = src.batch_size;
+        self.quasi_lr = src.quasi_lr;
     }
 
     /// Restore state written by [`Fekf::state_to_bytes`] into an
@@ -167,6 +184,23 @@ impl Fekf {
     pub fn step_into(&mut self, sum_grad: &[f64], mean_abe: f64, delta: &mut [f64]) {
         let scale = self.quasi_lr.factor(self.batch_size);
         self.core.update_into(sum_grad, mean_abe, scale, delta);
+    }
+
+    /// One phase's FEKF updates as one chain ([`KfCore::update_slots`]):
+    /// slot `k` is the batch-sum gradient `grads[k·n..(k+1)·n]` with the
+    /// batch-mean error `abe_sums[k]·inv_bs`, `apply` receives each
+    /// update's Δw (written into `delta`) in slot order, and all-zero
+    /// slots are skipped. Allocation-free.
+    pub fn step_slots(
+        &mut self,
+        grads: &[f64],
+        abe_sums: &[f64],
+        inv_bs: f64,
+        delta: &mut [f64],
+        apply: impl FnMut(&[f64]),
+    ) {
+        let scale = self.quasi_lr.factor(self.batch_size);
+        self.core.update_slots(grads, abe_sums, inv_bs, scale, delta, apply);
     }
 }
 

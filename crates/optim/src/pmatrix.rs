@@ -76,6 +76,36 @@ impl BlockP {
         });
     }
 
+    /// [`BlockP::update_fused`] chained to the next Kalman update: the
+    /// same pass also writes `q_next = P_b · g_next` for the `P_b` it
+    /// leaves behind, each entry formed from the row just written in
+    /// the order of [`dp_tensor::backend::Backend::dot`] (the backend's
+    /// `p_update_dot_rows`). `P_b` and `q_next` are bitwise what
+    /// `update_fused` followed by [`BlockP::matvec_into`] produce, in
+    /// one sweep of `P_b` instead of two.
+    pub fn update_fused_chained(
+        &mut self,
+        b: usize,
+        q: &[f64],
+        a: f64,
+        lambda: f64,
+        g_next: &[f64],
+        q_next: &mut [f64],
+    ) {
+        let p = &mut self.blocks[b];
+        let n = p.cols();
+        assert!(
+            q.len() == n && g_next.len() == n && q_next.len() == n,
+            "update_fused_chained: dimension mismatch"
+        );
+        kernel::launch("p_update_fused_dot");
+        let inv_lambda = 1.0 / lambda;
+        let be = dp_tensor::backend::active();
+        dp_pool::for_each_chunk_pair_mut(p.as_mut_slice(), n, q_next, 1, |i, row, out| {
+            be.p_update_dot_rows(row, n, i, q, a, inv_lambda, g_next, out)
+        });
+    }
+
     /// Unfused (framework-style) update: the same arithmetic through
     /// generic tensor ops, materializing `K`, `KKᵀ` and the
     /// intermediate differences. Returns the peak number of *extra*

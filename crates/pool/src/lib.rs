@@ -441,6 +441,46 @@ pub fn for_each_chunk_mut<T: Send>(
     });
 }
 
+/// [`for_each_chunk_mut`] over two slices in step: `body(i, a_i, b_i)`
+/// gets chunk `i` of `a` (`ca` long) and chunk `i` of `b` (`cb` long),
+/// e.g. one row of a matrix and the one output that row produces.
+///
+/// # Panics
+/// Panics if a chunk size is zero or the slices split into different
+/// numbers of chunks.
+pub fn for_each_chunk_pair_mut<T: Send, U: Send>(
+    a: &mut [T],
+    ca: usize,
+    b: &mut [U],
+    cb: usize,
+    body: impl Fn(usize, &mut [T], &mut [U]) + Sync,
+) {
+    assert!(ca > 0 && cb > 0, "for_each_chunk_pair_mut: chunk sizes must be positive");
+    assert_eq!(
+        a.len().div_ceil(ca),
+        b.len().div_ceil(cb),
+        "for_each_chunk_pair_mut: the slices have different chunk counts"
+    );
+    struct Base<U>(*mut U);
+    // SAFETY: as in `for_each_chunk_mut` — tasks dereference the
+    // pointer only over the disjoint chunk ranges below, and `U: Send`
+    // lets the resulting `&mut [U]` cross threads.
+    unsafe impl<U: Send> Sync for Base<U> {}
+    let base = Base(b.as_mut_ptr());
+    let base = &base;
+    let len = b.len();
+    for_each_chunk_mut(a, ca, |i, piece| {
+        let start = i * cb;
+        let end = (start + cb).min(len);
+        // SAFETY: `for_each_chunk_mut` hands out chunk index `i` exactly
+        // once per region and the chunk counts are equal, so
+        // `[start, end)` lies inside `b` and no other task aliases it;
+        // `b` outlives the region, which blocks until completion.
+        let other = unsafe { std::slice::from_raw_parts_mut(base.0.add(start), end - start) };
+        body(i, piece, other);
+    });
+}
+
 /// Run `body(i, &mut items[i])` for every element, distributing over
 /// the pool: [`for_each_chunk_mut`] with one element per chunk. The
 /// per-domain building block of `dp-domain` — a 3D grid of domain

@@ -214,6 +214,12 @@ pub trait Backend: Sync + Send {
     /// is one [`Backend::dot`].
     fn gemm_nt_row_group(&self, a: &[f64], bd: &[f64], k: usize, n: usize, i0: usize, crows: &mut [f64]);
 
+    /// `out[r] = dot(rows[r·k..(r+1)·k], x)` with `k = x.len()`: the
+    /// rows of a row-major matrix times one vector, every entry bitwise
+    /// one [`Backend::dot`]. The SIMD backends form four rows' dots in
+    /// one pass that loads each vector of `x` once for the four.
+    fn matvec_rows(&self, rows: &[f64], x: &[f64], out: &mut [f64]);
+
     /// Fused FEKF `P`-update on a group of rows: for local row `r`
     /// (global row `i0 + r`), `row[j] ← (row[j] − a·(q[i0+r]·q[j]))·inv_lambda`.
     ///
@@ -222,6 +228,25 @@ pub trait Backend: Sync + Send {
     /// and `(j,i)` — and identically in vector body and scalar tail — so
     /// a symmetric `P` stays *bitwise* symmetric under the update.
     fn p_update_rows(&self, rows: &mut [f64], n: usize, i0: usize, q: &[f64], a: f64, inv_lambda: f64);
+
+    /// [`Backend::p_update_rows`] that also writes `out[r] =
+    /// dot(updated row r, g)`: the next Kalman update's `P·g` entry,
+    /// formed from the row this pass has just written. The rows are
+    /// bitwise those of `p_update_rows` and each `out[r]` bitwise the
+    /// [`Backend::dot`] of the written row with `g`, so one pass over
+    /// `P` does what an update and a `P·g` sweep did in two.
+    #[allow(clippy::too_many_arguments)]
+    fn p_update_dot_rows(
+        &self,
+        rows: &mut [f64],
+        n: usize,
+        i0: usize,
+        q: &[f64],
+        a: f64,
+        inv_lambda: f64,
+        g: &[f64],
+        out: &mut [f64],
+    );
 
     /// In-place elementwise `tanh`. Each output depends only on its
     /// own input value — never on the lane, the offset or the slice
@@ -465,6 +490,32 @@ impl Backend for ScalarBackend {
         }
     }
 
+    fn matvec_rows(&self, rows: &[f64], x: &[f64], out: &mut [f64]) {
+        let k = x.len();
+        assert_eq!(rows.len(), out.len() * k, "matvec_rows: shape mismatch");
+        for (r, o) in out.iter_mut().enumerate() {
+            *o = dot_scalar(&rows[r * k..(r + 1) * k], x);
+        }
+    }
+
+    fn p_update_dot_rows(
+        &self,
+        rows: &mut [f64],
+        n: usize,
+        i0: usize,
+        q: &[f64],
+        a: f64,
+        inv_lambda: f64,
+        g: &[f64],
+        out: &mut [f64],
+    ) {
+        assert_eq!(rows.len().div_ceil(n), out.len(), "p_update_dot_rows: one output per row");
+        self.p_update_rows(rows, n, i0, q, a, inv_lambda);
+        for (row, o) in rows.chunks(n).zip(out) {
+            *o = dot_scalar(row, &g[..row.len()]);
+        }
+    }
+
     fn p_update_rows(&self, rows: &mut [f64], n: usize, i0: usize, q: &[f64], a: f64, inv_lambda: f64) {
         for (r, row) in rows.chunks_mut(n).enumerate() {
             let qi = q[i0 + r];
@@ -498,6 +549,7 @@ macro_rules! shim {
     ($feat:literal, fn $method:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)? = $kernel:expr) => {
         fn $method(&self, $($arg: $ty),*) $(-> $ret)? {
             #[target_feature(enable = $feat)]
+            #[allow(clippy::too_many_arguments)]
             unsafe fn enter($($arg: $ty),*) $(-> $ret)? {
                 $kernel($($arg),*)
             }
@@ -547,8 +599,11 @@ macro_rules! simd_backend {
                 = simd::gemm_tn_row_group::<$lanes, $tile>);
             shim!($feat, fn gemm_nt_row_group(a: &[f64], bd: &[f64], k: usize, n: usize, i0: usize, crows: &mut [f64])
                 = simd::gemm_nt_row_group::<$lanes>);
+            shim!($feat, fn matvec_rows(rows: &[f64], x: &[f64], out: &mut [f64]) = simd::matvec_rows::<$lanes>);
             shim!($feat, fn p_update_rows(rows: &mut [f64], n: usize, i0: usize, q: &[f64], a: f64, inv_lambda: f64)
                 = simd::p_update_rows::<$lanes>);
+            shim!($feat, fn p_update_dot_rows(rows: &mut [f64], n: usize, i0: usize, q: &[f64], a: f64, inv_lambda: f64, g: &[f64], out: &mut [f64])
+                = simd::p_update_dot_rows::<$lanes>);
         }
     };
 }
@@ -886,6 +941,44 @@ mod tests {
                     .unwrap();
                 assert_eq!(bits(&p_s), bits(&p_b), "{kind} p_update n={n}");
             }
+        }
+    }
+
+    /// Within every backend, the four-row GEMV and the chained `P`
+    /// update are bitwise one `dot` per row — at row lengths that end in
+    /// whole vector pairs, a single vector and a scalar tail.
+    #[test]
+    fn row_kernels_are_bitwise_one_dot_per_row() {
+        for kind in available() {
+            with_backend(kind, || {
+                let be = active();
+                let lanes = kind.lanes();
+                for n in [2 * lanes * 3, 2 * lanes * 3 + lanes, 2 * lanes * 3 + lanes + 3, 1, 2] {
+                    for rows in [1usize, 4, 7] {
+                        let a: Vec<f64> = (0..rows * n).map(|i| (i as f64 * 0.37).sin()).collect();
+                        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.71).cos()).collect();
+                        let mut out = vec![0.0; rows];
+                        be.matvec_rows(&a, &x, &mut out);
+                        for (r, o) in out.iter().enumerate() {
+                            let want = be.dot(&a[r * n..(r + 1) * n], &x);
+                            assert_eq!(o.to_bits(), want.to_bits(), "{kind} matvec_rows n={n} row {r}");
+                        }
+                    }
+                    let q: Vec<f64> = (0..n).map(|i| (i as f64 * 0.5).cos()).collect();
+                    let g: Vec<f64> = (0..n).map(|i| (i as f64 * 0.9).sin()).collect();
+                    let mut want: Vec<f64> = (0..n * n).map(|i| (i as f64 * 0.11).sin()).collect();
+                    let mut got = want.clone();
+                    let mut out = vec![0.0; n];
+                    be.p_update_rows(&mut want, n, 0, &q, 0.2, 1.01);
+                    be.p_update_dot_rows(&mut got, n, 0, &q, 0.2, 1.01, &g, &mut out);
+                    assert_eq!(bits(&got), bits(&want), "{kind} p_update_dot_rows n={n}");
+                    for (i, o) in out.iter().enumerate() {
+                        let dot = be.dot(&want[i * n..(i + 1) * n], &g);
+                        assert_eq!(o.to_bits(), dot.to_bits(), "{kind} p_update_dot_rows n={n} row {i}");
+                    }
+                }
+            })
+            .unwrap();
         }
     }
 

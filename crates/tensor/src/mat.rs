@@ -262,8 +262,10 @@ impl Mat {
     ///
     /// Each output element is one [`backend::Backend::dot`] (fixed
     /// lane-reduction order within the active backend), so results are
-    /// bitwise identical for every thread count. Neither the sequential
-    /// nor the pool path heap-allocates.
+    /// bitwise identical for every thread count; the rows run through
+    /// [`backend::Backend::matvec_rows`] in groups of four, which
+    /// share each load of `x`. Neither the sequential nor the pool path
+    /// heap-allocates.
     ///
     /// # Panics
     /// Panics if `x.len() != cols` or `out.len() != rows`.
@@ -279,13 +281,11 @@ impl Mat {
         let data = &self.data;
         let be = backend::active();
         if self.rows * n >= be.par_flops_threshold() {
-            dp_pool::for_each_chunk_mut(out, 1, |i, o| {
-                o[0] = be.dot(&data[i * n..(i + 1) * n], x);
+            dp_pool::for_each_chunk_mut(out, GEMM_MR, |g, o| {
+                be.matvec_rows(&data[g * GEMM_MR * n..][..o.len() * n], x, o);
             });
         } else {
-            for (i, o) in out.iter_mut().enumerate() {
-                *o = be.dot(&data[i * n..(i + 1) * n], x);
-            }
+            be.matvec_rows(data, x, out);
         }
     }
 

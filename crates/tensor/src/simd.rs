@@ -18,7 +18,10 @@
 //! Per backend every result is a pure function of the operands.
 //! [`dot`] keeps two vector accumulators, adds them, reduces the lanes
 //! by [`Lanes::hsum`]'s pairwise tree and folds the scalar tail in
-//! ascending order. A GEMM output element is the ascending-`k` chain
+//! ascending order; [`dot4`] and the chained `P` update
+//! ([`p_update_dot_row`]) form each of their dots in exactly that order,
+//! so `matvec_rows` and `p_update_dot_rows` are bitwise one [`dot`] per
+//! row. A GEMM output element is the ascending-`k` chain
 //! seeded from its incoming value: FMAs in the vector columns, a
 //! separately rounded multiply and add in the scalar tail columns. The
 //! elementwise primitives and the `P` update use no FMA, so they equal
@@ -35,7 +38,8 @@
 //! probing for it. The kernels a `Backend` method enters require
 //! nothing else: they check the slice lengths their pointer arithmetic
 //! depends on and panic on a mismatch. The helpers under them
-//! ([`fan_row`], [`fan4`], [`p_update_row`]) take those lengths as a
+//! ([`dot4`], [`fan_row`], [`fan4`], [`p_update_row`],
+//! [`p_update_dot_row`]) take those lengths as a
 //! second requirement and `debug_assert!` it.
 
 use crate::backend::{group_rows, GEMM_MR};
@@ -257,6 +261,72 @@ pub(crate) unsafe fn dot<V: Lanes>(x: &[f64], y: &[f64]) -> f64 {
         i += 1;
     }
     sum
+}
+
+/// Four [`dot`]s against one `y`: entry `r` is `dot(rows[r·k..(r+1)·k], y)`
+/// with `k = y.len()`, bitwise — each row keeps its own two
+/// accumulators, its `hsum` and its ascending scalar tail — while every
+/// vector of `y` is loaded once for the four rows.
+///
+/// # Safety
+/// The CPU must support `V`'s instruction set, and `rows` must hold
+/// `4·y.len()` values.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+unsafe fn dot4<V: Lanes>(rows: &[f64], y: &[f64]) -> [f64; 4] {
+    let k = y.len();
+    debug_assert_eq!(rows.len(), 4 * k);
+    let (rp, yp) = (rows.as_ptr(), y.as_ptr());
+    let mut acc0 = [V::splat(0.0); 4];
+    let mut acc1 = [V::splat(0.0); 4];
+    let mut i = 0;
+    while i + 2 * V::N <= k {
+        let (y0, y1) = (V::load(yp.add(i)), V::load(yp.add(i + V::N)));
+        for r in 0..4 {
+            acc0[r] = V::load(rp.add(r * k + i)).fma(y0, acc0[r]);
+            acc1[r] = V::load(rp.add(r * k + i + V::N)).fma(y1, acc1[r]);
+        }
+        i += 2 * V::N;
+    }
+    if i + V::N <= k {
+        let y0 = V::load(yp.add(i));
+        for r in 0..4 {
+            acc0[r] = V::load(rp.add(r * k + i)).fma(y0, acc0[r]);
+        }
+        i += V::N;
+    }
+    let mut sum = [0.0; 4];
+    for r in 0..4 {
+        sum[r] = acc0[r].add(acc1[r]).hsum();
+    }
+    while i < k {
+        for r in 0..4 {
+            sum[r] += *rp.add(r * k + i) * *yp.add(i);
+        }
+        i += 1;
+    }
+    sum
+}
+
+/// [`crate::backend::Backend::matvec_rows`]: `out[r] = dot(row r, x)`,
+/// four rows at a time through [`dot4`], the last `out.len() % 4` rows
+/// one [`dot`] each. Panics unless `rows` holds `out.len()` rows of
+/// `x.len()` values.
+///
+/// # Safety
+/// The CPU must support `V`'s instruction set.
+#[inline(always)]
+pub(crate) unsafe fn matvec_rows<V: Lanes>(rows: &[f64], x: &[f64], out: &mut [f64]) {
+    let k = x.len();
+    assert_eq!(rows.len(), out.len() * k, "matvec_rows: shape mismatch");
+    let done = out.len() / 4 * 4;
+    let mut quads = out.chunks_exact_mut(4);
+    for (g, o) in (&mut quads).enumerate() {
+        o.copy_from_slice(&dot4::<V>(&rows[4 * g * k..][..4 * k], x));
+    }
+    for (r, o) in quads.into_remainder().iter_mut().enumerate() {
+        *o = dot::<V>(&rows[(done + r) * k..][..k], x);
+    }
 }
 
 /// `y += alpha · x`, the multiply and the add rounded separately in
@@ -520,7 +590,9 @@ pub(crate) unsafe fn gemm_tn_row_group<V: Lanes, const T: usize>(
 }
 
 /// [`crate::backend::Backend::gemm_nt_row_group`]: every output element
-/// is one [`dot`]. Panics if `a` or `bd` is shorter than the shapes say.
+/// is one [`dot`] — through [`dot4`] in a full group of four rows, which
+/// loads each row of `B` once for the four. Panics if `a` or `bd` is
+/// shorter than the shapes say.
 ///
 /// # Safety
 /// The CPU must support `V`'s instruction set.
@@ -534,12 +606,33 @@ pub(crate) unsafe fn gemm_nt_row_group<V: Lanes>(
     crows: &mut [f64],
 ) {
     let nr = group_rows(crows, n);
+    let arows = &a[i0 * k..][..nr * k];
     for j in 0..n {
         let brow = &bd[j * k..][..k];
-        for r in 0..nr {
-            crows[r * n + j] = dot::<V>(&a[(i0 + r) * k..][..k], brow);
+        if nr == GEMM_MR {
+            for (r, c) in dot4::<V>(arows, brow).into_iter().enumerate() {
+                crows[r * n + j] = c;
+            }
+        } else {
+            for r in 0..nr {
+                crows[r * n + j] = dot::<V>(&arows[r * k..][..k], brow);
+            }
         }
     }
+}
+
+/// `N` entries of a `P` row, `r ← (r − a·(qi·q))·inv_lambda` with
+/// `qiv`, `av`, `lv` the splats of `qi`, `a`, `inv_lambda`: stored back
+/// and returned.
+///
+/// # Safety
+/// The CPU must support `V`'s instruction set; `r` and `q` must be
+/// valid for `N` values.
+#[inline(always)]
+unsafe fn p_update_vec<V: Lanes>(r: *mut f64, q: *const f64, qiv: V, av: V, lv: V) -> V {
+    let v = V::load(r).sub(av.mul(qiv.mul(V::load(q)))).mul(lv);
+    v.store(r);
+    v
 }
 
 /// One row of the FEKF `P` update,
@@ -558,8 +651,7 @@ unsafe fn p_update_row<V: Lanes>(row: &mut [f64], qi: f64, q: &[f64], a: f64, in
     let (qiv, av, lv) = (V::splat(qi), V::splat(a), V::splat(inv_lambda));
     let mut j = 0;
     while j + V::N <= n {
-        let t = av.mul(qiv.mul(V::load(qp.add(j))));
-        V::load(rp.add(j)).sub(t).mul(lv).store(rp.add(j));
+        p_update_vec(rp.add(j), qp.add(j), qiv, av, lv);
         j += V::N;
     }
     while j < n {
@@ -584,6 +676,76 @@ pub(crate) unsafe fn p_update_rows<V: Lanes>(
 ) {
     for (r, row) in rows.chunks_mut(n).enumerate() {
         p_update_row::<V>(row, q[i0 + r], &q[..row.len()], a, inv_lambda);
+    }
+}
+
+/// One row of the chained FEKF `P` update: [`p_update_row`]'s values,
+/// written in the same pass that forms `dot(new row, g)` from them in
+/// [`dot`]'s order — two accumulators fed `2·N` elements a step, one
+/// more vector step, `hsum`, then the scalar tail (whose elements are
+/// written first) in ascending order.
+///
+/// # Safety
+/// The CPU must support `V`'s instruction set, and `q` and `g` must
+/// hold at least `row.len()` values.
+#[inline(always)]
+unsafe fn p_update_dot_row<V: Lanes>(
+    row: &mut [f64],
+    qi: f64,
+    q: &[f64],
+    a: f64,
+    inv_lambda: f64,
+    g: &[f64],
+) -> f64 {
+    debug_assert!(q.len() >= row.len() && g.len() >= row.len());
+    let n = row.len();
+    let (rp, qp, gp) = (row.as_mut_ptr(), q.as_ptr(), g.as_ptr());
+    let (qiv, av, lv) = (V::splat(qi), V::splat(a), V::splat(inv_lambda));
+    let mut acc0 = V::splat(0.0);
+    let mut acc1 = V::splat(0.0);
+    let mut j = 0;
+    while j + 2 * V::N <= n {
+        let v0 = p_update_vec(rp.add(j), qp.add(j), qiv, av, lv);
+        let v1 = p_update_vec(rp.add(j + V::N), qp.add(j + V::N), qiv, av, lv);
+        acc0 = v0.fma(V::load(gp.add(j)), acc0);
+        acc1 = v1.fma(V::load(gp.add(j + V::N)), acc1);
+        j += 2 * V::N;
+    }
+    if j + V::N <= n {
+        acc0 = p_update_vec(rp.add(j), qp.add(j), qiv, av, lv).fma(V::load(gp.add(j)), acc0);
+        j += V::N;
+    }
+    let mut sum = acc0.add(acc1).hsum();
+    while j < n {
+        row[j] = (row[j] - a * (qi * q[j])) * inv_lambda;
+        sum += row[j] * g[j];
+        j += 1;
+    }
+    sum
+}
+
+/// [`crate::backend::Backend::p_update_dot_rows`]. Panics if `q` or
+/// `g` is shorter than a row, `q` does not reach the last row's index,
+/// or `out` does not hold one value per row.
+///
+/// # Safety
+/// The CPU must support `V`'s instruction set.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn p_update_dot_rows<V: Lanes>(
+    rows: &mut [f64],
+    n: usize,
+    i0: usize,
+    q: &[f64],
+    a: f64,
+    inv_lambda: f64,
+    g: &[f64],
+    out: &mut [f64],
+) {
+    assert_eq!(rows.len().div_ceil(n), out.len(), "p_update_dot_rows: one output per row");
+    for (r, (row, o)) in rows.chunks_mut(n).zip(out).enumerate() {
+        let len = row.len();
+        *o = p_update_dot_row::<V>(row, q[i0 + r], &q[..len], a, inv_lambda, &g[..len]);
     }
 }
 
@@ -702,6 +864,50 @@ mod tests {
             let want: Vec<f64> =
                 (0..n * n).map(|e| (p0[e] - 0.2 * (q[e / n] * q[e % n])) * 1.01).collect();
             assert_eq!(bits(&p), bits(&want), "p_update n={n}");
+        }
+    }
+
+    #[test]
+    fn two_lane_matvec_rows_are_one_dot_per_row() {
+        for k in (0..=13).chain([27, 64, 65]) {
+            for rows in [0, 1, 3, 4, 5, 8, 9] {
+                let (a, x) = (det_vec(rows * k, 13), det_vec(k, 14));
+                let mut out = vec![f64::NAN; rows];
+                // SAFETY: `Pair` needs no CPU feature.
+                unsafe { matvec_rows::<Pair>(&a, &x, &mut out) };
+                for (r, o) in out.iter().enumerate() {
+                    let want = dot_ref(&a[r * k..][..k], &x);
+                    assert_eq!(o.to_bits(), want.to_bits(), "k={k} rows={rows} row {r}");
+                }
+            }
+        }
+    }
+
+    /// The chained update writes `p_update_rows`' rows and, per row, the
+    /// dot of the written row with `g` in `dot`'s schedule — whole
+    /// pairs of vectors, a single vector and a scalar tail all occur.
+    #[test]
+    fn two_lane_chained_p_update_is_update_then_dot() {
+        for n in (1..=11).chain([16, 19]) {
+            let (q, g) = (det_vec(n, 15), det_vec(n, 16));
+            let p0 = det_vec(n * n, 17);
+            let (mut want, mut got) = (p0.clone(), p0.clone());
+            let mut out = vec![f64::NAN; n];
+            let split = n / 2;
+            // SAFETY: `Pair` needs no CPU feature.
+            unsafe {
+                p_update_rows::<Pair>(&mut want, n, 0, &q, 0.3, 1.02);
+                // Two calls, so the second starts at a row offset.
+                let (lo, hi) = got.split_at_mut(split * n);
+                let (olo, ohi) = out.split_at_mut(split);
+                p_update_dot_rows::<Pair>(lo, n, 0, &q, 0.3, 1.02, &g, olo);
+                p_update_dot_rows::<Pair>(hi, n, split, &q, 0.3, 1.02, &g, ohi);
+            }
+            assert_eq!(bits(&got), bits(&want), "rows n={n}");
+            for (i, o) in out.iter().enumerate() {
+                let dot = dot_ref(&want[i * n..][..n], &g);
+                assert_eq!(o.to_bits(), dot.to_bits(), "dot n={n} row {i}");
+            }
         }
     }
 

@@ -235,6 +235,12 @@ impl Writer {
         Writer { buf: Vec::new() }
     }
 
+    /// Make room for `additional` more bytes, so a writer whose final
+    /// length is known up front grows its buffer once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -270,11 +276,14 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Append a length-prefixed `f64` vector.
+    /// Append a length-prefixed `f64` vector: the buffer grows once,
+    /// then each value's bits are copied into place.
     pub fn f64_vec(&mut self, v: &[f64]) {
         self.u64(v.len() as u64);
-        for &x in v {
-            self.f64(x);
+        let start = self.buf.len();
+        self.buf.resize(start + 8 * v.len(), 0);
+        for (dst, x) in self.buf[start..].chunks_exact_mut(8).zip(v) {
+            dst.copy_from_slice(&x.to_le_bytes());
         }
     }
 

@@ -20,7 +20,7 @@
 //! disjoint, and this matches the batched reference implementation's
 //! cost model while keeping the sequential `P` updates.
 
-use crate::checkpoint::{self, Checkpoint, OptKind};
+use crate::checkpoint::{self, Checkpoint, Cursor, OptKind, Snapshot};
 use crate::error::TrainError;
 use crate::gradients::{BlockScratch, GradScratch};
 use crate::metrics::{timed, EpochRecord, PhaseTimes, TrainHistory};
@@ -102,6 +102,9 @@ pub struct TrainOutcome {
     /// Environment-cache hit/miss counters of the FEKF loop (zero for
     /// Adam and Naive-EKF, which do not use the cache).
     pub env_cache: CacheStats,
+    /// Divergence rollbacks the FEKF loop took (zero for Adam and
+    /// Naive-EKF).
+    pub rollbacks: u32,
 }
 
 /// The training driver.
@@ -137,6 +140,8 @@ pub struct LoopState {
     /// Latest environment-cache counters (refreshed every iteration so
     /// every outcome path reports them).
     cache_stats: CacheStats,
+    /// Divergence rollbacks taken so far (the FEKF loop's retry budget).
+    rollbacks: u32,
 }
 
 impl Default for LoopState {
@@ -160,6 +165,7 @@ impl LoopState {
             gabes: Vec::new(),
             dist_scratch: Vec::new(),
             cache_stats: CacheStats::default(),
+            rollbacks: 0,
         }
     }
 
@@ -261,27 +267,6 @@ impl Phase {
     }
 }
 
-/// Apply one phase's Kalman updates in slot order: slot `k` of `grads`
-/// (`n_params` wide) with batch-mean error `abes[k] · inv_bs`. A slot
-/// whose reduced gradient is all zero — a force group that no frame of
-/// the batch has atoms for — is skipped: it would move no weight, yet
-/// still divide `P` by λ and advance λ.
-fn kf_updates(
-    model: &mut DeepPotModel,
-    opt: &mut Fekf,
-    grads: &[f64],
-    abes: &[f64],
-    inv_bs: f64,
-    delta: &mut [f64],
-) {
-    for (g, &abe) in grads.chunks_exact(delta.len()).zip(abes) {
-        if g.iter().any(|&v| v != 0.0) {
-            opt.step_into(g, abe * inv_bs, delta);
-            model.apply_update(delta);
-        }
-    }
-}
-
 impl Trainer {
     /// Create a trainer.
     pub fn new(cfg: TrainConfig) -> Self {
@@ -357,6 +342,7 @@ impl Trainer {
             phases: state.phases,
             comm_bytes_per_rank: state.comm_bytes,
             env_cache: state.cache_stats,
+            rollbacks: state.rollbacks,
         }
     }
 
@@ -461,7 +447,7 @@ impl Trainer {
                 });
             }
             timed(&mut state.phases.optimizer, || {
-                kf_updates(model, opt, &state.gsum, &state.gabes, inv_bs, &mut delta)
+                opt.step_slots(&state.gsum, &state.gabes, inv_bs, &mut delta, |d| model.apply_update(d))
             });
             state.gabes[0] * inv_bs
         });
@@ -621,7 +607,7 @@ impl Trainer {
                 Phase::Forces(_) => red.vector.split_at(n_slots * n_params),
             };
             timed(&mut state.phases.optimizer, || {
-                kf_updates(model, opt, grads, abes, inv_bs, &mut delta)
+                opt.step_slots(grads, abes, inv_bs, &mut delta, |d| model.apply_update(d))
             });
         }
         state.return_delta(delta);
@@ -694,7 +680,6 @@ impl Trainer {
         let mut converged = false;
         let mut epochs_run = 0;
         let mut best: Option<(f64, Vec<f64>)> = None;
-        let mut rollbacks = 0u32;
         let mut poisoned = false;
         let mut abe_floor: Option<f64> = None;
 
@@ -708,25 +693,31 @@ impl Trainer {
                 TrainError::Checkpoint("resume requested without a checkpoint_dir".into())
             })?;
             if let Some(ck) = checkpoint::load_latest(dir)? {
-                restore_snapshot(&ck, model, opt)?;
+                restore_checkpoint(&ck, model, opt)?;
                 rng.set_word_pos(ck.word_pos);
                 epoch = ck.epoch.max(1);
                 batches_done = ck.batches_done;
                 state.iterations = ck.iterations;
-                rollbacks = ck.rollbacks;
+                state.rollbacks = ck.rollbacks;
                 best = ck.best.clone();
             }
         }
 
         // The last known-healthy state: the rollback target of the
-        // guards and what a checkpoint persists. Refreshed at every
-        // checkpoint and every epoch boundary. With the guards off and
-        // no checkpoint directory nothing reads it, so the loop takes
-        // none and never copies `P`.
+        // guards and what a checkpoint persists. Taken once here, then
+        // refreshed in place at every checkpoint and every epoch
+        // boundary. With the guards off and no checkpoint directory
+        // nothing reads it, so the loop takes none and never copies `P`.
         let snapshots = robust.check_every > 0 || robust.checkpoint_dir.is_some();
+        let cursor = |epoch, batches_done, state: &LoopState, word_pos| Cursor {
+            epoch,
+            batches_done,
+            iterations: state.iterations,
+            word_pos,
+            rollbacks: state.rollbacks,
+        };
         let mut snap = snapshots.then(|| {
-            let word_pos = rng.get_word_pos();
-            take_snapshot(epoch, batches_done, state.iterations, word_pos, rollbacks, model, opt, &best)
+            Snapshot::take(cursor(epoch, batches_done, &state, rng.get_word_pos()), model, opt)
         });
 
         'epochs: while epoch <= self.cfg.max_epochs {
@@ -760,14 +751,15 @@ impl Trainer {
                 {
                     if let Some(bad_block) = divergence(model, opt, abe, &mut abe_floor, robust) {
                         let healthy = snap.as_ref().expect("the guards keep a snapshot");
-                        rollbacks += 1;
-                        restore_snapshot(healthy, model, opt)?;
-                        if rollbacks > robust.max_rollbacks {
+                        healthy.restore(model, opt);
+                        let at = healthy.cursor;
+                        if state.rollbacks >= robust.max_rollbacks {
                             // Budget exhausted: hand back the last
                             // healthy (or best) state with a typed
                             // error.
-                            state.iterations = healthy.iterations;
+                            state.iterations = at.iterations;
                             restore_best_params(model, train, self.cfg, &best, robust);
+                            let rollbacks = state.rollbacks;
                             let outcome = self.outcome(
                                 model,
                                 train,
@@ -778,10 +770,11 @@ impl Trainer {
                             );
                             return Err(TrainError::Diverged {
                                 epoch,
-                                rollbacks: rollbacks - 1,
+                                rollbacks,
                                 outcome: Box::new(outcome),
                             });
                         }
+                        state.rollbacks += 1;
                         // Rolled back to the last healthy snapshot; now
                         // the recovery nudge — reset the offending P
                         // block to p0·I and decay λ — so the replay
@@ -791,32 +784,22 @@ impl Trainer {
                             Some(b) => opt.core_mut().reset_block(b, 1.0),
                             None => opt.core_mut().mem.decay(0.98),
                         }
-                        epoch = healthy.epoch;
-                        batches_done = healthy.batches_done;
-                        state.iterations = healthy.iterations;
-                        rng.set_word_pos(healthy.word_pos);
+                        epoch = at.epoch;
+                        batches_done = at.batches_done;
+                        state.iterations = at.iterations;
+                        rng.set_word_pos(at.word_pos);
                         continue 'epochs;
                     }
                 }
 
                 // Periodic checkpoint: refresh the rollback target and
                 // (when configured) persist it crash-safely.
-                if snapshots
-                    && robust.checkpoint_every > 0
-                    && state.iterations.is_multiple_of(robust.checkpoint_every as u64)
-                {
-                    let ck = take_snapshot(
-                        epoch,
-                        batches_done,
-                        state.iterations,
-                        epoch_word_pos,
-                        rollbacks,
-                        model,
-                        opt,
-                        &best,
-                    );
-                    write_checkpoint(&ck, robust)?;
-                    snap = Some(ck);
+                if let Some(snap) = snap.as_mut().filter(|_| {
+                    robust.checkpoint_every > 0
+                        && state.iterations.is_multiple_of(robust.checkpoint_every as u64)
+                }) {
+                    snap.refresh(cursor(epoch, batches_done, &state, epoch_word_pos), model, opt);
+                    write_checkpoint(snap, &best, robust)?;
                 }
 
                 // Chaos hook: simulated kill. Everything after the last
@@ -847,19 +830,9 @@ impl Trainer {
             // sits at the start of the next epoch's stream).
             epoch += 1;
             batches_done = 0;
-            if snapshots {
-                let ck = take_snapshot(
-                    epoch,
-                    batches_done,
-                    state.iterations,
-                    rng.get_word_pos(),
-                    rollbacks,
-                    model,
-                    opt,
-                    &best,
-                );
-                write_checkpoint(&ck, robust)?;
-                snap = Some(ck);
+            if let Some(snap) = snap.as_mut() {
+                snap.refresh(cursor(epoch, batches_done, &state, rng.get_word_pos()), model, opt);
+                write_checkpoint(snap, &best, robust)?;
             }
             if converged {
                 break;
@@ -929,31 +902,9 @@ impl RobustConfig {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn take_snapshot(
-    epoch: usize,
-    batches_done: usize,
-    iterations: u64,
-    word_pos: u128,
-    rollbacks: u32,
-    model: &DeepPotModel,
-    opt: &Fekf,
-    best: &Option<(f64, Vec<f64>)>,
-) -> Checkpoint {
-    Checkpoint {
-        epoch,
-        batches_done,
-        iterations,
-        word_pos,
-        rollbacks,
-        params: model.get_params(),
-        opt_kind: OptKind::Fekf,
-        opt_bytes: opt.state_to_bytes(),
-        best: best.clone(),
-    }
-}
-
-fn restore_snapshot(
+/// Put a loaded DPCK checkpoint's weights and optimizer state back
+/// (resume), after checking they belong to this run.
+fn restore_checkpoint(
     ck: &Checkpoint,
     model: &mut DeepPotModel,
     opt: &mut Fekf,
@@ -977,10 +928,16 @@ fn restore_snapshot(
     Ok(())
 }
 
-fn write_checkpoint(snap: &Checkpoint, robust: &RobustConfig) -> Result<(), TrainError> {
+/// Persist `snap` as a DPCK record when the run has a checkpoint
+/// directory; without one, nothing is serialised.
+fn write_checkpoint(
+    snap: &Snapshot,
+    best: &Option<(f64, Vec<f64>)>,
+    robust: &RobustConfig,
+) -> Result<(), TrainError> {
     if let Some(dir) = &robust.checkpoint_dir {
         fs::create_dir_all(dir)?;
-        snap.save(checkpoint::checkpoint_path(dir))?;
+        snap.to_checkpoint(best).save(checkpoint::checkpoint_path(dir))?;
     }
     Ok(())
 }
@@ -1360,6 +1317,35 @@ mod tests {
             initial.combined(),
             out.final_train.combined()
         );
+    }
+
+    /// The rollback restores the in-memory snapshot whether or not the
+    /// run also writes DPCK checkpoints: a poisoned run ends with the
+    /// same weights, `P`, λ and rollback count either way.
+    #[test]
+    fn rollback_is_bitwise_the_same_with_and_without_a_checkpoint_dir() {
+        let ds = tiny_dataset(16, 13);
+        let dir = std::env::temp_dir().join(format!("dp_rollback_dpck_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let run = |checkpoint_dir: Option<PathBuf>| {
+            let mut m = tiny_model(&ds);
+            let mut opt = Fekf::new(&m.layer_sizes(), 4, FekfConfig::default());
+            let robust = RobustConfig {
+                checkpoint_every: 2,
+                checkpoint_dir,
+                poison_p_at: Some((3, 0)),
+                ..no_chaos()
+            };
+            let out = trainer(4, 3).train_fekf_robust(&mut m, &mut opt, &ds, None, &robust).unwrap();
+            (param_bits(&m), opt.state_to_bytes(), opt.core().mem.lambda.to_bits(), out.rollbacks)
+        };
+        let without = run(None);
+        let with = run(Some(dir.clone()));
+        let saved = checkpoint::load_latest(&dir).unwrap().expect("the run wrote checkpoints");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(without.3, 1, "one upset, one rollback");
+        assert_eq!(with, without);
+        assert_eq!(saved.rollbacks, 1);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   accumulation order: `matmul`/`t_matmul` vs a k-ascending naive
 //!   loop, cached vs uncached forwards, batched vs sequential serving,
 //!   degraded (energy-only) vs full serving under the SLO layer,
-//!   FEKF vs Naive-EKF/RLEKF at `bs = 1` with a shared memory factor;
+//!   FEKF vs Naive-EKF/RLEKF at `bs = 1` with a shared memory factor,
+//!   the chained KF update sequence vs one update at a time;
 //! * **tight-ULP** where only the combine order differs: the
 //!   4-accumulator `rowdot` behind `matmul_t`/`matvec` (`1e-13`), the
 //!   fused vs unfused `P` update (`1e-12`);
@@ -186,6 +187,98 @@ pub fn kf_fused_vs_unfused(seed: u64, profile: Profile) -> VerifyCheck {
             }
         }
     }
+    check.finish()
+}
+
+/// A random symmetric positive-definite `n×n` block: a positive
+/// diagonal plus four rank-one terms `v·vᵀ`, each entry summed in the
+/// same order as its mirror so the block is exactly symmetric.
+fn random_spd(rng: &mut XorShift64, n: usize) -> Vec<f64> {
+    let vs: Vec<Vec<f64>> = (0..4).map(|_| gen::random_vec(rng, n)).collect();
+    let mut p = vec![0.0; n * n];
+    for i in 0..n {
+        for j in 0..n {
+            p[i * n + j] = vs.iter().map(|v| v[i] * v[j]).sum::<f64>();
+        }
+        p[i * n + i] += 1.0 + rng.uniform();
+    }
+    p
+}
+
+/// The chained KF sequence vs the per-update path: one energy slot and
+/// four force slots (the middle one all zero) through
+/// `Fekf::step_slots`, where each force update's `P` sweep also forms
+/// the next update's `q`, against `Fekf::step_into` slot by slot — a
+/// `P·g` sweep and an update sweep each, the zero slot skipped. On a
+/// random SPD `P` of three blocks (the last one ragged, the others
+/// large enough for the pool GEMV) at 1, 2 and 8 pool threads, every
+/// Δw, `P` entry and λ must be bit-equal.
+pub fn kf_chained_vs_sequential(seed: u64, profile: Profile) -> VerifyCheck {
+    let (streams, _) = profile.kf_cases();
+    let mut check = Check::new(
+        "differential",
+        "kf/chained_vs_sequential",
+        &["dp-optim", "dp-tensor", "dp-pool"],
+        0.0,
+    );
+    let layers = [740usize, 740, 333];
+    let n: usize = layers.iter().sum();
+    let bs = 8;
+    let inv_bs = 1.0 / bs as f64;
+    let saved_threads = dp_pool::current_threads();
+    for s in 0..streams {
+        let mut rng = XorShift64::new(seed ^ 0x5C4A_1B27_93E0_D86F ^ (s as u64) << 19);
+        let mut base = Fekf::new(&layers, bs, FekfConfig { blocksize: 740, ..FekfConfig::default() });
+        let p = &mut base.core_mut().p;
+        for b in 0..p.n_blocks() {
+            let m = p.block(b).cols();
+            p.set_block_data(b, &random_spd(&mut rng, m));
+        }
+        let energy = gen::random_vec(&mut rng, n);
+        let mut forces = gen::random_vec(&mut rng, 4 * n);
+        forces[2 * n..3 * n].fill(0.0);
+        let abes: Vec<f64> = (0..5).map(|_| rng.range(0.0, 2.0)).collect();
+        for threads in [1, 2, 8] {
+            dp_pool::set_threads(threads);
+            let mut delta = vec![0.0; n];
+            let (mut chained, mut sequential) = (base.clone(), base.clone());
+            let mut got = Vec::new();
+            chained.step_slots(&energy, &abes[..1], inv_bs, &mut delta, |d| got.push(d.to_vec()));
+            chained.step_slots(&forces, &abes[1..], inv_bs, &mut delta, |d| got.push(d.to_vec()));
+            let mut want = Vec::new();
+            let slots = std::iter::once(&energy[..]).chain(forces.chunks_exact(n));
+            for (g, abe) in slots.zip(&abes) {
+                if g.iter().any(|&v| v != 0.0) {
+                    sequential.step_into(g, abe * inv_bs, &mut delta);
+                    want.push(delta.clone());
+                }
+            }
+            check.exact(got.len() == want.len(), || {
+                format!("stream {s}, {threads} threads: {} chained updates vs {}", got.len(), want.len())
+            });
+            for (u, (dc, ds)) in got.iter().zip(&want).enumerate() {
+                let bad = dc.iter().zip(ds).position(|(x, y)| x.to_bits() != y.to_bits());
+                check.exact(bad.is_none(), || {
+                    let i = bad.unwrap_or(0);
+                    format!("stream {s}, {threads} threads, update {u}, Δw[{i}]: {:.17e} vs {:.17e}", dc[i], ds[i])
+                });
+            }
+            let (pc, ps) = (&chained.core().p, &sequential.core().p);
+            for b in 0..pc.n_blocks() {
+                let (bc, bq) = (pc.block(b).as_slice(), ps.block(b).as_slice());
+                let bad = bc.iter().zip(bq).position(|(x, y)| x.to_bits() != y.to_bits());
+                check.exact(bad.is_none(), || {
+                    let i = bad.unwrap_or(0);
+                    format!("stream {s}, {threads} threads, P block {b}[{i}]: {:.17e} vs {:.17e}", bc[i], bq[i])
+                });
+            }
+            let (lc, ls) = (chained.core().mem.lambda, sequential.core().mem.lambda);
+            check.exact(lc.to_bits() == ls.to_bits(), || {
+                format!("stream {s}, {threads} threads, λ: {lc:.17e} vs {ls:.17e}")
+            });
+        }
+    }
+    dp_pool::set_threads(saved_threads);
     check.finish()
 }
 
@@ -511,6 +604,7 @@ pub fn fekf_vs_baselines_bs1(seed: u64, profile: Profile) -> VerifyCheck {
 pub fn run(seed: u64, profile: Profile) -> Vec<VerifyCheck> {
     let mut out = gemm(seed, profile);
     out.push(kf_fused_vs_unfused(seed, profile));
+    out.push(kf_chained_vs_sequential(seed, profile));
     out.push(env_cache_bitwise(seed, profile));
     out.push(manual_vs_tape(seed, profile));
     out.push(batched_vs_tape_empty_blocks(seed, profile));
@@ -559,6 +653,8 @@ mod tests {
         let c = kf_fused_vs_unfused(99, Profile::Quick);
         assert_eq!(c.failures, 0, "{:?}", c.details);
         let c = fekf_vs_baselines_bs1(99, Profile::Quick);
+        assert_eq!(c.failures, 0, "{:?}", c.details);
+        let c = kf_chained_vs_sequential(99, Profile::Quick);
         assert_eq!(c.failures, 0, "{:?}", c.details);
     }
 
