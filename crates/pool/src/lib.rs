@@ -156,6 +156,8 @@ struct PoolState {
     target_threads: usize,
     /// Live worker threads of the current generation.
     workers_alive: usize,
+    /// Workers of older generations that have not exited yet.
+    retiring: usize,
 }
 
 struct Pool {
@@ -176,6 +178,7 @@ fn pool() -> &'static Pool {
             generation: 0,
             target_threads: default_threads(),
             workers_alive: 0,
+            retiring: 0,
         }),
         work_cv: Condvar::new(),
         done_cv: Condvar::new(),
@@ -200,8 +203,10 @@ pub fn current_threads() -> usize {
 ///
 /// Existing workers are retired and fresh ones spawned lazily on the next
 /// region. Safe to call at any quiescent point (no region in flight on
-/// this thread); benchmark and determinism-test harnesses use this to
-/// sweep thread counts inside one process.
+/// this thread), also while other threads submit regions: it waits only
+/// for the workers it retired, never for the new generation a concurrent
+/// region may already have spawned. Benchmark and determinism-test
+/// harnesses use this to sweep thread counts inside one process.
 pub fn set_threads(n: usize) {
     let n = n.max(1);
     let p = pool();
@@ -211,9 +216,10 @@ pub fn set_threads(n: usize) {
     }
     st.target_threads = n;
     st.generation += 1;
+    st.retiring += std::mem::take(&mut st.workers_alive);
     p.work_cv.notify_all();
     // Wait for retired workers to exit so thread counts never stack up.
-    while st.workers_alive > 0 {
+    while st.retiring > 0 {
         st = p.done_cv.wait(st).unwrap_or_else(|e| e.into_inner());
     }
 }
@@ -241,7 +247,7 @@ fn worker_loop(p: &'static Pool, my_gen: u64) {
             let mut st = p.state.lock().unwrap_or_else(|e| e.into_inner());
             loop {
                 if st.generation != my_gen {
-                    st.workers_alive -= 1;
+                    st.retiring -= 1;
                     p.done_cv.notify_all();
                     return;
                 }
