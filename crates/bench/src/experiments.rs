@@ -799,7 +799,9 @@ fn ablation_dataflow(ctx: &Ctx) -> Outcome {
     let mut s = case.setup();
     let mut naive = NaiveEkf::new(&s.model.layer_sizes(), 10240, cfg.batch_size, None, true);
     let fusiform_mem = naive.p_memory_bytes();
-    let fusiform = Trainer::new(cfg).train_naive_ekf(&mut s.model, &mut naive, &s.train, Some(&s.test));
+    let fusiform = Trainer::new(cfg)
+        .train_naive_ekf(&mut s.model, &mut naive, &s.train, Some(&s.test), &RobustConfig::off())
+        .expect("a run with every guard off cannot fail");
 
     let mut t = Table::new(&[
         "dataflow", "train RMSE (E+F)", "test RMSE (E+F)", "wall time", "P memory", "P communicated?",
@@ -877,7 +879,8 @@ fn ablation_lr_scaling(ctx: &Ctx) -> Outcome {
         adam_cfg.lr *= factor;
         let mut opt = Adam::new(s.model.n_params(), adam_cfg);
         let trainer = Trainer::new(train_cfg(bs, epochs, 48));
-        trainer.train_adam(&mut s.model, &mut opt, &s.train, Some(&s.test)).history
+        let out = trainer.train_adam(&mut s.model, &mut opt, &s.train, Some(&s.test), &RobustConfig::off());
+        out.expect("a run with every guard off cannot fail").history
     });
     let shown = (0..epochs).step_by(2.max(epochs / 10));
     let text = "√bs·lr ends at a lower energy RMSE than the unscaled and the bs-scaled rate";

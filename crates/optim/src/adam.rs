@@ -6,6 +6,7 @@
 //! parameters"), and the `√bs` learning-rate scaling the paper applies
 //! when growing the Adam batch size in Table 1.
 
+use crate::{OptKind, OptimizerState};
 use dp_tensor::wire::{Reader, WireError, Writer};
 
 /// Adam hyper-parameters.
@@ -101,10 +102,13 @@ impl Adam {
         }
         delta
     }
+}
 
-    /// Serialize the moment vectors and step counter for checkpointing
-    /// (the config is reconstructed by the caller).
-    pub fn state_to_bytes(&self) -> Vec<u8> {
+impl OptimizerState for Adam {
+    const KIND: OptKind = OptKind::Adam;
+
+    /// The step counter, then both moment vectors.
+    fn state_to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.u64(self.t);
         w.f64_vec(&self.m);
@@ -112,9 +116,13 @@ impl Adam {
         w.into_bytes()
     }
 
-    /// Restore state written by [`Adam::state_to_bytes`] into an
-    /// optimizer of the same parameter count.
-    pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), WireError> {
+    fn copy_state_from(&mut self, src: &Adam) {
+        self.t = src.t;
+        self.m.copy_from_slice(&src.m);
+        self.v.copy_from_slice(&src.v);
+    }
+
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         let mut r = Reader::new(bytes);
         let t = r.u64()?;
         let m = r.f64_vec()?;

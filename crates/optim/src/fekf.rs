@@ -19,6 +19,7 @@
 
 use crate::ekf::KfCore;
 use crate::lambda::MemoryFactor;
+use crate::{OptKind, OptimizerState};
 use dp_tensor::wire::{Reader, WireError, Writer};
 
 /// Quasi-learning-rate factor applied to the weight increment (Fig. 4).
@@ -104,16 +105,14 @@ impl Fekf {
         &self.core
     }
 
-    /// Mutable access to the KF core — divergence guards use this to
-    /// reset poisoned `P` blocks and decay λ.
+    /// Mutable access to the KF core.
     pub fn core_mut(&mut self) -> &mut KfCore {
         &mut self.core
     }
 
-    /// Serialize the optimizer state (KF core plus FEKF envelope) for
-    /// checkpointing: the core's bytes, length-prefixed, behind the
-    /// envelope. The core is written straight into this one buffer,
-    /// sized once — `P` is encoded a single time.
+    /// [`OptimizerState::state_to_bytes`], callable without the trait in
+    /// scope: the KF core's bytes, length-prefixed, behind the batch
+    /// envelope, written into one buffer sized once (`P` encoded once).
     pub fn state_to_bytes(&self) -> Vec<u8> {
         let core_len = self.core.state_len();
         let mut w = Writer::new();
@@ -127,42 +126,6 @@ impl Fekf {
         w.u64(core_len as u64);
         self.core.write_state(&mut w);
         w.into_bytes()
-    }
-
-    /// Overwrite this optimizer's state with `src`'s in place
-    /// ([`KfCore::copy_state_from`]): how the FEKF loop refreshes and
-    /// restores its rollback snapshot without serialising `P`.
-    ///
-    /// # Panics
-    /// Panics if the two were built for different block layouts.
-    pub fn copy_state_from(&mut self, src: &Fekf) {
-        self.core.copy_state_from(&src.core);
-        self.batch_size = src.batch_size;
-        self.quasi_lr = src.quasi_lr;
-    }
-
-    /// Restore state written by [`Fekf::state_to_bytes`] into an
-    /// instance built for the same model layout.
-    pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        let mut r = Reader::new(bytes);
-        let batch_size = r.u64()? as usize;
-        if batch_size != self.batch_size {
-            return Err(WireError::Invalid(format!(
-                "state batch size {batch_size} != optimizer batch size {}",
-                self.batch_size
-            )));
-        }
-        let quasi_lr = match r.u8()? {
-            0 => QuasiLr::One,
-            1 => QuasiLr::SqrtBs,
-            2 => QuasiLr::LinearBs,
-            t => return Err(WireError::Invalid(format!("unknown quasi-lr tag {t}"))),
-        };
-        let core_bytes = r.bytes()?.to_vec();
-        r.expect_end()?;
-        self.core.restore_state(&core_bytes)?;
-        self.quasi_lr = quasi_lr;
-        Ok(())
     }
 
     /// One FEKF update from the batch-**sum** signed gradient
@@ -201,6 +164,46 @@ impl Fekf {
     ) {
         let scale = self.quasi_lr.factor(self.batch_size);
         self.core.update_slots(grads, abe_sums, inv_bs, scale, delta, apply);
+    }
+}
+
+impl OptimizerState for Fekf {
+    const KIND: OptKind = OptKind::Fekf;
+
+    fn state_to_bytes(&self) -> Vec<u8> {
+        Fekf::state_to_bytes(self)
+    }
+
+    fn copy_state_from(&mut self, src: &Fekf) {
+        self.core.copy_state_from(&src.core);
+        self.batch_size = src.batch_size;
+        self.quasi_lr = src.quasi_lr;
+    }
+
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), WireError> {
+        let mut r = Reader::new(bytes);
+        let batch_size = r.u64()? as usize;
+        if batch_size != self.batch_size {
+            return Err(WireError::Invalid(format!(
+                "state batch size {batch_size} != optimizer batch size {}",
+                self.batch_size
+            )));
+        }
+        let quasi_lr = match r.u8()? {
+            0 => QuasiLr::One,
+            1 => QuasiLr::SqrtBs,
+            2 => QuasiLr::LinearBs,
+            t => return Err(WireError::Invalid(format!("unknown quasi-lr tag {t}"))),
+        };
+        let core_bytes = r.bytes()?.to_vec();
+        r.expect_end()?;
+        self.core.restore_state(&core_bytes)?;
+        self.quasi_lr = quasi_lr;
+        Ok(())
+    }
+
+    fn kf_cores(&mut self) -> &mut [KfCore] {
+        std::slice::from_mut(&mut self.core)
     }
 }
 

@@ -12,6 +12,8 @@
 
 use crate::ekf::KfCore;
 use crate::lambda::MemoryFactor;
+use crate::{OptKind, OptimizerState};
+use dp_tensor::wire::{Reader, WireError, Writer};
 
 /// The Naive-EKF optimizer: one KF lane per batch slot.
 #[derive(Clone, Debug)]
@@ -54,24 +56,65 @@ impl NaiveEkf {
     }
 
     /// One batch update: each lane consumes its own sample's signed
-    /// gradient and absolute error; the mean increment is returned
-    /// (`E(K·ABE)`).
+    /// gradient (borrowed, e.g. one slot of a wider per-sample buffer)
+    /// and absolute error; the mean increment is returned (`E(K·ABE)`).
     ///
     /// # Panics
     /// Panics if the number of samples differs from the lane count.
-    pub fn step_batch(&mut self, grads: &[Vec<f64>], abes: &[f64]) -> Vec<f64> {
+    pub fn step_batch(&mut self, grads: &[impl AsRef<[f64]>], abes: &[f64]) -> Vec<f64> {
         assert_eq!(grads.len(), self.lanes.len(), "batch size mismatch");
         assert_eq!(abes.len(), self.lanes.len(), "ABE count mismatch");
-        let n = self.n_params();
-        let mut mean = vec![0.0; n];
+        let mut mean = vec![0.0; self.n_params()];
         let inv = 1.0 / self.lanes.len() as f64;
         for ((lane, g), &abe) in self.lanes.iter_mut().zip(grads).zip(abes) {
-            let delta = lane.update(g, abe, 1.0);
+            let delta = lane.update(g.as_ref(), abe, 1.0);
             for (m, d) in mean.iter_mut().zip(&delta) {
                 *m += inv * d;
             }
         }
         mean
+    }
+}
+
+impl OptimizerState for NaiveEkf {
+    const KIND: OptKind = OptKind::NaiveEkf;
+    const DROP_LAST: bool = true;
+
+    /// The lane count, then each lane's [`KfCore::state_to_bytes`],
+    /// length-prefixed.
+    fn state_to_bytes(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u64(self.lanes.len() as u64);
+        for lane in &self.lanes {
+            w.bytes(&lane.state_to_bytes());
+        }
+        w.into_bytes()
+    }
+
+    fn copy_state_from(&mut self, src: &NaiveEkf) {
+        assert_eq!(self.lanes.len(), src.lanes.len(), "copy_state_from: lane counts differ");
+        for (lane, s) in self.lanes.iter_mut().zip(&src.lanes) {
+            lane.copy_state_from(s);
+        }
+    }
+
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), WireError> {
+        let mut r = Reader::new(bytes);
+        let (n_lanes, have) = (r.u64()? as usize, self.lanes.len());
+        if n_lanes != have {
+            return Err(WireError::Invalid(format!("state has {n_lanes} lanes, optimizer has {have}")));
+        }
+        let mut lanes = self.lanes.clone();
+        for lane in &mut lanes {
+            lane.restore_state(r.bytes()?)?;
+        }
+        r.expect_end()?;
+        self.lanes = lanes;
+        Ok(())
+    }
+
+    fn kf_cores(&mut self) -> &mut [KfCore] {
+        &mut self.lanes
     }
 }
 
@@ -113,7 +156,7 @@ mod tests {
         let mut w = vec![0.0; n];
         let mut opt = NaiveEkf::new(&[n], n, bs, None, true);
         for _ in 0..80 {
-            let mut grads = Vec::with_capacity(bs);
+            let mut grads: Vec<Vec<f64>> = Vec::with_capacity(bs);
             let mut abes = Vec::with_capacity(bs);
             for _ in 0..bs {
                 let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
@@ -136,6 +179,34 @@ mod tests {
             .sum::<f64>()
             .sqrt();
         assert!(dist < 0.2, "Naive-EKF failed to converge: {dist}");
+    }
+
+    #[test]
+    fn state_roundtrip_resumes_bitwise() {
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let grads = |rng: &mut ChaCha8Rng| -> Vec<Vec<f64>> {
+            (0..3).map(|_| (0..10).map(|_| rng.gen_range(-1.0..1.0)).collect()).collect()
+        };
+        let mut opt = NaiveEkf::new(&[6, 4], 8, 3, None, true);
+        for _ in 0..5 {
+            let _ = opt.step_batch(&grads(&mut rng), &[0.1, 0.2, 0.3]);
+        }
+        let blob = opt.state_to_bytes();
+        let mut fresh = NaiveEkf::new(&[6, 4], 8, 3, None, true);
+        fresh.restore_state(&blob).unwrap();
+        let mut copy = NaiveEkf::new(&[6, 4], 8, 3, None, true);
+        copy.copy_state_from(&opt);
+        assert_eq!(fresh.state_to_bytes(), blob);
+        assert_eq!(copy.state_to_bytes(), blob);
+        let g = grads(&mut rng);
+        let d = opt.step_batch(&g, &[0.3, 0.1, 0.2]);
+        assert_eq!(fresh.step_batch(&g, &[0.3, 0.1, 0.2]), d);
+        // Another lane count is rejected, and a torn blob leaves the
+        // lanes as they were.
+        assert!(NaiveEkf::new(&[6, 4], 8, 2, None, true).restore_state(&blob).is_err());
+        let before = copy.state_to_bytes();
+        assert!(copy.restore_state(&blob[..blob.len() - 3]).is_err());
+        assert_eq!(copy.state_to_bytes(), before);
     }
 
     #[test]

@@ -44,6 +44,11 @@ impl BlockP {
         &self.blocks[b]
     }
 
+    /// Borrow a block mutably.
+    pub fn block_mut(&mut self, b: usize) -> &mut Mat {
+        &mut self.blocks[b]
+    }
+
     /// `q = P_b · g` — the cached `P·g` product reused by `A`, `K` and
     /// the `P` update (Opt3's "cache intermediate results").
     pub fn matvec(&self, b: usize, g: &[f64]) -> Vec<f64> {

@@ -17,42 +17,18 @@
 //! Loads validate dimensions against the live run, so a torn or
 //! mismatched file is a typed error — never a poisoned resume.
 //!
-//! The FEKF loop's rollback target is a [`Snapshot`]: the same state,
+//! The epoch loop's rollback target is a [`Snapshot`]: the same state,
 //! typed and in memory, refreshed in place. A DPCK record is built from
 //! it only when the run has a checkpoint directory.
 
 use deepmd_core::model::DeepPotModel;
-use dp_optim::fekf::Fekf;
+pub use dp_optim::OptKind;
+use dp_optim::OptimizerState;
 use dp_tensor::wire::{Reader, Record, WireError};
 use std::io;
 use std::path::{Path, PathBuf};
 
 const CHECKPOINT: Record = Record::new(*b"DPCK", 1, 1);
-
-/// Optimizer family stored in a checkpoint.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OptKind {
-    /// FEKF (KF core + batch envelope).
-    Fekf,
-    /// Adam (moment vectors + step counter).
-    Adam,
-}
-
-impl OptKind {
-    fn tag(self) -> u8 {
-        match self {
-            OptKind::Fekf => 0,
-            OptKind::Adam => 1,
-        }
-    }
-    fn from_tag(t: u8) -> Result<Self, WireError> {
-        match t {
-            0 => Ok(OptKind::Fekf),
-            1 => Ok(OptKind::Adam),
-            _ => Err(WireError::Invalid(format!("unknown optimizer tag {t}"))),
-        }
-    }
-}
 
 /// A resumable training snapshot.
 #[derive(Clone, Debug)]
@@ -96,34 +72,34 @@ pub struct Cursor {
     pub rollbacks: u32,
 }
 
-/// The last known-healthy state of the FEKF loop, in memory: a
-/// [`Cursor`], the weights and a whole [`Fekf`]. [`Snapshot::take`]
+/// The last known-healthy state of the epoch loop, in memory: a
+/// [`Cursor`], the weights and a whole optimizer. [`Snapshot::take`]
 /// allocates its copies once; [`Snapshot::refresh`] and
 /// [`Snapshot::restore`] copy into buffers that already exist, so
-/// neither serialises `P` nor allocates.
+/// neither serialises `P` (or Adam's moments) nor allocates.
 #[derive(Debug)]
-pub struct Snapshot {
+pub struct Snapshot<O> {
     /// Where the run stood.
     pub cursor: Cursor,
     params: Vec<f64>,
-    opt: Fekf,
+    opt: O,
 }
 
-impl Snapshot {
+impl<O: OptimizerState> Snapshot<O> {
     /// A first snapshot of `model` and `opt`.
-    pub fn take(cursor: Cursor, model: &DeepPotModel, opt: &Fekf) -> Snapshot {
+    pub fn take(cursor: Cursor, model: &DeepPotModel, opt: &O) -> Self {
         Snapshot { cursor, params: model.get_params(), opt: opt.clone() }
     }
 
     /// Overwrite the snapshot with the current state, in place.
-    pub fn refresh(&mut self, cursor: Cursor, model: &DeepPotModel, opt: &Fekf) {
+    pub fn refresh(&mut self, cursor: Cursor, model: &DeepPotModel, opt: &O) {
         self.cursor = cursor;
         model.params_into(&mut self.params);
         self.opt.copy_state_from(opt);
     }
 
     /// Put the snapshot's weights and optimizer state back.
-    pub fn restore(&self, model: &mut DeepPotModel, opt: &mut Fekf) {
+    pub fn restore(&self, model: &mut DeepPotModel, opt: &mut O) {
         model.set_params(&self.params);
         opt.copy_state_from(&self.opt);
     }
@@ -138,7 +114,7 @@ impl Snapshot {
             word_pos: c.word_pos,
             rollbacks: c.rollbacks,
             params: self.params.clone(),
-            opt_kind: OptKind::Fekf,
+            opt_kind: O::KIND,
             opt_bytes: self.opt.state_to_bytes(),
             best: best.clone(),
         }
@@ -202,7 +178,7 @@ impl Checkpoint {
         w.u64((self.word_pos >> 64) as u64);
         w.u32(self.rollbacks);
         w.f64_vec(&self.params);
-        w.u8(self.opt_kind.tag());
+        w.u8(self.opt_kind as u8);
         w.bytes(&self.opt_bytes);
         match &self.best {
             None => w.u8(0),

@@ -164,48 +164,22 @@ impl OnlineLoop {
                 None,
                 &robust,
             );
+            // A failed retrain with the hook armed means the upset fired
+            // (or the stage is beyond saving — either way, don't re-inject).
             if let Some((at, _)) = pending_poison {
-                let fired = match &result {
-                    Ok(out) => out.iterations >= at,
-                    // A failed retrain with the hook armed means the
-                    // upset fired (or the stage is beyond saving —
-                    // either way, don't re-inject).
-                    Err(_) => true,
-                };
-                if fired {
+                if result.as_ref().map_or(true, |out| out.iterations >= at) {
                     pending_poison = None;
                 }
             }
-            let (out, failure) = match result {
-                Ok(out) => (out, None),
+            let (retrain_s, iterations, failure) = match result {
+                Ok(out) => (out.wall_s, out.iterations, None),
                 Err(TrainError::Diverged { epoch, rollbacks, outcome }) => {
-                    let why = format!(
-                        "retrain diverged in epoch {epoch} after {rollbacks} rollback(s)"
-                    );
-                    (*outcome, Some(why))
+                    let why = format!("retrain diverged in epoch {epoch} after {rollbacks} rollback(s)");
+                    (outcome.wall_s, outcome.iterations, Some(why))
                 }
-                Err(e) => {
-                    // No outcome to salvage (checkpoint I/O, comm):
-                    // record the failure with zeroed training stats and
-                    // carry the current weights forward.
-                    let after = loss::evaluate(model, shard, self.cfg.eval_frames);
-                    reports.push(StageReport {
-                        stage,
-                        temperature: shard
-                            .frames
-                            .first()
-                            .map(|f| f.temperature)
-                            .unwrap_or(0.0),
-                        before,
-                        after,
-                        retrain_s: 0.0,
-                        iterations: 0,
-                        failure: Some(e.to_string()),
-                        publish_failure: None,
-                        published_fidelities: None,
-                    });
-                    continue;
-                }
+                // No outcome to salvage (checkpoint I/O, comm): zeroed
+                // training stats, the current weights carried forward.
+                Err(e) => (0.0, 0, Some(e.to_string())),
             };
             let after = loss::evaluate(model, shard, self.cfg.eval_frames);
             reports.push(StageReport {
@@ -213,21 +187,17 @@ impl OnlineLoop {
                 temperature: shard.frames.first().map(|f| f.temperature).unwrap_or(0.0),
                 before,
                 after,
-                retrain_s: out.wall_s,
-                iterations: out.iterations,
+                retrain_s,
+                iterations,
                 failure,
                 publish_failure: None,
                 published_fidelities: None,
             });
-            let report = reports.last().expect("just pushed");
+            let report = reports.last_mut().expect("just pushed");
             if report.succeeded() {
                 match publish(model, report) {
-                    Ok(set) => {
-                        reports.last_mut().expect("just pushed").published_fidelities = Some(set);
-                    }
-                    Err(why) => {
-                        reports.last_mut().expect("just pushed").publish_failure = Some(why);
-                    }
+                    Ok(set) => report.published_fidelities = Some(set),
+                    Err(why) => report.publish_failure = Some(why),
                 }
             }
         }

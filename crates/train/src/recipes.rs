@@ -62,7 +62,8 @@ pub fn setup(system: PaperSystem, scale: &GenScale, model_scale: ModelScale, see
 }
 
 /// Train `setup.model` in place with Adam (optionally with the Table 1
-/// `√bs` learning-rate scaling).
+/// `√bs` learning-rate scaling), with every guard off
+/// ([`RobustConfig::off`]).
 pub fn run_adam(setup: &mut ExperimentSetup, cfg: TrainConfig, sqrt_bs_lr: bool) -> TrainOutcome {
     let adam_cfg = if sqrt_bs_lr {
         AdamConfig::default().with_sqrt_bs_scaling(cfg.batch_size)
@@ -70,7 +71,8 @@ pub fn run_adam(setup: &mut ExperimentSetup, cfg: TrainConfig, sqrt_bs_lr: bool)
         AdamConfig::default()
     };
     let mut opt = Adam::new(setup.model.n_params(), adam_cfg);
-    Trainer::new(cfg).train_adam(&mut setup.model, &mut opt, &setup.train, Some(&setup.test))
+    let (model, off) = (&mut setup.model, RobustConfig::off());
+    best_effort(Trainer::new(cfg).train_adam(model, &mut opt, &setup.train, Some(&setup.test), &off))
 }
 
 /// Train with single-sample RLEKF: FEKF at batch size 1, where the

@@ -1,7 +1,6 @@
-//! Training loops for Adam, Naive-EKF and FEKF (single- and
-//! multi-device).
+//! Training for Adam, Naive-EKF and FEKF (single- and multi-device).
 //!
-//! Per-iteration structure of the EKF loops (§4 "Model parameters"):
+//! Per-iteration structure of the EKF optimizers (§4 "Model parameters"):
 //! one weight update with the total energy, then `force_updates` (4 by
 //! default) updates with disjoint atomic-force groups. FEKF reduces the
 //! signed gradients and absolute errors over the whole minibatch before
@@ -9,10 +8,12 @@
 //! sequence per individual sample, which is FEKF at batch size 1: it
 //! runs through the same loop as `Fekf::new(layers, 1, ..)`.
 //!
-//! FEKF has one epoch loop, the fault-tolerant one behind
-//! [`Trainer::train_fekf_robust`] and
-//! [`Trainer::train_fekf_distributed_robust`]; [`RobustConfig::off`]
-//! turns every guard off for callers that want the plain schedule.
+//! Every optimizer runs through one epoch loop, generic over
+//! [`OptimizerState`]: sampling, divergence guards, rollback snapshot,
+//! DPCK checkpoints and resume, and convergence checks. Each `train_*`
+//! method hands it the body of one iteration. [`RobustConfig::off`]
+//! turns every guard off (the plain schedule, no snapshot); the Adam
+//! and Naive-EKF baselines run with it.
 //!
 //! Implementation note: the four force-group updates of one iteration
 //! share a single fresh forward pass (taken after the energy update)
@@ -20,7 +21,7 @@
 //! disjoint, and this matches the batched reference implementation's
 //! cost model while keeping the sequential `P` updates.
 
-use crate::checkpoint::{self, Checkpoint, Cursor, OptKind, Snapshot};
+use crate::checkpoint::{self, Checkpoint, Cursor, Snapshot};
 use crate::error::TrainError;
 use crate::gradients::{BlockScratch, GradScratch};
 use crate::metrics::{timed, EpochRecord, PhaseTimes, TrainHistory};
@@ -31,7 +32,10 @@ use deepmd_core::model::DeepPotModel;
 use dp_data::batch::BatchSampler;
 use dp_data::dataset::Dataset;
 use dp_optim::adam::Adam;
+use dp_optim::ekf::KfCore;
 use dp_optim::fekf::Fekf;
+use dp_optim::naive_ekf::NaiveEkf;
+use dp_optim::OptimizerState;
 use dp_parallel::{CommError, DeviceGroup, FaultPlan};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -99,11 +103,11 @@ pub struct TrainOutcome {
     pub phases: PhaseTimes,
     /// Ring-allreduce bytes sent by the busiest rank (distributed runs).
     pub comm_bytes_per_rank: usize,
-    /// Environment-cache hit/miss counters of the FEKF loop (zero for
-    /// Adam and Naive-EKF, which do not use the cache).
+    /// Environment-cache hit/miss counters of the FEKF iterations (zero
+    /// for Adam and Naive-EKF, whose iterations do not use the cache).
     pub env_cache: CacheStats,
-    /// Divergence rollbacks the FEKF loop took (zero for Adam and
-    /// Naive-EKF).
+    /// Divergence rollbacks the loop took (zero whenever the guards are
+    /// off, as for the Adam and Naive-EKF baselines).
     pub rollbacks: u32,
 }
 
@@ -123,7 +127,7 @@ pub struct LoopState {
     iterations: u64,
     history: TrainHistory,
     comm_bytes: usize,
-    /// Reusable Δw buffer for the optimizer steps: sized on the first
+    /// Reusable Δw buffer of the FEKF steps: sized on the first
     /// iteration, then the steady-state KF path stays allocation-free.
     delta: Vec<f64>,
     /// Recycled block-reduction scratch of the frame-parallel gradient
@@ -140,7 +144,7 @@ pub struct LoopState {
     /// Latest environment-cache counters (refreshed every iteration so
     /// every outcome path reports them).
     cache_stats: CacheStats,
-    /// Divergence rollbacks taken so far (the FEKF loop's retry budget).
+    /// Divergence rollbacks taken so far (the loop's retry budget).
     rollbacks: u32,
 }
 
@@ -168,21 +172,6 @@ impl LoopState {
             rollbacks: 0,
         }
     }
-
-    /// Detach the reusable Δw buffer, (re)sized to `n_params`. Callers
-    /// hand it back via [`LoopState::return_delta`] so the next
-    /// iteration reuses the same allocation.
-    fn take_delta(&mut self, n_params: usize) -> Vec<f64> {
-        let mut d = std::mem::take(&mut self.delta);
-        if d.len() != n_params {
-            d = vec![0.0; n_params];
-        }
-        d
-    }
-
-    fn return_delta(&mut self, d: Vec<f64>) {
-        self.delta = d;
-    }
 }
 
 /// Time `f`, a block reduction that returns the forward share of its
@@ -197,8 +186,8 @@ fn timed_split(phases: &mut PhaseTimes, f: impl FnOnce() -> f64) {
     phases.gradient += wall - forward;
 }
 
-/// One reduction phase of a FEKF iteration: how many update slots it
-/// fills, and what each frame adds to them.
+/// One phase of an EKF iteration: how many update slots it fills, and
+/// what each frame adds to them (FEKF sums the frames, Naive-EKF not).
 #[derive(Clone, Copy)]
 enum Phase {
     /// The total-energy update: one slot.
@@ -220,10 +209,10 @@ impl Phase {
         }
     }
 
-    /// Frame `idx`'s work in its reduction block's workspace: a forward
-    /// pass, then the phase's signed gradients and absolute errors added
-    /// into the block's slots. The force groups of a frame share its
-    /// pass and one dual sweep.
+    /// Frame `idx`'s work in `blk`, a reduction block's (or a lane's)
+    /// scratch: a forward pass, then the phase's signed gradients and
+    /// absolute errors added into its slots. The force groups of a frame
+    /// share its pass and one dual sweep.
     fn item(
         self,
         model: &DeepPotModel,
@@ -286,10 +275,7 @@ impl Trainer {
             train: m,
             wall_s: state.start.elapsed().as_secs_f64(),
         });
-        match self.cfg.target {
-            Some(t) => m.combined() <= t,
-            None => false,
-        }
+        self.cfg.target.is_some_and(|t| m.combined() <= t)
     }
 
     /// Mid-epoch convergence probe (when `eval_every` is set).
@@ -347,57 +333,43 @@ impl Trainer {
     }
 
     /// Train with Adam on the standard DeePMD loss (batch-mean
-    /// gradients). The Table 1 / Figure 7(a) baseline.
+    /// gradients): the Table 1 / Figure 7(a) baseline. The guards watch
+    /// the batch-mean loss.
     pub fn train_adam(
         &self,
         model: &mut DeepPotModel,
         opt: &mut Adam,
         train: &Dataset,
         test: Option<&Dataset>,
-    ) -> TrainOutcome {
+        robust: &RobustConfig,
+    ) -> Result<TrainOutcome, TrainError> {
         let weights = LossWeights::default();
-        let sampler = BatchSampler::new(train.len(), self.cfg.batch_size, false);
-        let mut rng = ChaCha8Rng::seed_from_u64(self.cfg.seed);
-        let mut state = LoopState::new();
-        let mut converged = false;
-        let mut epochs_run = 0;
-        for epoch in 1..=self.cfg.max_epochs {
-            for batch in sampler.epoch(&mut rng) {
-                let grad = timed(&mut state.phases.gradient, || {
-                    let mut gsum = dp_pool::map_reduce(
-                        &batch,
-                        || vec![0.0; model.n_params()],
-                        |&i| loss::loss_and_grad(model, &train.frames[i], &weights).1,
-                        |mut ga, gb| {
-                            for (a, b) in ga.iter_mut().zip(&gb) {
-                                *a += b;
-                            }
-                            ga
-                        },
-                    );
-                    let inv = 1.0 / batch.len() as f64;
-                    for g in &mut gsum {
-                        *g *= inv;
-                    }
-                    gsum
-                });
-                timed(&mut state.phases.optimizer, || {
-                    let delta = opt.step(&grad);
-                    model.apply_update(&delta);
-                });
-                state.iterations += 1;
-                if self.mid_epoch_converged(model, train, &mut state) {
-                    converged = true;
-                    break;
+        self.robust_loop(model, opt, train, test, robust, |model, opt, batch, state| {
+            let (loss, grad) = timed(&mut state.phases.gradient, || {
+                let (loss, mut gsum) = dp_pool::map_reduce(
+                    batch,
+                    || (0.0, vec![0.0; model.n_params()]),
+                    |&i| loss::loss_and_grad(model, &train.frames[i], &weights),
+                    |(la, mut ga), (lb, gb)| {
+                        for (a, b) in ga.iter_mut().zip(&gb) {
+                            *a += b;
+                        }
+                        (la + lb, ga)
+                    },
+                );
+                let inv = 1.0 / batch.len() as f64;
+                for g in &mut gsum {
+                    *g *= inv;
                 }
-            }
-            epochs_run = epoch;
-            if converged || self.epoch_end(model, train, &mut state, epoch) {
-                converged = true;
-                break;
-            }
-        }
-        self.outcome(model, train, test, state, epochs_run, converged)
+                (loss * inv, gsum)
+            });
+            timed(&mut state.phases.optimizer, || {
+                let delta = opt.step(&grad);
+                model.apply_update(&delta);
+            });
+            state.iterations += 1;
+            Ok(loss)
+        })
     }
 
     /// One FEKF iteration over `batch`. Returns the batch-mean absolute
@@ -423,7 +395,7 @@ impl Trainer {
         let n_params = model.n_params();
         let inv_bs = 1.0 / batch.len() as f64;
         let backend = self.cfg.backend;
-        let mut delta = state.take_delta(n_params);
+        state.delta.resize(n_params, 0.0);
         // The energy phase, then the force phase on fresh passes taken
         // after the energy update. Each reduces the signed gradients and
         // absolute errors over the batch (the early reduction of §3.1,
@@ -447,11 +419,10 @@ impl Trainer {
                 });
             }
             timed(&mut state.phases.optimizer, || {
-                opt.step_slots(&state.gsum, &state.gabes, inv_bs, &mut delta, |d| model.apply_update(d))
+                opt.step_slots(&state.gsum, &state.gabes, inv_bs, &mut state.delta, |d| model.apply_update(d))
             });
             state.gabes[0] * inv_bs
         });
-        state.return_delta(delta);
         state.iterations += 1;
         state.cache_stats = cache.stats();
         mean_abe
@@ -462,77 +433,53 @@ impl Trainer {
     /// batch drives its *own* Kalman lane with its own `P` replica; the
     /// per-sample weight increments are averaged. Exists to quantify
     /// the dataflow ablation against FEKF (accuracy vs `bs×` memory).
+    /// The guards watch the lane-mean absolute energy error.
     pub fn train_naive_ekf(
         &self,
         model: &mut DeepPotModel,
-        opt: &mut dp_optim::naive_ekf::NaiveEkf,
+        opt: &mut NaiveEkf,
         train: &Dataset,
         test: Option<&Dataset>,
-    ) -> TrainOutcome {
+        robust: &RobustConfig,
+    ) -> Result<TrainOutcome, TrainError> {
         assert_eq!(
             opt.batch_size(),
             self.cfg.batch_size,
             "Naive-EKF lane count must match the batch size"
         );
-        // drop_last: lanes must stay fully populated.
-        let sampler = BatchSampler::new(train.len(), self.cfg.batch_size, true);
-        let mut rng = ChaCha8Rng::seed_from_u64(self.cfg.seed);
-        let mut state = LoopState::new();
-        let mut converged = false;
-        let mut epochs_run = 0;
-        let n_groups = self.cfg.force_updates.max(1);
-        let (n_params, backend) = (model.n_params(), self.cfg.backend);
-        for epoch in 1..=self.cfg.max_epochs {
-            for batch in sampler.epoch(&mut rng) {
-                // Energy update: one gradient per lane.
-                let (grads, abes): (Vec<Vec<f64>>, Vec<f64>) = timed(&mut state.phases.gradient, || {
-                    dp_pool::map_collect(&batch, |&i| {
-                        let pass = model.forward(&train.frames[i]);
-                        let mut g = vec![0.0; n_params];
-                        let abe = accumulate_energy_target(model, &pass, backend, &mut Vec::new(), &mut g);
-                        (g, abe)
-                    })
-                    .into_iter()
-                    .unzip()
-                });
-                timed(&mut state.phases.optimizer, || {
-                    let delta = opt.step_batch(&grads, &abes);
-                    model.apply_update(&delta);
-                });
-                // Force updates: every lane's groups from one pass.
-                let per_sample: Vec<(Vec<f64>, Vec<f64>)> = timed(&mut state.phases.gradient, || {
-                    dp_pool::map_collect(&batch, |&i| {
-                        let frame = &train.frames[i];
-                        let pass = model.forward(frame);
-                        let forces = model.forces(&pass);
-                        let (mut g, mut abes) = (vec![0.0; n_groups * n_params], vec![0.0; n_groups]);
-                        let (mut grads, mut coeffs) = (Vec::new(), Vec::new());
-                        accumulate_force_targets(
-                            model, &pass, &forces, frame, n_groups, backend, &mut grads, &mut coeffs, &mut g,
-                            &mut abes,
-                        );
-                        (g, abes)
+        // No geometry cache: each lane's pass builds its environment.
+        let (backend, uncached) = (self.cfg.backend, EnvCache::new(0));
+        self.robust_loop(model, opt, train, test, robust, |model, opt, batch, state| {
+            let n_params = model.n_params();
+            let mut mean_abe = 0.0;
+            // FEKF's phases, unreduced: each lane's slots from its own
+            // pass, then one lane-averaged update per slot.
+            for phase in Phase::iteration(self.cfg.force_updates) {
+                let n_slots = phase.slots();
+                let model_ref = &*model;
+                let lanes: Vec<(Vec<f64>, Vec<f64>)> = timed(&mut state.phases.gradient, || {
+                    dp_pool::map_collect(batch, |&i| {
+                        let mut blk = BlockScratch::default();
+                        (blk.acc, blk.abes) = (vec![0.0; n_slots * n_params], vec![0.0; n_slots]);
+                        phase.item(model_ref, &uncached, train, i, backend, &mut blk);
+                        (blk.acc, blk.abes)
                     })
                 });
+                if let Phase::Energy = phase {
+                    mean_abe = lanes.iter().map(|(_, a)| a[0]).sum::<f64>() / lanes.len() as f64;
+                }
                 timed(&mut state.phases.optimizer, || {
-                    for k in 0..n_groups {
+                    for k in 0..n_slots {
                         let slot = k * n_params..(k + 1) * n_params;
-                        let grads: Vec<Vec<f64>> =
-                            per_sample.iter().map(|(g, _)| g[slot.clone()].to_vec()).collect();
-                        let abes: Vec<f64> = per_sample.iter().map(|(_, a)| a[k]).collect();
-                        let delta = opt.step_batch(&grads, &abes);
-                        model.apply_update(&delta);
+                        let grads: Vec<&[f64]> = lanes.iter().map(|(g, _)| &g[slot.clone()]).collect();
+                        let abes: Vec<f64> = lanes.iter().map(|(_, a)| a[k]).collect();
+                        model.apply_update(&opt.step_batch(&grads, &abes));
                     }
                 });
-                state.iterations += 1;
             }
-            epochs_run = epoch;
-            if self.epoch_end(model, train, &mut state, epoch) {
-                converged = true;
-                break;
-            }
-        }
-        self.outcome(model, train, test, state, epochs_run, converged)
+            state.iterations += 1;
+            Ok(mean_abe)
+        })
     }
 
     /// One data-parallel FEKF iteration: sharded gradient/error sums,
@@ -561,7 +508,7 @@ impl Trainer {
                 .dist_scratch
                 .resize_with(devices.n_devices(), || Mutex::new(GradScratch::new()));
         }
-        let mut delta = state.take_delta(n_params);
+        state.delta.resize(n_params, 0.0);
         let mut mean_abe = 0.0;
         for phase in Phase::iteration(self.cfg.force_updates) {
             let n_slots = phase.slots();
@@ -607,10 +554,9 @@ impl Trainer {
                 Phase::Forces(_) => red.vector.split_at(n_slots * n_params),
             };
             timed(&mut state.phases.optimizer, || {
-                opt.step_slots(grads, abes, inv_bs, &mut delta, |d| model.apply_update(d))
+                opt.step_slots(grads, abes, inv_bs, &mut state.delta, |d| model.apply_update(d))
             });
         }
-        state.return_delta(delta);
         state.iterations += 1;
         state.cache_stats = cache.stats();
         Ok(mean_abe)
@@ -629,8 +575,8 @@ impl Trainer {
         robust: &RobustConfig,
     ) -> Result<TrainOutcome, TrainError> {
         let cache = EnvCache::new(train.len());
-        self.robust_loop(model, opt, train, test, robust, |this, model, opt, batch, state| {
-            Ok(this.fekf_iteration(model, opt, train, batch, &cache, state))
+        self.robust_loop(model, opt, train, test, robust, |model, opt, batch, state| {
+            Ok(self.fekf_iteration(model, opt, train, batch, &cache, state))
         })
     }
 
@@ -651,30 +597,23 @@ impl Trainer {
         robust: &RobustConfig,
     ) -> Result<TrainOutcome, TrainError> {
         let cache = EnvCache::new(train.len());
-        self.robust_loop(model, opt, train, test, robust, |this, model, opt, batch, state| {
-            this.fekf_distributed_iteration(model, opt, train, batch, devices, plan, &cache, state)
+        self.robust_loop(model, opt, train, test, robust, |model, opt, batch, state| {
+            self.fekf_distributed_iteration(model, opt, train, batch, devices, plan, &cache, state)
         })
     }
 
-    /// The FEKF epoch loop. `iterate` performs one weight-update
-    /// iteration and returns the batch-mean absolute energy error (or a
-    /// communication fault).
-    fn robust_loop(
+    /// The epoch loop. `iterate` performs one weight-update iteration
+    /// and returns the error the guards watch (or a communication fault).
+    fn robust_loop<O: OptimizerState>(
         &self,
         model: &mut DeepPotModel,
-        opt: &mut Fekf,
+        opt: &mut O,
         train: &Dataset,
         test: Option<&Dataset>,
         robust: &RobustConfig,
-        mut iterate: impl FnMut(
-            &Trainer,
-            &mut DeepPotModel,
-            &mut Fekf,
-            &[usize],
-            &mut LoopState,
-        ) -> Result<f64, CommError>,
+        mut iterate: impl FnMut(&mut DeepPotModel, &mut O, &[usize], &mut LoopState) -> Result<f64, CommError>,
     ) -> Result<TrainOutcome, TrainError> {
-        let sampler = BatchSampler::new(train.len(), self.cfg.batch_size, false);
+        let sampler = BatchSampler::new(train.len(), self.cfg.batch_size, O::DROP_LAST);
         let mut rng = ChaCha8Rng::seed_from_u64(self.cfg.seed);
         let mut state = LoopState::new();
         let mut converged = false;
@@ -728,7 +667,7 @@ impl Trainer {
             let batches = sampler.epoch(&mut rng);
             let mut bi = batches_done;
             while bi < batches.len() {
-                let abe = match iterate(self, model, opt, &batches[bi], &mut state) {
+                let abe = match iterate(model, opt, &batches[bi], &mut state) {
                     Ok(a) => a,
                     Err(source) => return Err(TrainError::Comm { source, epoch }),
                 };
@@ -741,7 +680,7 @@ impl Trainer {
                 if let Some((at, block)) = robust.poison_p_at {
                     if !poisoned && state.iterations >= at {
                         poisoned = true;
-                        poison_p_block(opt, block);
+                        poison_p_block(opt.kf_cores(), block);
                     }
                 }
 
@@ -749,7 +688,7 @@ impl Trainer {
                 if robust.check_every > 0
                     && state.iterations.is_multiple_of(robust.check_every as u64)
                 {
-                    if let Some(bad_block) = divergence(model, opt, abe, &mut abe_floor, robust) {
+                    if let Some(bad_block) = divergence(model, opt.kf_cores(), abe, &mut abe_floor, robust) {
                         let healthy = snap.as_ref().expect("the guards keep a snapshot");
                         healthy.restore(model, opt);
                         let at = healthy.cursor;
@@ -777,12 +716,14 @@ impl Trainer {
                         state.rollbacks += 1;
                         // Rolled back to the last healthy snapshot; now
                         // the recovery nudge — reset the offending P
-                        // block to p0·I and decay λ — so the replay
-                        // takes a tamer trajectory instead of
-                        // re-diverging identically.
-                        match bad_block {
-                            Some(b) => opt.core_mut().reset_block(b, 1.0),
-                            None => opt.core_mut().mem.decay(0.98),
+                        // block to p0·I and decay λ, in every Kalman
+                        // core — so the replay takes a tamer trajectory
+                        // instead of re-diverging identically.
+                        for core in opt.kf_cores() {
+                            match bad_block {
+                                Some(b) => core.reset_block(b, 1.0),
+                                None => core.mem.decay(0.98),
+                            }
                         }
                         epoch = at.epoch;
                         batches_done = at.batches_done;
@@ -843,7 +784,7 @@ impl Trainer {
     }
 }
 
-/// Fault-tolerance policy of the FEKF loop.
+/// Fault-tolerance policy of the epoch loop.
 #[derive(Clone, Debug)]
 pub struct RobustConfig {
     /// Snapshot (and persist, when `checkpoint_dir` is set) every N
@@ -894,7 +835,7 @@ impl Default for RobustConfig {
 
 impl RobustConfig {
     /// Every guard off: no divergence checks, no checkpoints, the final
-    /// weights kept. The loop is then the plain FEKF epoch schedule — it
+    /// weights kept. The loop is then the plain epoch schedule — it
     /// takes no snapshot, so it never copies `P` — and on a clean link
     /// it cannot fail.
     pub fn off() -> Self {
@@ -904,15 +845,16 @@ impl RobustConfig {
 
 /// Put a loaded DPCK checkpoint's weights and optimizer state back
 /// (resume), after checking they belong to this run.
-fn restore_checkpoint(
+fn restore_checkpoint<O: OptimizerState>(
     ck: &Checkpoint,
     model: &mut DeepPotModel,
-    opt: &mut Fekf,
+    opt: &mut O,
 ) -> Result<(), TrainError> {
-    if ck.opt_kind != OptKind::Fekf {
+    if ck.opt_kind != O::KIND {
         return Err(TrainError::Checkpoint(format!(
-            "checkpoint holds {:?} state, expected Fekf",
-            ck.opt_kind
+            "checkpoint holds {:?} state, expected {:?}",
+            ck.opt_kind,
+            O::KIND
         )));
     }
     if ck.params.len() != model.n_params() {
@@ -930,8 +872,8 @@ fn restore_checkpoint(
 
 /// Persist `snap` as a DPCK record when the run has a checkpoint
 /// directory; without one, nothing is serialised.
-fn write_checkpoint(
-    snap: &Snapshot,
+fn write_checkpoint<O: OptimizerState>(
+    snap: &Snapshot<O>,
     best: &Option<(f64, Vec<f64>)>,
     robust: &RobustConfig,
 ) -> Result<(), TrainError> {
@@ -943,17 +885,17 @@ fn write_checkpoint(
 }
 
 /// The per-iteration divergence guards: non-finite or exploding batch
-/// error, non-finite parameters, or an unhealthy `P` block. On
-/// divergence returns `Some` of the offending block, when one is
-/// identifiable. Allocation-free: it runs every iteration.
+/// error, non-finite parameters, or an unhealthy `P` block in any of
+/// `cores`. On divergence returns `Some` of the offending block, when
+/// one is identifiable. Allocation-free: it runs every iteration.
 fn divergence(
     model: &DeepPotModel,
-    opt: &Fekf,
+    cores: &[KfCore],
     abe: f64,
     abe_floor: &mut Option<f64>,
     robust: &RobustConfig,
 ) -> Option<Option<usize>> {
-    let bad_block = opt.core().first_unhealthy_block(robust.p_diag_cap);
+    let bad_block = cores.iter().find_map(|c| c.first_unhealthy_block(robust.p_diag_cap));
     if !abe.is_finite() || bad_block.is_some() {
         return Some(bad_block);
     }
@@ -965,13 +907,13 @@ fn divergence(
 }
 
 /// One-shot chaos fault: overwrite the first element of `P` block
-/// `block` with NaN (a simulated memory upset).
-fn poison_p_block(opt: &mut Fekf, block: usize) {
-    let core = opt.core_mut();
-    let b = block % core.p.n_blocks();
-    let mut data = core.p.block(b).as_slice().to_vec();
-    data[0] = f64::NAN;
-    core.p.set_block_data(b, &data);
+/// `block` of the first Kalman core with NaN, in place (a simulated
+/// memory upset). Without a core (Adam) nothing happens.
+fn poison_p_block(cores: &mut [KfCore], block: usize) {
+    if let Some(core) = cores.first_mut() {
+        let b = block % core.p.n_blocks();
+        core.p.block_mut(b).as_mut_slice()[0] = f64::NAN;
+    }
 }
 
 /// Apply `restore_best`: if a tracked epoch evaluation beat the final
@@ -1054,6 +996,43 @@ mod tests {
         m.get_params().iter().map(|v| v.to_bits()).collect()
     }
 
+    /// The optimizers the loop trains: the rows of the tests that hold
+    /// for each of them.
+    #[derive(Clone, Copy, Debug)]
+    enum Opt {
+        Fekf,
+        Adam,
+        NaiveEkf,
+    }
+
+    impl Opt {
+        /// Train `model` with a fresh optimizer of this kind at the
+        /// trainer's batch size: the outcome and the optimizer's state.
+        fn train(
+            self,
+            t: &Trainer,
+            model: &mut DeepPotModel,
+            ds: &Dataset,
+            robust: &RobustConfig,
+        ) -> (Result<TrainOutcome, TrainError>, Vec<u8>) {
+            let (layers, bs) = (model.layer_sizes(), t.cfg.batch_size);
+            match self {
+                Opt::Fekf => {
+                    let mut o = Fekf::new(&layers, bs, FekfConfig::default());
+                    (t.train_fekf_robust(model, &mut o, ds, None, robust), o.state_to_bytes())
+                }
+                Opt::Adam => {
+                    let mut o = Adam::new(model.n_params(), AdamConfig::default());
+                    (t.train_adam(model, &mut o, ds, None, robust), o.state_to_bytes())
+                }
+                Opt::NaiveEkf => {
+                    let mut o = NaiveEkf::new(&layers, 10240, bs, None, true);
+                    (t.train_naive_ekf(model, &mut o, ds, None, robust), o.state_to_bytes())
+                }
+            }
+        }
+    }
+
     #[test]
     fn fekf_training_reduces_rmse() {
         let ds = tiny_dataset(24, 1);
@@ -1090,7 +1069,7 @@ mod tests {
         let mut model = tiny_model(&ds);
         let initial = loss::evaluate(&model, &ds, 16);
         let mut opt = Adam::new(model.n_params(), AdamConfig { lr: 5e-3, ..Default::default() });
-        let out = trainer(4, 12).train_adam(&mut model, &mut opt, &ds, None);
+        let out = trainer(4, 12).train_adam(&mut model, &mut opt, &ds, None, &RobustConfig::off()).unwrap();
         assert!(
             out.final_train.combined() < initial.combined(),
             "Adam: {} → {}",
@@ -1112,7 +1091,7 @@ mod tests {
         let mut m2 = m1.clone();
         let mut adam = Adam::new(m2.n_params(), AdamConfig::default());
         let out_f = fekf(&trainer(4, 1), &mut m1, &ds);
-        let out_a = trainer(4, 1).train_adam(&mut m2, &mut adam, &ds, None);
+        let out_a = trainer(4, 1).train_adam(&mut m2, &mut adam, &ds, None, &RobustConfig::off()).unwrap();
         assert!(
             out_f.final_train.combined() < 0.5 * out_a.final_train.combined(),
             "FEKF {} should be far below Adam {} after one epoch",
@@ -1159,9 +1138,8 @@ mod tests {
         let ds = tiny_dataset(16, 9);
         let mut model = tiny_model(&ds);
         let initial = loss::evaluate(&model, &ds, 16);
-        let mut opt =
-            dp_optim::naive_ekf::NaiveEkf::new(&model.layer_sizes(), 10240, 4, None, true);
-        let out = trainer(4, 2).train_naive_ekf(&mut model, &mut opt, &ds, None);
+        let mut opt = NaiveEkf::new(&model.layer_sizes(), 10240, 4, None, true);
+        let out = trainer(4, 2).train_naive_ekf(&mut model, &mut opt, &ds, None, &RobustConfig::off()).unwrap();
         assert!(out.iterations > 0);
         assert!(
             out.final_train.combined() < initial.combined(),
@@ -1245,53 +1223,45 @@ mod tests {
     #[test]
     fn killed_and_resumed_run_is_bitwise_identical_to_uninterrupted() {
         let ds = tiny_dataset(16, 12);
-        let dir = std::env::temp_dir().join("dp_resume_bitwise_test");
-        let _ = std::fs::remove_dir_all(&dir);
         let t = trainer(4, 3);
+        for opt in [Opt::Fekf, Opt::Adam, Opt::NaiveEkf] {
+            let dir = std::env::temp_dir().join(format!("dp_resume_{opt:?}_{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
 
-        // Reference: uninterrupted run.
-        let mut m_ref = tiny_model(&ds);
-        let mut o_ref = Fekf::new(&m_ref.layer_sizes(), 4, FekfConfig::default());
-        let _ = t.train_fekf_robust(&mut m_ref, &mut o_ref, &ds, None, &no_chaos()).unwrap();
+            // Reference: uninterrupted run.
+            let mut m_ref = tiny_model(&ds);
+            let (done, state_ref) = opt.train(&t, &mut m_ref, &ds, &no_chaos());
+            done.unwrap();
 
-        // Crashed run: checkpoint every 2 iterations, killed after 5 —
-        // mid-epoch, NOT on a checkpoint boundary, so resume must
-        // replay the gap from the last checkpoint.
-        let mut m = tiny_model(&ds);
-        let mut opt = Fekf::new(&m.layer_sizes(), 4, FekfConfig::default());
-        let robust = RobustConfig {
-            checkpoint_every: 2,
-            checkpoint_dir: Some(dir.clone()),
-            halt_after: Some(5),
-            ..no_chaos()
-        };
-        match t.train_fekf_robust(&mut m, &mut opt, &ds, None, &robust) {
-            Err(TrainError::Halted { iterations }) => assert_eq!(iterations, 5),
-            other => panic!("expected Halted, got {other:?}"),
-        }
+            // Crashed run: checkpoint every 2 iterations, killed after 5 —
+            // mid-epoch, NOT on a checkpoint boundary, so resume must
+            // replay the gap from the last checkpoint.
+            let mut m = tiny_model(&ds);
+            let robust = RobustConfig {
+                checkpoint_every: 2,
+                checkpoint_dir: Some(dir.clone()),
+                halt_after: Some(5),
+                ..no_chaos()
+            };
+            match opt.train(&t, &mut m, &ds, &robust).0 {
+                Err(TrainError::Halted { iterations }) => assert_eq!(iterations, 5, "{opt:?}"),
+                other => panic!("{opt:?}: expected Halted, got {other:?}"),
+            }
 
-        // Resume in a FRESH process image: new model, new optimizer —
-        // everything must come from the checkpoint file.
-        let mut m2 = tiny_model(&ds);
-        let mut o2 = Fekf::new(&m2.layer_sizes(), 4, FekfConfig::default());
-        let robust = RobustConfig {
-            checkpoint_every: 2,
-            checkpoint_dir: Some(dir.clone()),
-            resume: true,
-            ..no_chaos()
-        };
-        let out = t.train_fekf_robust(&mut m2, &mut o2, &ds, None, &robust).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-        assert!(out.iterations > 5, "resume must continue past the crash point");
-
-        let p_ref = m_ref.get_params();
-        let p_res = m2.get_params();
-        for (i, (a, b)) in p_ref.iter().zip(&p_res).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "param {i} differs after resume: {a} vs {b}"
-            );
+            // Resume in a FRESH process image: new model, new optimizer —
+            // everything must come from the checkpoint file.
+            let mut m2 = tiny_model(&ds);
+            let robust = RobustConfig {
+                checkpoint_every: 2,
+                checkpoint_dir: Some(dir.clone()),
+                resume: true,
+                ..no_chaos()
+            };
+            let (out, state) = opt.train(&t, &mut m2, &ds, &robust);
+            let _ = std::fs::remove_dir_all(&dir);
+            assert!(out.unwrap().iterations > 5, "{opt:?}: resume must continue past the crash point");
+            assert_eq!(param_bits(&m2), param_bits(&m_ref), "{opt:?}: weights after resume");
+            assert_eq!(state, state_ref, "{opt:?}: optimizer state after resume");
         }
     }
 
@@ -1321,31 +1291,33 @@ mod tests {
 
     /// The rollback restores the in-memory snapshot whether or not the
     /// run also writes DPCK checkpoints: a poisoned run ends with the
-    /// same weights, `P`, λ and rollback count either way.
+    /// same weights, optimizer state (`P` and λ) and rollback count
+    /// either way. Adam has no `P` to poison, so it takes no rollback.
     #[test]
     fn rollback_is_bitwise_the_same_with_and_without_a_checkpoint_dir() {
         let ds = tiny_dataset(16, 13);
-        let dir = std::env::temp_dir().join(format!("dp_rollback_dpck_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let run = |checkpoint_dir: Option<PathBuf>| {
-            let mut m = tiny_model(&ds);
-            let mut opt = Fekf::new(&m.layer_sizes(), 4, FekfConfig::default());
-            let robust = RobustConfig {
-                checkpoint_every: 2,
-                checkpoint_dir,
-                poison_p_at: Some((3, 0)),
-                ..no_chaos()
+        for (opt, rollbacks) in [(Opt::Fekf, 1), (Opt::Adam, 0), (Opt::NaiveEkf, 1)] {
+            let dir = std::env::temp_dir().join(format!("dp_rollback_{opt:?}_{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let run = |checkpoint_dir: Option<PathBuf>| {
+                let mut m = tiny_model(&ds);
+                let robust = RobustConfig {
+                    checkpoint_every: 2,
+                    checkpoint_dir,
+                    poison_p_at: Some((3, 0)),
+                    ..no_chaos()
+                };
+                let (out, state) = opt.train(&trainer(4, 3), &mut m, &ds, &robust);
+                (param_bits(&m), state, out.unwrap().rollbacks)
             };
-            let out = trainer(4, 3).train_fekf_robust(&mut m, &mut opt, &ds, None, &robust).unwrap();
-            (param_bits(&m), opt.state_to_bytes(), opt.core().mem.lambda.to_bits(), out.rollbacks)
-        };
-        let without = run(None);
-        let with = run(Some(dir.clone()));
-        let saved = checkpoint::load_latest(&dir).unwrap().expect("the run wrote checkpoints");
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(without.3, 1, "one upset, one rollback");
-        assert_eq!(with, without);
-        assert_eq!(saved.rollbacks, 1);
+            let without = run(None);
+            let with = run(Some(dir.clone()));
+            let saved = checkpoint::load_latest(&dir).unwrap().expect("the run wrote checkpoints");
+            let _ = std::fs::remove_dir_all(&dir);
+            assert_eq!(without.2, rollbacks, "{opt:?}: one upset, one rollback");
+            assert_eq!(with, without, "{opt:?}");
+            assert_eq!(saved.rollbacks, rollbacks, "{opt:?}");
+        }
     }
 
     #[test]

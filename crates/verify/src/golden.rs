@@ -154,7 +154,9 @@ fn fingerprint_scalar(optimizer: &str, profile: Profile) -> Fingerprint {
     let outcome: TrainOutcome = match optimizer {
         "adam" => {
             let mut opt = Adam::new(model.n_params(), AdamConfig::default());
-            trainer.train_adam(&mut model, &mut opt, &ds, None)
+            trainer
+                .train_adam(&mut model, &mut opt, &ds, None, &RobustConfig::off())
+                .expect("a run with every guard off cannot fail")
         }
         "rlekf" | "fekf" => {
             let mut opt = Fekf::new(&layers, trainer.cfg.batch_size, FekfConfig::default());
@@ -164,7 +166,9 @@ fn fingerprint_scalar(optimizer: &str, profile: Profile) -> Fingerprint {
         }
         "naive_ekf" => {
             let mut opt = NaiveEkf::new(&layers, 10240, GOLDEN_BS, None, true);
-            trainer.train_naive_ekf(&mut model, &mut opt, &ds, None)
+            trainer
+                .train_naive_ekf(&mut model, &mut opt, &ds, None, &RobustConfig::off())
+                .expect("a run with every guard off cannot fail")
         }
         other => panic!("unknown golden optimizer {other:?}"),
     };

@@ -18,6 +18,21 @@ SOAK_SEED="${SOAK_SEED:-1234}"
 
 step() { printf '\n==> %s\n' "$*"; }
 
+# Every test leg and the verify run go through `bounded LIMIT cmd...`:
+# libtest has no timeout, so a deadlocked test binary would stall the
+# gate forever. The limits are several times each leg's usual time on a
+# 2-vCPU box; a leg that hits one fails the gate (exit 124, or 137 once
+# the minute of grace for SIGTERM runs out).
+bounded() {
+  local limit="$1" rc=0
+  shift
+  timeout --kill-after=60 "$limit" "$@" || rc=$?
+  if [[ $rc -eq 124 || $rc -eq 137 ]]; then
+    echo "error: still running after $limit, killed: $*" >&2
+  fi
+  return "$rc"
+}
+
 step "cargo build --release"
 cargo build --release --offline
 
@@ -44,10 +59,10 @@ fi
 # scalar again on machines with none). DP_BACKEND=scalar is the
 # configuration the golden fingerprints pin bitwise.
 step "cargo test (DP_BACKEND=scalar, DP_POOL_THREADS=1)"
-DP_BACKEND=scalar DP_POOL_THREADS=1 cargo test --offline --workspace -q
+DP_BACKEND=scalar DP_POOL_THREADS=1 bounded 90m cargo test --offline --workspace -q
 
 step "cargo test (DP_BACKEND=auto, DP_POOL_THREADS=4)"
-DP_BACKEND=auto DP_POOL_THREADS=4 cargo test --offline --workspace -q
+DP_BACKEND=auto DP_POOL_THREADS=4 bounded 90m cargo test --offline --workspace -q
 
 # auto is the widest tier only: on a CPU whose pick is wider than AVX2
 # the two legs above never run the kernel crates' unit tests on the
@@ -57,7 +72,7 @@ DP_BACKEND=auto DP_POOL_THREADS=4 cargo test --offline --workspace -q
 BACKENDS="$(cargo run --release --offline --quiet --example backends)"
 for be in $(grep -v -e '^scalar' -e '(auto)$' <<<"$BACKENDS" || true); do
   step "cargo test dp-tensor deepmd-core (DP_BACKEND=${be}, DP_POOL_THREADS=4)"
-  DP_BACKEND="$be" DP_POOL_THREADS=4 cargo test --offline -p dp-tensor -p deepmd-core -q
+  DP_BACKEND="$be" DP_POOL_THREADS=4 bounded 30m cargo test --offline -p dp-tensor -p deepmd-core -q
 done
 
 # Requesting a backend the CPU lacks must be a loud typed error, never a
@@ -87,7 +102,7 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 # under auto dispatch so the backend family sweeps every SIMD tier
 # this CPU has. The full profile is documented in README.md.
 step "verify (quick profile, seed 42, DP_BACKEND=auto)"
-DP_BACKEND=auto cargo run --release --offline -p dp-verify --bin verify -- --seed 42 --profile quick
+DP_BACKEND=auto bounded 30m cargo run --release --offline -p dp-verify --bin verify -- --seed 42 --profile quick
 
 # Decomposed-MD gate: a replicated Cu supercell on a 2x2x1 domain grid
 # must be bitwise equal to the single-domain reference, hold the PR 5
@@ -106,7 +121,7 @@ DP_POOL_THREADS=4 cargo run --release --offline -p dp-domain --bin md_scale_smok
 # threads) allocate nothing, and FrameEnv::build and the Vec-returning
 # model wrappers allocate only what they return.
 step "alloc probe (release)"
-cargo test --release --offline -p dp-bench --test alloc_probe -q
+bounded 30m cargo test --release --offline -p dp-bench --test alloc_probe -q
 
 # Paper reproduction gate: the four experiments whose claims are closed
 # forms or launch counts (about a second). `reproduce` exits non-zero
