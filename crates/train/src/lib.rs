@@ -6,12 +6,12 @@
 //!   the sign-flipped gradients (`if ŷ ≥ y then ŷ = −ŷ`) and absolute
 //!   errors for the energy update and the four atomic-force group
 //!   updates,
-//! * [`trainer`] — epoch loops for Adam (batch-mean loss gradients),
+//! * [`trainer`] — training with Adam (batch-mean loss gradients),
 //!   Naive-EKF (one `P` per sample) and FEKF (early-reduced batch
 //!   updates; RLEKF is its batch-size-1 case), on one device or
 //!   data-parallel over [`dp_parallel::DeviceGroup`] devices — one
-//!   fault-tolerant FEKF loop, whose guards [`RobustConfig::off`]
-//!   turns off,
+//!   fault-tolerant epoch loop for all of them, whose guards
+//!   [`RobustConfig::off`] turns off,
 //! * [`gradients`] — the deterministic frame-parallel batch-gradient
 //!   engine: fixed-block fan-out over `dp-pool`, index-order
 //!   reduction, recycled per-block scratch (allocation-free steady
