@@ -9,7 +9,6 @@
 //! per-sample `P`s of order `O((r−1)·N·N_b)` — the crate quantifies
 //! both so the scaling report can print them side by side.
 
-
 /// Per-collective communication statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CommStats {
@@ -19,20 +18,6 @@ pub struct CommStats {
     pub bytes_sent_per_rank: usize,
     /// Sequential communication steps.
     pub steps: usize,
-    /// Retransmissions across all ranks (fault-injected or spurious).
-    pub retries: u64,
-    /// Checksum mismatches detected and repaired.
-    pub faults_detected: u64,
-    /// Ranks that died and were excluded by graceful degradation.
-    pub dead_ranks: usize,
-}
-
-impl CommStats {
-    /// Fault-free statistics (the analytical formulas below model an
-    /// ideal interconnect).
-    pub fn ideal(ranks: usize, bytes_sent_per_rank: usize, steps: usize) -> Self {
-        CommStats { ranks, bytes_sent_per_rank, steps, ..CommStats::default() }
-    }
 }
 
 /// Interconnect model: the paper's nodes use RoCE at 25 GB/s.
@@ -60,10 +45,10 @@ impl ClusterModel {
 /// `2·(r−1)·(n/r)` elements sent per rank.
 pub fn ring_allreduce_stats(n: usize, r: usize) -> CommStats {
     if r <= 1 {
-        return CommStats::ideal(r, 0, 0);
+        return CommStats { ranks: r, bytes_sent_per_rank: 0, steps: 0 };
     }
     let chunk = n.div_ceil(r);
-    CommStats::ideal(r, 2 * (r - 1) * chunk * 8, 2 * (r - 1))
+    CommStats { ranks: r, bytes_sent_per_rank: 2 * (r - 1) * chunk * 8, steps: 2 * (r - 1) }
 }
 
 /// Per-iteration FEKF communication: one gradient allreduce per weight
@@ -74,11 +59,11 @@ pub fn fekf_iteration_stats(n_params: usize, r: usize, force_updates: usize) -> 
     let updates = 1 + force_updates;
     // ABE: one f64 per update, allreduced.
     let abe = ring_allreduce_stats(updates, r);
-    CommStats::ideal(
-        r,
-        per_update.bytes_sent_per_rank * updates + abe.bytes_sent_per_rank,
-        per_update.steps * updates + abe.steps,
-    )
+    CommStats {
+        ranks: r,
+        bytes_sent_per_rank: per_update.bytes_sent_per_rank * updates + abe.bytes_sent_per_rank,
+        steps: per_update.steps * updates + abe.steps,
+    }
 }
 
 /// Per-iteration Naive-EKF communication if its per-sample `P`s had to

@@ -6,8 +6,7 @@
 
 use crate::comm_model::CommStats;
 use crate::error::CommError;
-use crate::fault::FaultPlan;
-use crate::ring::resilient_allreduce;
+use crate::ring::ring_allreduce;
 use std::thread;
 
 /// A fixed-size group of logical devices.
@@ -69,21 +68,6 @@ impl DeviceGroup {
         vec_len: usize,
         work: impl Fn(usize, &[T]) -> (Vec<f64>, f64) + Sync,
     ) -> Result<ShardedReduce, CommError> {
-        self.map_reduce_faulty(items, vec_len, &FaultPlan::none(), work)
-    }
-
-    /// [`DeviceGroup::map_reduce`] with fault injection on the
-    /// allreduce. Dead ranks degrade gracefully: the ring re-forms
-    /// over survivors and the sum is renormalized (see
-    /// [`resilient_allreduce`]); the returned vector is taken from the
-    /// first surviving rank.
-    pub fn map_reduce_faulty<T: Sync>(
-        &self,
-        items: &[T],
-        vec_len: usize,
-        plan: &FaultPlan,
-        work: impl Fn(usize, &[T]) -> (Vec<f64>, f64) + Sync,
-    ) -> Result<ShardedReduce, CommError> {
         let shards = self.shards(items);
         let mut buffers: Vec<Vec<f64>> = Vec::with_capacity(self.n_devices);
         let mut scalars = vec![0.0; self.n_devices];
@@ -122,13 +106,9 @@ impl DeviceGroup {
         if let Some(e) = worker_err {
             return Err(e);
         }
-        let comm = resilient_allreduce(&mut buffers, plan)?;
-        // A dead rank keeps its un-reduced input; report a survivor.
-        let first_alive = (0..self.n_devices)
-            .find(|d| plan.death_step(*d).is_none())
-            .ok_or(CommError::AllRanksDead)?;
+        let comm = ring_allreduce(&mut buffers)?;
         Ok(ShardedReduce {
-            vector: buffers.swap_remove(first_alive),
+            vector: buffers.swap_remove(0),
             scalar: scalars.iter().sum(),
             comm,
         })
@@ -138,7 +118,8 @@ impl DeviceGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::DeadRank;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn shards_cover_all_items_in_order() {
@@ -212,35 +193,27 @@ mod tests {
 
     #[test]
     fn panicking_worker_is_an_error_not_a_crash() {
-        let g = DeviceGroup::new(2);
-        let err = g
-            .map_reduce(&[1, 2], 1, |d, _| {
-                if d == 1 {
-                    panic!("injected worker bug");
-                }
-                (vec![1.0], 0.0)
-            })
-            .unwrap_err();
-        assert_eq!(err, CommError::WorkerPanic { rank: 1 });
-    }
-
-    #[test]
-    fn dead_device_degrades_to_renormalized_sum() {
-        let g = DeviceGroup::new(4);
-        let items: Vec<f64> = (0..8).map(|i| i as f64).collect();
-        let plan = FaultPlan {
-            dead: vec![DeadRank { rank: 0, step: 0 }],
-            ..FaultPlan::none()
-        };
-        let out = g
-            .map_reduce_faulty(&items, 1, &plan, |_, shard| {
-                (vec![shard.iter().sum::<f64>()], 0.0)
-            })
-            .unwrap();
-        assert_eq!(out.comm.dead_ranks, 1);
-        // Survivor sum (items 2..8) scaled by 4/3.
-        let survivor_sum: f64 = items[2..].iter().sum();
-        let expect = survivor_sum * 4.0 / 3.0;
-        assert!((out.vector[0] - expect).abs() < 1e-9, "{} vs {expect}", out.vector[0]);
+        // Every rank of every group size in turn; each row runs on its
+        // own thread under a watchdog, so a hang fails instead of stalling.
+        for r in [2usize, 4, 8] {
+            for dead in 0..r {
+                let (tx, rx) = mpsc::channel();
+                let row = thread::spawn(move || {
+                    let items: Vec<usize> = (0..2 * r).collect();
+                    let out = DeviceGroup::new(r).map_reduce(&items, 3, |d, shard| {
+                        if d == dead {
+                            panic!("injected worker bug on rank {d}");
+                        }
+                        (vec![shard.len() as f64; 3], 1.0)
+                    });
+                    let _ = tx.send(out.map(|o| o.vector));
+                });
+                let res = rx
+                    .recv_timeout(Duration::from_secs(10))
+                    .unwrap_or_else(|_| panic!("r={r}, rank {dead} panicking: no result in 10 s"));
+                assert_eq!(res, Err(CommError::WorkerPanic { rank: dead }), "r={r}");
+                row.join().expect("the row's thread returned its result");
+            }
+        }
     }
 }

@@ -3,8 +3,7 @@
 //! The seed implementation panicked (`expect("ring send")`, worker
 //! join unwraps) anywhere the ring broke. On a distributed training
 //! hot path a panic tears down the whole run; these variants instead
-//! let the caller decide — retry, degrade to the surviving ranks, or
-//! roll back to a checkpoint.
+//! reach the caller as a value it can match on.
 
 use std::fmt;
 
@@ -22,22 +21,6 @@ pub enum CommError {
         /// Length found.
         got: usize,
     },
-    /// A rank gave up waiting for data or an acknowledgement.
-    Timeout {
-        /// Rank that timed out.
-        rank: usize,
-        /// Ring step at which it happened.
-        step: usize,
-    },
-    /// A rank exhausted its retransmission budget on one link.
-    RetriesExhausted {
-        /// Sending rank.
-        rank: usize,
-        /// Ring step.
-        step: usize,
-        /// Attempts made (initial send + retries).
-        attempts: u32,
-    },
     /// A neighbour's channel closed mid-collective (its thread exited).
     Disconnected {
         /// Rank that observed the closed channel.
@@ -45,13 +28,6 @@ pub enum CommError {
         /// Ring step at which it was observed.
         step: usize,
     },
-    /// A rank died (injected or real) before completing the collective.
-    DeadRank {
-        /// The dead rank.
-        rank: usize,
-    },
-    /// Every rank in the group is dead; nothing to degrade to.
-    AllRanksDead,
     /// A rank's worker thread panicked (a bug, not a fault).
     WorkerPanic {
         /// The panicking rank.
@@ -67,18 +43,9 @@ impl fmt::Display for CommError {
                 f,
                 "rank {rank}: buffer length {got} does not match group length {expect}"
             ),
-            CommError::Timeout { rank, step } => {
-                write!(f, "rank {rank} timed out at ring step {step}")
-            }
-            CommError::RetriesExhausted { rank, step, attempts } => write!(
-                f,
-                "rank {rank} exhausted {attempts} send attempts at ring step {step}"
-            ),
             CommError::Disconnected { rank, step } => {
                 write!(f, "rank {rank} lost its neighbour at ring step {step}")
             }
-            CommError::DeadRank { rank } => write!(f, "rank {rank} died mid-collective"),
-            CommError::AllRanksDead => write!(f, "all ranks in the group are dead"),
             CommError::WorkerPanic { rank } => {
                 write!(f, "worker thread for rank {rank} panicked")
             }

@@ -9,30 +9,37 @@
 //! This crate provides the equivalent runtime on OS threads:
 //!
 //! * [`ring`] — a real chunked ring-allreduce over `std::sync::mpsc` channels
-//!   (r − 1 scatter-reduce steps + r − 1 allgather steps) with a
-//!   fault-tolerant link protocol: checksummed messages, reverse
-//!   acknowledgements, bounded retransmission, and graceful
-//!   degradation around dead ranks,
-//! * [`fault`] — seeded, deterministic fault injection ([`FaultPlan`]):
-//!   dropped messages, bit-corrupted chunks, stragglers, dead ranks,
+//!   (r − 1 scatter-reduce steps + r − 1 allgather steps),
 //! * [`error`] — typed [`CommError`]s replacing the panics the seed
 //!   implementation used on the training hot path,
 //! * [`comm_model`] — the §3.3/§5.3 communication-volume formulas and a
 //!   latency/bandwidth time model parameterized with the paper's
 //!   cluster numbers (RoCE at 25 GB/s), used to extrapolate beyond the
 //!   physical core count,
-//! * [`device`] — a group of persistent worker threads ("devices") that
+//! * [`device`] — a group of worker threads ("devices") that
 //!   map shards of a minibatch and reduce flat vectors, the substrate
 //!   for the distributed trainer in `dp-train`.
 
 pub mod comm_model;
 pub mod device;
 pub mod error;
-pub mod fault;
 pub mod ring;
 
 pub use comm_model::{ClusterModel, CommStats};
 pub use device::DeviceGroup;
 pub use error::CommError;
-pub use fault::{DeadRank, FaultPlan, Straggler};
-pub use ring::{naive_allreduce, resilient_allreduce, ring_allreduce, ring_allreduce_faulty};
+pub use ring::{naive_allreduce, ring_allreduce};
+
+/// An inert placeholder kept for callers that still pass one to
+/// `dp_train::Trainer::train_fekf_distributed_robust`. It carries
+/// nothing and changes nothing: the ranks are threads of one process,
+/// and no fault is injected into their channels.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FaultPlan;
+
+impl FaultPlan {
+    /// The only plan there is.
+    pub fn none() -> Self {
+        FaultPlan
+    }
+}

