@@ -36,11 +36,6 @@ impl DeepPotential {
         &self.model
     }
 
-    /// Consume the wrapper, returning the model (e.g. for retraining).
-    pub fn into_model(self) -> DeepPotModel {
-        self.model
-    }
-
     fn state_to_frame(&self, state: &State) -> Snapshot {
         Snapshot {
             cell: state.cell.lengths(),

@@ -526,11 +526,6 @@ pub fn map_reduce<T: Sync, R: Send>(
     partials.into_iter().fold(identity(), &op)
 }
 
-/// True when called from inside a pool task (useful for diagnostics).
-pub fn in_worker() -> bool {
-    IN_WORKER.with(|w| w.get())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

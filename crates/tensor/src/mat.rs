@@ -386,21 +386,6 @@ impl Mat {
         }
         out
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// Maximum absolute entry (0 for an empty matrix).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, &v| m.max(v.abs()))
-    }
-
-    /// Consume and return the backing vector.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
 }
 
 #[cfg(test)]
