@@ -20,6 +20,8 @@ use dp_mdsim::lattice::{fcc, Species};
 use dp_mdsim::md::{MdConfig, MdRunner};
 use dp_mdsim::potential::lj::LennardJones;
 use dp_optim::fekf::{Fekf, FekfConfig};
+use dp_parallel::{DeviceGroup, FaultPlan};
+use dp_tensor::backend::{with_backend, BackendKind};
 use dp_train::targets::Backend;
 use dp_train::trainer::{LoopState, RobustConfig, TrainConfig, Trainer};
 use dp_train::TrainError;
@@ -238,4 +240,70 @@ fn kill_and_resume_under_multithreaded_pool_matches_single_thread() {
         "multithreaded kill-and-resume diverged from the single-threaded trajectory"
     );
     assert_eq!(o_ref.state_to_bytes(), o2.state_to_bytes());
+}
+
+/// FNV-1a over `bytes`, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// `(devices, FNV-1a over the parameter bits then the optimizer-state
+/// bytes, comm_bytes_per_rank)` after two epochs of distributed FEKF on
+/// the scalar backend.
+const DISTRIBUTED_PINS: [(usize, u64, usize); 3] =
+    [(1, 0x6993c9778a110322, 0), (2, 0x3d311ef4bdddbe9d, 299952), (3, 0xfcb5ad608ef3297c, 399984)];
+
+/// Data-parallel FEKF is a pure function of (data, seed, config, device
+/// count): at 1, 2 and 8 pool threads it lands on the pinned weights,
+/// filter state and byte count for 1, 2 and 3 devices, and on one
+/// device it is the single-device loop. A moved hash means the
+/// reduction order moved; never re-pin it to make a change pass.
+#[test]
+fn distributed_fekf_bits_are_pinned_at_every_thread_count() {
+    let _g = POOL_LOCK.lock().unwrap();
+    let ds = tiny_dataset(16, 25);
+    // Batches of 6, 6 and 4 frames: three devices all hold frames.
+    let t = trainer(6, 2);
+    let run = |devices: Option<usize>| -> (u64, usize) {
+        let mut m = tiny_model(&ds);
+        let mut opt = Fekf::new(&m.layer_sizes(), t.cfg.batch_size, FekfConfig::default());
+        let off = RobustConfig::off();
+        let out = match devices {
+            None => t.train_fekf_robust(&mut m, &mut opt, &ds, None, &off),
+            Some(d) => t.train_fekf_distributed_robust(
+                &mut m,
+                &mut opt,
+                &ds,
+                None,
+                &DeviceGroup::new(d),
+                &FaultPlan::none(),
+                &off,
+            ),
+        }
+        .unwrap();
+        let params: Vec<u8> = m.get_params().iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
+        let h = fnv1a(fnv1a(0xCBF2_9CE4_8422_2325, &params), &opt.state_to_bytes());
+        (h, out.comm_bytes_per_rank)
+    };
+    with_backend(BackendKind::Scalar, || {
+        dp_pool::set_threads(1);
+        let single = run(None);
+        for &(devices, hash, bytes) in &DISTRIBUTED_PINS {
+            for &threads in SWEEP {
+                dp_pool::set_threads(threads);
+                let (h, b) = run(Some(devices));
+                assert_eq!(
+                    (h, b),
+                    (hash, bytes),
+                    "{devices} devices at {threads} threads: got ({devices}, {h:#018x}, {b})"
+                );
+            }
+        }
+        assert_eq!(single, (DISTRIBUTED_PINS[0].1, DISTRIBUTED_PINS[0].2), "one device is the single-device loop");
+    })
+    .expect("the scalar backend is always available");
+    dp_pool::set_threads(1);
 }
