@@ -5,7 +5,8 @@
 //! `Trainer::fekf_iteration` (forward, energy reduce, force reduce, all
 //! five KF updates, on 2 pool threads), nor a second in-place refresh
 //! of the FEKF loop's rollback snapshot, nor an iteration of the FEKF
-//! epoch loop with its divergence guards on,
+//! epoch loop with its divergence guards on (on one device and
+//! data-parallel on two),
 //! nor a domain-decomposed MD step with the deep potential (migration, halo,
 //! neighbour search, environments, forces, on 2 pool threads) performs
 //! a single heap allocation, and `FrameEnv::build` and the
@@ -29,6 +30,7 @@ use dp_mdsim::state::State;
 use dp_mdsim::systems::PaperSystem;
 use dp_mdsim::Vec3;
 use dp_optim::fekf::{Fekf, FekfConfig};
+use dp_parallel::{DeviceGroup, FaultPlan};
 use dp_train::checkpoint::{self, Cursor};
 use dp_train::recipes::{self, ModelScale};
 use dp_train::trainer::{LoopState, RobustConfig, TrainConfig, Trainer};
@@ -106,6 +108,7 @@ fn main() {
     whole_iteration_is_allocation_free();
     snapshot_refresh_is_allocation_free();
     guarded_loop_iteration_is_allocation_free();
+    distributed_loop_iteration_is_allocation_free();
     wrappers_allocate_only_what_they_return();
     domain_md_step_is_allocation_free();
     dp_pool::set_threads(1);
@@ -177,6 +180,20 @@ fn whole_iteration_is_allocation_free() {
 /// The epoch loop under `RobustConfig::default()`, the guards checked
 /// after every iteration: a run halted after iteration k + 3 allocates
 /// exactly what one halted after k does, both inside the second epoch.
+fn guarded_loop_iteration_is_allocation_free() {
+    assert_loop_iteration_allocates_nothing(None);
+}
+
+/// The same probe through `train_fekf_distributed_robust` on 2 devices:
+/// both shards' reductions, the gradient and ABE ring allreduces and the
+/// replicated KF updates run in recycled buffers.
+fn distributed_loop_iteration_is_allocation_free() {
+    assert_loop_iteration_allocates_nothing(Some(2));
+}
+
+/// Steady-state iterations of the guarded FEKF epoch loop, on one
+/// device (`None`, `train_fekf_robust`) or data-parallel on `devices`,
+/// allocate nothing.
 ///
 /// Every frame is a copy of one Cu geometry. A reduction block's
 /// buffers grow (once, doubling) the first time it meets a frame with
@@ -184,7 +201,7 @@ fn whole_iteration_is_allocation_free() {
 /// that still happens now and then in later epochs. Equal geometries
 /// let the first epoch size every buffer, so the difference isolates
 /// the loop and its guards.
-fn guarded_loop_iteration_is_allocation_free() {
+fn assert_loop_iteration_allocates_nothing(devices: Option<usize>) {
     let scale = GenScale { frames_per_temperature: 16, equilibration: 20, stride: 2 };
     let mut exp = recipes::setup(PaperSystem::Cu, &scale, ModelScale::Small, 3);
     let first = exp.train.frames[0].clone();
@@ -197,8 +214,18 @@ fn guarded_loop_iteration_is_allocation_free() {
         let mut model = exp.model.clone();
         let mut opt = Fekf::new(&model.layer_sizes(), bs, FekfConfig::default());
         let robust = RobustConfig { halt_after: Some(halt), ..RobustConfig::default() };
-        let (result, n) =
-            allocs_in(|| trainer.train_fekf_robust(&mut model, &mut opt, &exp.train, None, &robust));
+        let (result, n) = allocs_in(|| match devices {
+            None => trainer.train_fekf_robust(&mut model, &mut opt, &exp.train, None, &robust),
+            Some(d) => trainer.train_fekf_distributed_robust(
+                &mut model,
+                &mut opt,
+                &exp.train,
+                None,
+                &DeviceGroup::new(d),
+                &FaultPlan::none(),
+                &robust,
+            ),
+        });
         assert!(matches!(result, Err(TrainError::Halted { iterations }) if iterations == halt));
         n
     };
@@ -209,7 +236,7 @@ fn guarded_loop_iteration_is_allocation_free() {
     assert_eq!(
         long,
         short,
-        "a guarded steady-state loop iteration must not allocate ({} allocations in 3)",
+        "a guarded steady-state loop iteration must not allocate (devices {devices:?}: {} allocations in 3)",
         long as i64 - short as i64
     );
 }

@@ -1,9 +1,8 @@
 //! Typed communication errors.
 //!
-//! The seed implementation panicked (`expect("ring send")`, worker
-//! join unwraps) anywhere the ring broke. On a distributed training
-//! hot path a panic tears down the whole run; these variants instead
-//! reach the caller as a value it can match on.
+//! On a distributed training hot path a panic tears down the whole run;
+//! a malformed collective or a rank whose work panicked instead reaches
+//! the caller as a value it can match on.
 
 use std::fmt;
 
@@ -21,14 +20,7 @@ pub enum CommError {
         /// Length found.
         got: usize,
     },
-    /// A neighbour's channel closed mid-collective (its thread exited).
-    Disconnected {
-        /// Rank that observed the closed channel.
-        rank: usize,
-        /// Ring step at which it was observed.
-        step: usize,
-    },
-    /// A rank's worker thread panicked (a bug, not a fault).
+    /// A rank's work panicked (a bug, not a fault).
     WorkerPanic {
         /// The panicking rank.
         rank: usize,
@@ -43,11 +35,8 @@ impl fmt::Display for CommError {
                 f,
                 "rank {rank}: buffer length {got} does not match group length {expect}"
             ),
-            CommError::Disconnected { rank, step } => {
-                write!(f, "rank {rank} lost its neighbour at ring step {step}")
-            }
             CommError::WorkerPanic { rank } => {
-                write!(f, "worker thread for rank {rank} panicked")
+                write!(f, "work of rank {rank} panicked")
             }
         }
     }

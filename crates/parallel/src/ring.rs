@@ -1,4 +1,4 @@
-//! Chunked ring-allreduce over bounded `std::sync::mpsc` channels.
+//! Chunked ring-allreduce, run as an in-place schedule.
 //!
 //! The classic two-phase algorithm Horovod uses: with `r` ranks the
 //! vector is cut into `r` chunks; in `r − 1` *scatter-reduce* steps
@@ -8,21 +8,43 @@
 //! Every rank sends `2·(r−1)·(N/r)` elements — the bandwidth-optimal
 //! volume the paper's §3.3 analysis builds on.
 //!
-//! The ranks are threads of one process, so a message can be neither
-//! lost, corrupted nor late. What can go wrong is a rank thread that
-//! panics: its channels close, its neighbours see
-//! [`CommError::Disconnected`] instead of blocking, and the collective
-//! returns [`CommError::WorkerPanic`].
+//! The rank buffers live in one process, so a "send" is the receiver
+//! reading its predecessor's chunk: each step runs on the calling thread
+//! as `dst += src` (or `dst = src`) from the predecessor's region into
+//! the receiver's. Within a step every rank writes one chunk and its
+//! successor reads another, so the result is the message-passing ring's
+//! bit for bit, and nothing is allocated.
 
 use crate::comm_model::CommStats;
 use crate::error::CommError;
-use std::sync::mpsc::sync_channel;
-use std::thread;
 
-/// In-place allreduce (sum) across `buffers`, one buffer per rank, each
-/// rank running on its own OS thread connected to its neighbours by
-/// channels. Returns the communication statistics of the busiest rank.
-/// On `Err` the buffer contents are unspecified.
+/// The chunks `rank` sends and receives at ring step `step` of `r`
+/// ranks, and whether the received chunk is added into its own
+/// (scatter-reduce) or replaces it (allgather). What a rank receives
+/// is what its predecessor sends.
+fn schedule(r: usize, rank: usize, step: usize) -> (usize, usize, bool) {
+    if step < r - 1 {
+        ((rank + r - step) % r, (rank + r - step - 1) % r, true)
+    } else {
+        let t = step - (r - 1);
+        ((rank + 1 + r - t) % r, (rank + r - t) % r, false)
+    }
+}
+
+/// `rank`'s buffer and its predecessor's around the ring (`r ≥ 2`).
+fn with_predecessor(buffers: &mut [Vec<f64>], rank: usize) -> (&mut [f64], &[f64]) {
+    let r = buffers.len();
+    let (lo, hi) = buffers.split_at_mut(rank.max(1));
+    if rank == 0 {
+        (&mut lo[0], &hi[r - 2])
+    } else {
+        (&mut hi[0], &lo[rank - 1])
+    }
+}
+
+/// In-place allreduce (sum) across `buffers`, one buffer per rank, on
+/// the calling thread. Returns the communication statistics of the
+/// busiest rank. On `Err` the buffers are untouched.
 pub fn ring_allreduce(buffers: &mut [Vec<f64>]) -> Result<CommStats, CommError> {
     let r = buffers.len();
     if r == 0 {
@@ -40,73 +62,29 @@ pub fn ring_allreduce(buffers: &mut [Vec<f64>]) -> Result<CommStats, CommError> 
 
     // Chunk boundaries (ceil split keeps every index covered).
     let chunk = n.div_ceil(r);
-    let bounds: Vec<(usize, usize)> =
-        (0..r).map(|c| ((c * chunk).min(n), ((c + 1) * chunk).min(n))).collect();
-
-    // Rank i sends to (i + 1) % r. One slot per link is enough: a rank
-    // blocked sending step s + 1 has received its step-s chunk, so the
-    // ranks around the ring cannot all be blocked at once.
-    let (mut txs, mut rxs): (Vec<_>, Vec<_>) =
-        (0..r).map(|_| sync_channel::<Vec<f64>>(1)).unzip();
-    rxs.rotate_right(1);
-
+    let bounds = |c: usize| (c * chunk).min(n)..((c + 1) * chunk).min(n);
     let total_steps = 2 * (r - 1);
-    let results: Vec<Result<usize, CommError>> = thread::scope(|scope| {
-        let handles: Vec<_> = buffers
-            .iter_mut()
-            .zip(txs.drain(..).zip(rxs.drain(..)))
-            .enumerate()
-            .map(|(rank, (buf, (tx, rx)))| {
-                let bounds = &bounds;
-                scope.spawn(move || -> Result<usize, CommError> {
-                    let mut bytes_sent = 0;
-                    for step in 0..total_steps {
-                        // Scatter-reduce in the first r−1 steps, then
-                        // allgather; both phases circulate one chunk
-                        // per step.
-                        let (send_c, recv_c, reduce) = if step < r - 1 {
-                            ((rank + r - step) % r, (rank + r - step - 1) % r, true)
-                        } else {
-                            let t = step - (r - 1);
-                            ((rank + 1 + r - t) % r, (rank + r - t) % r, false)
-                        };
-                        let (a, b) = bounds[send_c];
-                        bytes_sent += (b - a) * std::mem::size_of::<f64>();
-                        tx.send(buf[a..b].to_vec())
-                            .map_err(|_| CommError::Disconnected { rank, step })?;
-                        let incoming: Vec<f64> =
-                            rx.recv().map_err(|_| CommError::Disconnected { rank, step })?;
-                        let (a, b) = bounds[recv_c];
-                        if reduce {
-                            for (dst, src) in buf[a..b].iter_mut().zip(&incoming) {
-                                *dst += src;
-                            }
-                        } else {
-                            buf[a..b].copy_from_slice(&incoming);
-                        }
-                    }
-                    Ok(bytes_sent)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(rank, h)| h.join().unwrap_or(Err(CommError::WorkerPanic { rank })))
-            .collect()
-    });
-
-    // A panic is the root cause; its neighbours' disconnects are echoes.
-    let mut stats = CommStats { ranks: r, bytes_sent_per_rank: 0, steps: total_steps };
-    let mut first_err = None;
-    for res in results {
-        match res {
-            Ok(bytes) => stats.bytes_sent_per_rank = stats.bytes_sent_per_rank.max(bytes),
-            Err(e @ CommError::WorkerPanic { .. }) => return Err(e),
-            Err(e) => first_err = first_err.or(Some(e)),
+    for step in 0..total_steps {
+        for rank in 0..r {
+            let (_, recv_c, reduce) = schedule(r, rank, step);
+            let (dst, src) = with_predecessor(buffers, rank);
+            let (dst, src) = (&mut dst[bounds(recv_c)], &src[bounds(recv_c)]);
+            if reduce {
+                for (d, s) in dst.iter_mut().zip(src) {
+                    *d += s;
+                }
+            } else {
+                dst.copy_from_slice(src);
+            }
         }
     }
-    first_err.map_or(Ok(stats), Err)
+    let sent = |rank| (0..total_steps).map(|step| bounds(schedule(r, rank, step).0).len()).sum::<usize>();
+    let busiest = (0..r).map(sent).max().unwrap_or(0);
+    Ok(CommStats {
+        ranks: r,
+        bytes_sent_per_rank: busiest * std::mem::size_of::<f64>(),
+        steps: total_steps,
+    })
 }
 
 /// Reference implementation: serial sum + broadcast (the oracle of the

@@ -758,9 +758,9 @@ mod tests {
         assert_eq!(current_threads(), 1);
     }
 
-    /// Two threads submit at once (the two `DeviceGroup` ranks, the two
-    /// shard dispatchers). The second must neither overwrite the first
-    /// one's published job nor, on finishing, retire it.
+    /// Two threads submit at once (two serving shards' dispatchers, say).
+    /// The second must neither overwrite the first one's published job
+    /// nor, on finishing, retire it.
     #[test]
     fn concurrent_submitters_leave_each_others_job_alone() {
         use std::sync::mpsc;

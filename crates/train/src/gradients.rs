@@ -60,9 +60,9 @@ pub struct BlockScratch {
     busy: Duration,
 }
 
-/// Recycled state of the block reduction: per-block scratch plus the
-/// combined outputs. One per training loop (plus one per rank in the
-/// distributed loop); buffers grow to the largest phase and stay.
+/// Recycled state of the block reduction: per-block scratch. One per
+/// training loop, shared by its ranks; buffers grow to the largest
+/// phase and stay.
 #[derive(Default)]
 pub struct GradScratch {
     blocks: Vec<Mutex<BlockScratch>>,
@@ -99,10 +99,11 @@ impl GradScratch {
     /// (both pre-zeroed per call); items within a block run in
     /// ascending index order on one task.
     ///
-    /// Returns the share of the blocks' busy time that `per_item`
-    /// booked on `scratch.forward` — how a caller whose items run
-    /// forward pass and gradient back to back splits the reduction's
-    /// wall time between the two phases.
+    /// Returns `(forward, busy)`: the time `per_item` booked on
+    /// `scratch.forward`, and the time the blocks' tasks ran, summed
+    /// over blocks — how a caller whose items run forward pass and
+    /// gradient back to back splits the reduction's wall time between
+    /// the two phases.
     pub fn block_reduce(
         &mut self,
         n_items: usize,
@@ -111,7 +112,7 @@ impl GradScratch {
         per_item: &(dyn Fn(usize, &mut BlockScratch) + Sync),
         out: &mut Vec<f64>,
         out_abes: &mut Vec<f64>,
-    ) -> f64 {
+    ) -> (Duration, Duration) {
         let nb = n_blocks(n_items);
         let len = n_slots * n_params;
         if self.blocks.len() < nb {
@@ -157,11 +158,7 @@ impl GradScratch {
         }
         out.truncate(len);
         out_abes.truncate(n_slots);
-        if busy.is_zero() {
-            0.0
-        } else {
-            (forward.as_secs_f64() / busy.as_secs_f64()).min(1.0)
-        }
+        (forward, busy)
     }
 }
 

@@ -8,10 +8,11 @@
 //!   updates,
 //! * [`trainer`] — training with Adam (batch-mean loss gradients),
 //!   Naive-EKF (one `P` per sample) and FEKF (early-reduced batch
-//!   updates; RLEKF is its batch-size-1 case), on one device or
-//!   data-parallel over [`dp_parallel::DeviceGroup`] devices — one
-//!   fault-tolerant epoch loop for all of them, whose guards
-//!   [`RobustConfig::off`] turns off,
+//!   updates; RLEKF is its batch-size-1 case; one FEKF iteration,
+//!   data-parallel over [`dp_parallel::DeviceGroup`] devices, and the
+//!   single-device run is its one-device case) — one fault-tolerant
+//!   epoch loop for all of them, whose guards [`RobustConfig::off`]
+//!   turns off,
 //! * [`gradients`] — the deterministic frame-parallel batch-gradient
 //!   engine: fixed-block fan-out over `dp-pool`, index-order
 //!   reduction, recycled per-block scratch (allocation-free steady

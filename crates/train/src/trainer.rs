@@ -41,8 +41,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Training-loop configuration.
 #[derive(Clone, Copy, Debug)]
@@ -131,16 +130,14 @@ pub struct LoopState {
     /// iteration, then the steady-state KF path stays allocation-free.
     delta: Vec<f64>,
     /// Recycled block-reduction scratch of the frame-parallel gradient
-    /// engine (single-device loops).
+    /// engine, shared by the ranks (they run in turn).
     scratch: GradScratch,
-    /// Combined gradient sums of the last block reduction
-    /// (`n_slots × n_params` layout, slot-major).
-    gsum: Vec<f64>,
-    /// Combined absolute-error sums of the last block reduction.
-    gabes: Vec<f64>,
-    /// Per-rank recycled scratch for the distributed shard closures
-    /// (sized lazily to the device count).
-    dist_scratch: Vec<Mutex<GradScratch>>,
+    /// Absolute-error sums of the last rank's block reduction.
+    abes: Vec<f64>,
+    /// One allreduce vector per rank: its shard's gradient sums
+    /// (`n_slots × n_params`, slot-major; a force phase appends its
+    /// groups' error sums), the whole batch's after the allreduce.
+    bufs: Vec<Vec<f64>>,
     /// Latest environment-cache counters (refreshed every iteration so
     /// every outcome path reports them).
     cache_stats: CacheStats,
@@ -165,25 +162,26 @@ impl LoopState {
             comm_bytes: 0,
             delta: Vec::new(),
             scratch: GradScratch::new(),
-            gsum: Vec::new(),
-            gabes: Vec::new(),
-            dist_scratch: Vec::new(),
+            abes: Vec::new(),
+            bufs: Vec::new(),
             cache_stats: CacheStats::default(),
             rollbacks: 0,
         }
     }
 }
 
-/// Time `f`, a block reduction that returns the forward share of its
-/// busy time, and book its wall time on the forward and gradient phases
-/// in that proportion.
-fn timed_split(phases: &mut PhaseTimes, f: impl FnOnce() -> f64) {
+/// Time `f`, block reductions that return `(out, forward, busy)`: how
+/// long their blocks spent in forward passes and busy in all. Book its
+/// wall time on the forward and gradient phases in that proportion.
+fn timed_split<R>(phases: &mut PhaseTimes, f: impl FnOnce() -> (R, Duration, Duration)) -> R {
     let start = Instant::now();
-    let forward_share = f();
+    let (out, forward, busy) = f();
     let wall = start.elapsed();
-    let forward = wall.mul_f64(forward_share);
+    let share = if busy.is_zero() { 0.0 } else { (forward.as_secs_f64() / busy.as_secs_f64()).min(1.0) };
+    let forward = wall.mul_f64(share);
     phases.forward += forward;
     phases.gradient += wall - forward;
+    out
 }
 
 /// One phase of an EKF iteration: how many update slots it fills, and
@@ -372,17 +370,13 @@ impl Trainer {
         })
     }
 
-    /// One FEKF iteration over `batch`. Returns the batch-mean absolute
-    /// energy error, which the divergence guards watch.
+    /// One FEKF iteration over `batch` on one device: the data-parallel
+    /// iteration on `DeviceGroup::new(1)`, which communicates nothing.
+    /// Returns the batch-mean absolute energy error, which the
+    /// divergence guards watch.
     ///
-    /// Each frame runs forward pass and gradient back to back in its
-    /// reduction block's workspace, against cached neighbour
-    /// environments (`cache`); the batch gradient/error sums run
-    /// through the fixed-block engine of [`crate::gradients`], so the
-    /// result is bitwise independent of `DP_POOL_THREADS` and of how
-    /// many slots `cache` has (`EnvCache::new(0)` rebuilds every
-    /// geometry). Once every buffer has seen the batch's frames, an
-    /// iteration allocates nothing.
+    /// # Panics
+    /// Panics if a frame's work panics.
     pub fn fekf_iteration(
         &self,
         model: &mut DeepPotModel,
@@ -392,40 +386,8 @@ impl Trainer {
         cache: &EnvCache,
         state: &mut LoopState,
     ) -> f64 {
-        let n_params = model.n_params();
-        let inv_bs = 1.0 / batch.len() as f64;
-        let backend = self.cfg.backend;
-        state.delta.resize(n_params, 0.0);
-        // The energy phase, then the force phase on fresh passes taken
-        // after the energy update. Each reduces the signed gradients and
-        // absolute errors over the batch (the early reduction of §3.1,
-        // Algorithm 1 line 7): gradients are *summed*
-        // ("Ŷ.sum().backward()"), errors are averaged. The Kalman gain
-        // normalizes by gᵀPg, so the summed gradient's √bs-growth is
-        // exactly what the √bs weight factor compensates (Eq. 2).
-        let [mean_abe, _] = Phase::iteration(self.cfg.force_updates).map(|phase| {
-            {
-                let model = &*model;
-                let LoopState { phases, scratch, gsum, gabes, .. } = &mut *state;
-                timed_split(phases, || {
-                    scratch.block_reduce(
-                        batch.len(),
-                        phase.slots(),
-                        n_params,
-                        &|bi, blk| phase.item(model, cache, train, batch[bi], backend, blk),
-                        gsum,
-                        gabes,
-                    )
-                });
-            }
-            timed(&mut state.phases.optimizer, || {
-                opt.step_slots(&state.gsum, &state.gabes, inv_bs, &mut state.delta, |d| model.apply_update(d))
-            });
-            state.gabes[0] * inv_bs
-        });
-        state.iterations += 1;
-        state.cache_stats = cache.stats();
-        mean_abe
+        self.fekf_distributed_iteration(model, opt, train, batch, &DeviceGroup::new(1), cache, state)
+            .unwrap_or_else(|e| panic!("FEKF iteration: {e}"))
     }
 
     /// Train with the fusiform Naive-EKF (§3.1's
@@ -486,6 +448,15 @@ impl Trainer {
     /// combined with the ring allreduce, then the identical KF updates
     /// every replica would apply (§3.3). A failed collective surfaces
     /// as a typed error — the distributed hot path never panics.
+    ///
+    /// Each frame runs forward pass and gradient back to back in its
+    /// reduction block's workspace, against cached neighbour
+    /// environments (`cache`); each shard's gradient/error sums run
+    /// through the fixed-block engine of [`crate::gradients`], so the
+    /// result is bitwise independent of `DP_POOL_THREADS` and of how
+    /// many slots `cache` has (`EnvCache::new(0)` rebuilds every
+    /// geometry). Once every buffer has seen the batch's frames, an
+    /// iteration allocates nothing.
     #[allow(clippy::too_many_arguments)]
     fn fekf_distributed_iteration(
         &self,
@@ -500,13 +471,15 @@ impl Trainer {
         let n_params = model.n_params();
         let inv_bs = 1.0 / batch.len() as f64;
         let backend = self.cfg.backend;
-        if state.dist_scratch.len() < devices.n_devices() {
-            state
-                .dist_scratch
-                .resize_with(devices.n_devices(), || Mutex::new(GradScratch::new()));
-        }
         state.delta.resize(n_params, 0.0);
         let mut mean_abe = 0.0;
+        // The energy phase, then the force phase on fresh passes taken
+        // after the energy update. Each reduces the signed gradients and
+        // absolute errors over the batch (the early reduction of §3.1,
+        // Algorithm 1 line 7): gradients are *summed*
+        // ("Ŷ.sum().backward()"), errors are averaged. The Kalman gain
+        // normalizes by gᵀPg, so the summed gradient's √bs-growth is
+        // exactly what the √bs weight factor compensates (Eq. 2).
         for phase in Phase::iteration(self.cfg.force_updates) {
             let n_slots = phase.slots();
             // The energy error rides as the reduction's scalar; the force
@@ -520,35 +493,38 @@ impl Trainer {
             // `dp-pool`; the per-rank shard sum stays a fixed-order
             // reduction, so the allreduce input — and hence the update —
             // is thread-count independent).
-            let (model_ref, dist) = (&*model, &state.dist_scratch);
-            let red = timed(&mut state.phases.gradient, || {
-                devices.map_reduce(batch, len, |rank, shard| {
-                    let mut sc = dist[rank].lock().unwrap_or_else(|e| e.into_inner());
-                    let (mut g, mut abes) = (Vec::new(), Vec::new());
-                    sc.block_reduce(
+            let model_ref = &*model;
+            let LoopState { phases, scratch, abes, bufs, .. } = &mut *state;
+            let red = timed_split(phases, || {
+                let (mut forward, mut busy) = (Duration::ZERO, Duration::ZERO);
+                let red = devices.map_reduce(batch, len, bufs, |_, shard, buf| {
+                    let (f, b) = scratch.block_reduce(
                         shard.len(),
                         n_slots,
                         n_params,
                         &|si, blk| phase.item(model_ref, cache, train, shard[si], backend, blk),
-                        &mut g,
-                        &mut abes,
+                        buf,
+                        abes,
                     );
+                    (forward, busy) = (forward + f, busy + b);
                     match phase {
-                        Phase::Energy => (g, abes[0]),
+                        Phase::Energy => abes[0],
                         Phase::Forces(_) => {
-                            g.extend_from_slice(&abes);
-                            (g, 0.0)
+                            buf.extend_from_slice(abes);
+                            0.0
                         }
                     }
-                })
+                });
+                (red, forward, busy)
             })?;
             state.comm_bytes += red.comm.bytes_sent_per_rank;
+            let reduced = &state.bufs[0];
             let (grads, abes) = match phase {
                 Phase::Energy => {
                     mean_abe = red.scalar * inv_bs;
-                    (&red.vector[..], std::slice::from_ref(&red.scalar))
+                    (&reduced[..], std::slice::from_ref(&red.scalar))
                 }
-                Phase::Forces(_) => red.vector.split_at(n_slots * n_params),
+                Phase::Forces(_) => reduced.split_at(n_slots * n_params),
             };
             timed(&mut state.phases.optimizer, || {
                 opt.step_slots(grads, abes, inv_bs, &mut state.delta, |d| model.apply_update(d))
@@ -561,8 +537,9 @@ impl Trainer {
 
     /// Fault-tolerant single-device FEKF training: periodic
     /// checkpointing, divergence detection with rollback-and-retry, and
-    /// bit-exact resume after a crash (see [`RobustConfig`]). RLEKF is
-    /// this loop with a batch-size-1 `Fekf`.
+    /// bit-exact resume after a crash (see [`RobustConfig`]). It is the
+    /// data-parallel loop on one device, and RLEKF is this loop with a
+    /// batch-size-1 `Fekf`.
     pub fn train_fekf_robust(
         &self,
         model: &mut DeepPotModel,
@@ -571,10 +548,8 @@ impl Trainer {
         test: Option<&Dataset>,
         robust: &RobustConfig,
     ) -> Result<TrainOutcome, TrainError> {
-        let cache = EnvCache::new(train.len());
-        self.robust_loop(model, opt, train, test, robust, |model, opt, batch, state| {
-            Ok(self.fekf_iteration(model, opt, train, batch, &cache, state))
-        })
+        let one = DeviceGroup::new(1);
+        self.train_fekf_distributed_robust(model, opt, train, test, &one, &FaultPlan::none(), robust)
     }
 
     /// Fault-tolerant data-parallel FEKF training: the gradients and
