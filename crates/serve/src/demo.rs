@@ -42,8 +42,7 @@ pub fn demo_model(seed: u64) -> DeepPotModel {
 }
 
 /// A 108-atom 3×3×3 fcc aluminium frame — big enough to legally carry
-/// the production 6 Å cutoff (`rcut ≤ L/2`), used by the paper-sized
-/// fixtures below.
+/// the production 6 Å cutoff (`rcut ≤ L/2`): a paper-sized request.
 pub fn demo_frame_paper(seed: u64) -> Snapshot {
     let mut s = fcc(Species::new("Al", 27.0), 4.05, [3, 3, 3]);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -57,21 +56,4 @@ pub fn demo_frame_paper(seed: u64) -> Snapshot {
         forces: vec![Vec3::ZERO; s.n_atoms()],
         temperature: 300.0,
     }
-}
-
-/// [`demo_model`] at the paper's production scale: M = 25 with three
-/// 25-wide embedding layers, three 50-wide fitting layers, and a 6 Å
-/// cutoff (≈54 neighbors per atom on fcc Al). This is the regime where
-/// the per-neighbor embedding net dominates serving cost, i.e. where
-/// the compressed/quantized tiers earn their keep — the fidelity-sweep
-/// bench pairs it with [`demo_frame_paper`] so the measured speedups
-/// reflect production shapes, not the tiny CI fixture.
-pub fn demo_model_paper(seed: u64) -> DeepPotModel {
-    let mut cfg = ModelConfig::paper(1, 6.0);
-    cfg.rcut_smooth = 5.0;
-    cfg.seed = seed;
-    let mut ds = Dataset::new("Al", vec!["Al".into()]);
-    ds.push(demo_frame_paper(1));
-    ds.push(demo_frame_paper(2));
-    DeepPotModel::new(cfg, &ds)
 }

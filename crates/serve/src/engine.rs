@@ -196,12 +196,6 @@ impl Engine {
         snap
     }
 
-    /// Raw access to the engine's counters (the overload soak reads the
-    /// per-lane depth histograms through this).
-    pub fn raw_stats(&self) -> &ServeStats {
-        &self.shared.stats
-    }
-
     /// Stop accepting requests, drain what is queued, and join the
     /// dispatcher. Requests still queued when the dispatcher exits —
     /// it drains everything in the normal case, so this only covers a

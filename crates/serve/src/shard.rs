@@ -129,38 +129,18 @@ impl ShardSet {
     }
 }
 
-/// Fleet geometry and per-shard policy.
+/// Fleet geometry. Every shard runs under default batching with no
+/// overload limits and no chaos injection.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// Number of engine shards (ids `0..shards`), clamped to ≥ 1.
     pub shards: u32,
-    /// The SLO policy every shard runs under.
-    pub slo: SloPolicy,
-    /// Chaos injection per shard (production passes
-    /// [`ChaosPlan::none`]).
-    pub chaos: ChaosPlan,
 }
 
 impl FleetConfig {
-    /// `shards` engines under default batching and no overload limits.
+    /// `shards` engines.
     pub fn new(shards: u32) -> Self {
-        FleetConfig {
-            shards,
-            slo: SloPolicy::unbounded(BatchPolicy::default()),
-            chaos: ChaosPlan::none(),
-        }
-    }
-
-    /// Override the per-shard SLO policy.
-    pub fn with_slo(mut self, slo: SloPolicy) -> Self {
-        self.slo = slo;
-        self
-    }
-
-    /// Override the per-shard chaos plan.
-    pub fn with_chaos(mut self, chaos: ChaosPlan) -> Self {
-        self.chaos = chaos;
-        self
+        FleetConfig { shards }
     }
 }
 
@@ -191,8 +171,8 @@ impl Fleet {
                 id,
                 engine: Engine::start_shard(
                     Arc::clone(&models),
-                    config.slo,
-                    config.chaos.clone(),
+                    SloPolicy::unbounded(BatchPolicy::default()),
+                    ChaosPlan::none(),
                     Arc::clone(&tenants),
                 ),
                 alive: AtomicBool::new(true),
