@@ -114,7 +114,8 @@ DP_POOL_THREADS=4 cargo run --release --offline -p dp-domain --bin md_scale_smok
 # (forward, both reductions, all five KF updates, 2 pool threads), a
 # chained 1 + 4-slot KF update sequence on a 512-wide P block, a second
 # in-place refresh of the FEKF loop's rollback snapshot, an iteration of
-# the FEKF epoch loop with its divergence guards on, and a steady-state
+# the FEKF epoch loop with its divergence guards on (on one device, and
+# on 2 devices: distributed_loop_iteration_is_allocation_free), and a steady-state
 # decomposed MD step with the deep potential (2x1x1 grid, 2 pool
 # threads) allocate nothing, and FrameEnv::build and the Vec-returning
 # model wrappers allocate only what they return.
